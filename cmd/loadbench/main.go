@@ -72,7 +72,6 @@ type options struct {
 	seed        int64
 	zipf        float64
 	coalesce    bool
-	shards      int
 	workers     int
 	replicas    int
 	merge       string
@@ -92,7 +91,6 @@ func run(args []string, w io.Writer) error {
 	fs.Int64Var(&o.seed, "seed", 1, "program generation seed")
 	fs.Float64Var(&o.zipf, "zipf", 0, "Zipf exponent for program popularity (>1; 0 = uniform rotation)")
 	fs.BoolVar(&o.coalesce, "coalesce", true, "coalesce identical in-flight requests (self-hosted modes)")
-	fs.IntVar(&o.shards, "shards", 8, "cache shards (self-hosted modes)")
 	fs.IntVar(&o.workers, "workers", 0, "service workers (0 = all cores; cluster mode defaults to 1 per replica)")
 	fs.IntVar(&o.replicas, "replicas", 4, "replica count for -mode cluster")
 	fs.StringVar(&o.merge, "merge", "", "merge result rows into this BENCH_results.json file")
@@ -247,7 +245,6 @@ const opLabelDelta = "label-delta"
 func selfCfg(o options, workers int) service.Config {
 	cfg := service.DefaultConfig()
 	cfg.Coalesce = o.coalesce
-	cfg.Shards = o.shards
 	cfg.Workers = workers
 	cfg.QueueDepth = 1 << 16
 	return cfg

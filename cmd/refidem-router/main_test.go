@@ -40,7 +40,7 @@ func bootReplicas(t *testing.T, n int) []string {
 	urls := make([]string, n)
 	for i := range urls {
 		cfg := service.DefaultConfig()
-		cfg.Workers, cfg.Shards = 2, 2
+		cfg.Workers = 2
 		srv := service.New(cfg)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() {

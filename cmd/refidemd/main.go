@@ -16,7 +16,7 @@
 // Usage:
 //
 //	refidemd -addr 127.0.0.1:8347
-//	refidemd -addr 127.0.0.1:0 -shards 16 -workers 8   # ephemeral port
+//	refidemd -addr 127.0.0.1:0 -workers 8              # ephemeral port
 //	refidemd -store /var/lib/refidem                   # persistent results
 //	refidemd -log-level info                           # request logging
 //	refidemd -debug-addr 127.0.0.1:0                   # pprof sidecar
@@ -135,9 +135,8 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8347", "listen address (port 0 picks an ephemeral port)")
-		shards    = fs.Int("shards", 8, "program cache shard count")
-		cacheCap  = fs.Int("cache", 64, "labeled programs per cache shard")
-		respCache = fs.Int("resp-cache", 0, "response byte cache entries per shard (0 = 4x -cache, negative disables)")
+		cacheCap  = fs.Int("cache", 512, "labeled programs in the program tier (simulate and timeline)")
+		respCache = fs.Int("resp-cache", 0, "response byte cache entries (0 = 4x -cache, negative disables)")
 		workers   = fs.Int("workers", 0, "compute worker pool size (0 = all cores)")
 		queue     = fs.Int("queue", 1024, "admission queue depth (full queue answers 503)")
 		batch     = fs.Int("batch", 64, "max tasks per dispatch batch")
@@ -160,7 +159,6 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 
 	cfg := service.DefaultConfig()
-	cfg.Shards = *shards
 	cfg.CacheCapacity = *cacheCap
 	cfg.ResponseCache = *respCache
 	cfg.Workers = *workers

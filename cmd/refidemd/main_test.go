@@ -181,7 +181,7 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 	b, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"requests_label 1", "cache_misses 1", "latency_count 1"} {
+	for _, want := range []string{"requests_label 1", "latency_count 1"} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("metricz missing %q:\n%s", want, b)
 		}

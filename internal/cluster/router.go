@@ -13,7 +13,6 @@ package cluster
 // request does not hammer every replica in turn.
 
 import (
-	"container/list"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -30,6 +29,7 @@ import (
 	"refidem/internal/api/client"
 	"refidem/internal/ir"
 	"refidem/internal/lang"
+	"refidem/internal/lru"
 )
 
 // maxRequestBody mirrors the service's request-body bound.
@@ -115,7 +115,8 @@ type Router struct {
 	// after New.
 	reps   []*replica
 	byName map[string]*replica
-	routes *routeCache
+	// routes caches full-program sources' placement keys (routeKey).
+	routes *lru.Cache[string, string]
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -161,7 +162,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   NewRing(names, cfg.VNodes),
 		byName: byName,
-		routes: newRouteCache(),
+		routes: lru.New[string, string](routeKeyCacheCap),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -242,56 +243,16 @@ func RouteKey(req api.Request) string {
 // the router's dominant per-request cost.
 const routeKeyCacheCap = 4096
 
-// routeCache is a bounded LRU from program source to placement key.
-type routeCache struct {
-	mu    sync.Mutex
-	m     map[string]*list.Element
-	order *list.List // values are *routeEntry
-}
-
-type routeEntry struct{ src, key string }
-
-func newRouteCache() *routeCache {
-	return &routeCache{m: make(map[string]*list.Element), order: list.New()}
-}
-
-func (c *routeCache) get(src string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[src]
-	if !ok {
-		return "", false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*routeEntry).key, true
-}
-
-func (c *routeCache) put(src, key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[src]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*routeEntry).key = key
-		return
-	}
-	c.m[src] = c.order.PushFront(&routeEntry{src: src, key: key})
-	for c.order.Len() > routeKeyCacheCap {
-		victim := c.order.Back()
-		c.order.Remove(victim)
-		delete(c.m, victim.Value.(*routeEntry).src)
-	}
-}
-
 // routeKey is RouteKey through the router's source→key cache.
 func (rt *Router) routeKey(req api.Request) string {
 	if req.Base != "" || req.Example != "" || req.Program == "" {
 		return RouteKey(req) // cheap cases: no parse involved
 	}
-	if key, ok := rt.routes.get(req.Program); ok {
+	if key, ok := rt.routes.Get(req.Program); ok {
 		return key
 	}
 	key := RouteKey(req)
-	rt.routes.put(req.Program, key)
+	rt.routes.Put(req.Program, key)
 	return key
 }
 

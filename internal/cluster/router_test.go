@@ -64,7 +64,6 @@ func fingerprintOf(t testing.TB, src string) string {
 func testReplicaSet(t testing.TB, n int, probe time.Duration) (*Router, []*httptest.Server) {
 	t.Helper()
 	cfg := service.DefaultConfig()
-	cfg.Shards = 2
 	cfg.Workers = 2
 	cfg.QueueDepth = 64
 	var reps []Replica
@@ -92,7 +91,6 @@ func testReplicaSet(t testing.TB, n int, probe time.Duration) (*Router, []*httpt
 func singleNode(t testing.TB) *client.Client {
 	t.Helper()
 	cfg := service.DefaultConfig()
-	cfg.Shards = 2
 	cfg.Workers = 2
 	svc := service.New(cfg)
 	t.Cleanup(svc.Close)
@@ -274,7 +272,6 @@ func (f *flakyHealth) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func TestRouterProbeEjectionAndReadmission(t *testing.T) {
 	cfg := service.DefaultConfig()
-	cfg.Shards = 2
 	cfg.Workers = 2
 	svcA, svcB := service.New(cfg), service.New(cfg)
 	t.Cleanup(svcA.Close)

@@ -1,12 +1,12 @@
 package idem
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"refidem/internal/ir"
+	"refidem/internal/lru"
 )
 
 // ProgramCache memoizes validated program labelings by content
@@ -18,99 +18,29 @@ import (
 //
 // The cache is safe for concurrent use (the experiment harness fans
 // sweep points out across workers): the first caller of a fingerprint
-// computes, concurrent callers of the same fingerprint wait on its entry,
-// and eviction is LRU. Entries whose computation is still in flight are
-// pinned: eviction skips them (temporarily exceeding capacity when every
-// resident entry is pinned), so a concurrent same-fingerprint caller
-// always finds the computing entry and the single-flight guarantee holds
-// even under eviction pressure.
+// computes, concurrent callers of the same resident fingerprint wait on
+// its entry, and eviction is LRU.
 type ProgramCache struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // makes lookup-or-insert atomic
 	cap     int
-	entries map[ir.Fingerprint]*cacheEntry
-	order   *list.List // front = most recently used; values are *cacheEntry
+	entries *lru.Cache[ir.Fingerprint, *cacheEntry]
 
-	// labeler overrides LabelProgram for entry computation (SetLabeler);
-	// nil means LabelProgram. Every labeler must satisfy CheckTheorems —
-	// the cache verifies each computed labeling either way.
-	labeler func(*ir.Program) map[*ir.Region]*Result
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-// CacheStats is a point-in-time snapshot of a ProgramCache's counters and
-// occupancy (Stats keeps the original two-value accessor for the common
-// case; the service /metricz endpoint reports the full snapshot).
-type CacheStats struct {
-	// Hits and Misses count lookups since construction or ResetStats.
-	Hits, Misses int64
-	// Evictions counts entries dropped by LRU capacity pressure (Purge
-	// does not count).
-	Evictions int64
-	// Entries is the current resident entry count (may transiently exceed
-	// capacity while every resident entry is pinned).
-	Entries int
-	// Pinned is the number of resident entries currently pinned by
-	// in-flight callers (waiters > 0).
-	Pinned int
-	// Capacity is the configured maximum entry count.
-	Capacity int
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
 type cacheEntry struct {
 	once sync.Once
-	fp   ir.Fingerprint
-	elem *list.Element
-
-	// waiters counts callers between lookup and computation completion;
-	// guarded by ProgramCache.mu. A non-zero count pins the entry
-	// against eviction.
-	waiters int
-
 	// seed is the program the entry was created with; compute labels it.
 	seed *ir.Program
 	labs map[*ir.Region]*Result
 	err  error
 }
 
-// testComputeHook, when non-nil, runs at the start of every entry
-// computation. Tests use it to hold a computation in flight while they
-// provoke eviction.
-var testComputeHook func(*ir.Program)
-
-// SetTestComputeHook installs a hook that runs at the start of every
-// cache entry computation and returns a function restoring the previous
-// hook. Test-only: the service tests use it to hold a sharded computation
-// in flight while they provoke cross-shard eviction pressure.
-func SetTestComputeHook(hook func(*ir.Program)) (restore func()) {
-	prev := testComputeHook
-	testComputeHook = hook
-	return func() { testComputeHook = prev }
-}
-
-// SetLabeler replaces the labeling function used for entry computation
-// (nil restores LabelProgram). Configure before serving: the cache does
-// not re-key on labeler identity, so switching it with resident entries
-// would mix labelings — call Purge if the cache has been used.
-func (c *ProgramCache) SetLabeler(fn func(*ir.Program) map[*ir.Region]*Result) {
-	c.mu.Lock()
-	c.labeler = fn
-	c.mu.Unlock()
-}
-
 // NewProgramCache returns a cache holding up to capacity labeled
 // programs (minimum 1).
 func NewProgramCache(capacity int) *ProgramCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ProgramCache{
-		cap:     capacity,
-		entries: make(map[ir.Fingerprint]*cacheEntry),
-		order:   list.New(),
-	}
+	return &ProgramCache{cap: capacity, entries: lru.New[ir.Fingerprint, *cacheEntry](capacity)}
 }
 
 // Labeled returns the canonical program for p's content together with its
@@ -122,78 +52,31 @@ func (c *ProgramCache) Labeled(p *ir.Program) (*ir.Program, map[*ir.Region]*Resu
 	fp := ir.FingerprintOf(p)
 
 	c.mu.Lock()
-	e, ok := c.entries[fp]
+	e, ok := c.entries.Get(fp)
 	if ok {
-		c.order.MoveToFront(e.elem)
 		c.hits.Add(1)
 	} else {
-		e = &cacheEntry{fp: fp, seed: p}
-		e.elem = c.order.PushFront(e)
-		c.entries[fp] = e
+		e = &cacheEntry{seed: p}
+		c.entries.Put(fp, e)
 		c.misses.Add(1)
 	}
-	e.waiters++
-	c.evictExcessLocked()
 	c.mu.Unlock()
-	// The unpin must run even if the compute body panics, or the entry
-	// would stay pinned against eviction for the process lifetime.
-	defer func() {
-		c.mu.Lock()
-		e.waiters--
-		// An entry kept over capacity because it was pinned is reclaimed
-		// as soon as its last waiter drains.
-		c.evictExcessLocked()
-		c.mu.Unlock()
-	}()
 
 	e.once.Do(func() {
-		if hook := testComputeHook; hook != nil {
-			hook(e.seed)
-		}
 		if err := e.seed.Validate(); err != nil {
 			e.err = err
 			return
 		}
-		labeler := c.labeler
-		if labeler == nil {
-			labeler = LabelProgram
-		}
-		labs := labeler(e.seed)
-		for r, res := range labs {
-			if errs := res.CheckTheorems(); len(errs) > 0 {
+		labs := LabelProgram(e.seed)
+		for _, r := range e.seed.Regions {
+			if errs := labs[r].CheckTheorems(); len(errs) > 0 {
 				e.err = fmt.Errorf("region %s: theorem check failed: %v", r.Name, errs[0])
 				return
 			}
 		}
 		e.labs = labs
 	})
-
-	if e.err != nil {
-		return e.seed, nil, e.err
-	}
-	return e.seed, e.labs, nil
-}
-
-// evictExcessLocked trims the cache to capacity, oldest first, skipping
-// pinned (in-flight) entries. When every resident entry is pinned the
-// cache stays over capacity until a waiter drains. Callers must hold mu.
-func (c *ProgramCache) evictExcessLocked() {
-	for c.order.Len() > c.cap {
-		var victim *list.Element
-		for el := c.order.Back(); el != nil; el = el.Prev() {
-			if el.Value.(*cacheEntry).waiters == 0 {
-				victim = el
-				break
-			}
-		}
-		if victim == nil {
-			return
-		}
-		v := victim.Value.(*cacheEntry)
-		c.order.Remove(victim)
-		delete(c.entries, v.fp)
-		c.evictions.Add(1)
-	}
+	return e.seed, e.labs, e.err
 }
 
 // Stats returns the cumulative hit and miss counts.
@@ -201,41 +84,13 @@ func (c *ProgramCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// DetailedStats returns the full counter and occupancy snapshot,
-// including evictions and the currently-pinned entry count.
-func (c *ProgramCache) DetailedStats() CacheStats {
-	c.mu.Lock()
-	s := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.order.Len(),
-		Capacity:  c.cap,
-	}
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		if el.Value.(*cacheEntry).waiters > 0 {
-			s.Pinned++
-		}
-	}
-	c.mu.Unlock()
-	return s
-}
-
-// ResetStats zeroes the hit/miss/eviction counters (the cached entries
-// stay).
-func (c *ProgramCache) ResetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-}
-
 // Purge drops every cached entry and zeroes the counters. In-flight
 // computations complete on their (now unreachable) entries; later callers
 // of the same fingerprint recompute.
 func (c *ProgramCache) Purge() {
 	c.mu.Lock()
-	c.entries = make(map[ir.Fingerprint]*cacheEntry)
-	c.order.Init()
+	c.entries = lru.New[ir.Fingerprint, *cacheEntry](c.cap)
 	c.mu.Unlock()
-	c.ResetStats()
+	c.hits.Store(0)
+	c.misses.Store(0)
 }

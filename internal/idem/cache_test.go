@@ -99,133 +99,3 @@ func TestProgramCacheReportsValidationErrors(t *testing.T) {
 		t.Error("invalid program labeled without error")
 	}
 }
-
-// TestProgramCacheEvictionDuringCompute provokes the single-flight hazard
-// the waiter pinning exists for: under a capacity-1 cache, inserting a
-// second program while the first is still computing must NOT evict the
-// in-flight entry — a concurrent caller with the first fingerprint has to
-// find it and wait instead of recomputing.
-func TestProgramCacheEvictionDuringCompute(t *testing.T) {
-	c := NewProgramCache(1)
-	slow := cacheProgram(7)
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	testComputeHook = func(p *ir.Program) {
-		if p == slow {
-			entered <- struct{}{}
-			<-release
-		}
-	}
-	defer func() { testComputeHook = nil }()
-
-	type outcome struct {
-		p   *ir.Program
-		err error
-	}
-	first := make(chan outcome, 1)
-	go func() {
-		p, _, err := c.Labeled(slow)
-		first <- outcome{p, err}
-	}()
-	<-entered // the slow computation is now in flight and pins its entry
-
-	// Insert a different program; with capacity 1 this forces an eviction
-	// attempt while the slow entry is pinned.
-	if _, _, err := c.Labeled(cacheProgram(3)); err != nil {
-		t.Fatal(err)
-	}
-
-	// A same-fingerprint caller must hit the pinned entry and wait.
-	second := make(chan outcome, 1)
-	go func() {
-		p, _, err := c.Labeled(cacheProgram(7))
-		second <- outcome{p, err}
-	}()
-	// Wait until the second caller has registered its lookup (a hit; with
-	// the pinning broken it registers a third miss instead, which the
-	// assertions below report) so releasing the computation cannot race
-	// its arrival.
-	for {
-		hits, misses := c.Stats()
-		if hits >= 1 || misses >= 3 {
-			break
-		}
-	}
-	close(release)
-
-	o1, o2 := <-first, <-second
-	if o1.err != nil || o2.err != nil {
-		t.Fatalf("errors: %v / %v", o1.err, o2.err)
-	}
-	if o1.p != o2.p {
-		t.Error("second caller did not share the in-flight entry's canonical program")
-	}
-	hits, misses := c.Stats()
-	if misses != 2 {
-		t.Errorf("misses = %d, want 2 (slow program computed once, other program once)", misses)
-	}
-	if hits != 1 {
-		t.Errorf("hits = %d, want 1 (second caller joined the in-flight entry)", hits)
-	}
-}
-
-// TestProgramCacheDetailedStats locks the eviction counter and occupancy
-// reporting the service /metricz endpoint surfaces.
-func TestProgramCacheDetailedStats(t *testing.T) {
-	c := NewProgramCache(2)
-	for bound := 1; bound <= 3; bound++ {
-		if _, _, err := c.Labeled(cacheProgram(bound)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := c.DetailedStats()
-	if s.Misses != 3 || s.Hits != 0 {
-		t.Errorf("hits/misses = %d/%d, want 0/3", s.Hits, s.Misses)
-	}
-	if s.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1 (bound=1 was the LRU victim)", s.Evictions)
-	}
-	if s.Entries != 2 || s.Capacity != 2 {
-		t.Errorf("entries/capacity = %d/%d, want 2/2", s.Entries, s.Capacity)
-	}
-	if s.Pinned != 0 {
-		t.Errorf("pinned = %d, want 0 (no computation in flight)", s.Pinned)
-	}
-	c.ResetStats()
-	if s := c.DetailedStats(); s.Hits != 0 || s.Misses != 0 || s.Evictions != 0 {
-		t.Errorf("counters after ResetStats = %+v, want zeros", s)
-	}
-}
-
-// TestProgramCacheDetailedStatsPinned observes a pinned entry while its
-// computation is held in flight through the test hook.
-func TestProgramCacheDetailedStatsPinned(t *testing.T) {
-	c := NewProgramCache(2)
-	slow := cacheProgram(11)
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	restore := SetTestComputeHook(func(p *ir.Program) {
-		if p == slow {
-			entered <- struct{}{}
-			<-release
-		}
-	})
-	defer restore()
-
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.Labeled(slow)
-		done <- err
-	}()
-	<-entered
-	if s := c.DetailedStats(); s.Pinned != 1 {
-		t.Errorf("pinned = %d, want 1 while the computation is in flight", s.Pinned)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if s := c.DetailedStats(); s.Pinned != 0 {
-		t.Errorf("pinned = %d, want 0 after the waiter drained", s.Pinned)
-	}
-}

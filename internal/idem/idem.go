@@ -163,8 +163,8 @@ func LabelRegionConservative(p *ir.Program, r *ir.Region, liveOut map[*ir.Var]bo
 // It is the per-region body of LabelProgram: labeling a region through it
 // with the RegionInfo a whole-program analysis produced yields exactly
 // the Result LabelProgram would have produced for that region. The
-// service's delta re-labeling path uses it to recompute only regions
-// whose analysis inputs changed.
+// service's label path uses it to label only regions whose analysis
+// inputs it has not seen before.
 func LabelRegionWithInfo(r *ir.Region, info *dataflow.RegionInfo) *Result {
 	return labelRegion(r, info, false)
 }

@@ -23,10 +23,10 @@ func benchSources(n int) []string {
 }
 
 // BenchmarkServiceLabelThroughput measures end-to-end label request
-// throughput under full parallelism — parse, fingerprint, shard lookup,
-// queue, response render — over a rotation of 8 distinct programs, with
-// the coalescing/batching queue on and off. ns/op is the per-request
-// wall cost at saturation; the CI gate holds both modes.
+// throughput under full parallelism — parse, fingerprint, queue, region
+// analysis, fragment assembly — over a rotation of 8 distinct programs,
+// with the coalescing/batching queue on and off. ns/op is the
+// per-request wall cost at saturation; the CI gate holds both modes.
 func BenchmarkServiceLabelThroughput(b *testing.B) {
 	for _, coalesce := range []bool{true, false} {
 		b.Run(fmt.Sprintf("coalesce=%v", coalesce), func(b *testing.B) {
@@ -61,10 +61,6 @@ func BenchmarkServiceLabelThroughput(b *testing.B) {
 			snap := s.Metrics().SnapshotNow()
 			if snap.LabelRequests > 0 {
 				b.ReportMetric(float64(snap.Coalesced)/float64(snap.LabelRequests), "coalesced/req")
-			}
-			cs := s.CacheStats()
-			if lookups := cs.Hits + cs.Misses; lookups > 0 {
-				b.ReportMetric(100*float64(cs.Hits)/float64(lookups), "cache-hit%")
 			}
 		})
 	}

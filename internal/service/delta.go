@@ -3,132 +3,24 @@ package service
 // Delta re-labeling: a client that already analyzed a program may submit
 // its fingerprint plus region-level patches instead of the full source.
 // The server resolves the request by applying the patches to the
-// registered base source, then labels the resolved program region by
-// region: a region whose analysis fingerprint (ir.RegionFingerprintOf —
-// structure, procedure table, referenced dimensions, live-out bits) is
-// unchanged reuses its cached, already-rendered response fragment; only
-// regions the edit actually touched (directly, through a procedure, or
-// through shifted inter-region liveness) are re-labeled. Fragments are
-// rendered by the same renderRegionLabeling body as the full path, so a
-// delta response is byte-identical to the full re-label by construction
-// — the property the delta-equivalence tests pin.
+// registered base source, then labels the resolved program through the
+// one label path (label.go): a region whose analysis fingerprint
+// (ir.RegionFingerprintOf — structure, procedure table, referenced
+// dimensions, live-out bits) is unchanged reuses its cached,
+// already-rendered response fragment; only regions the edit actually
+// touched (directly, through a procedure, or through shifted
+// inter-region liveness) are re-labeled. A delta response is therefore
+// byte-identical to the full re-label by construction — the property the
+// delta-equivalence tests pin.
 
 import (
-	"container/list"
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"sync"
 
-	"refidem/internal/dataflow"
-	"refidem/internal/idem"
 	"refidem/internal/ir"
 	"refidem/internal/lang"
 )
-
-// baseRegistry is a bounded LRU of fingerprint → canonical source for
-// programs the server has analyzed; delta requests resolve against it.
-// Entries are registered on the compute path (run), so the registry only
-// holds programs that labeled successfully.
-type baseRegistry struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]*list.Element
-	order *list.List // front = most recently used; values are *baseEntry
-}
-
-type baseEntry struct{ fp, src string }
-
-func newBaseRegistry(capacity int) *baseRegistry {
-	return &baseRegistry{cap: capacity, m: make(map[string]*list.Element), order: list.New()}
-}
-
-func (b *baseRegistry) get(fp string) (string, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	el, ok := b.m[fp]
-	if !ok {
-		return "", false
-	}
-	b.order.MoveToFront(el)
-	return el.Value.(*baseEntry).src, true
-}
-
-func (b *baseRegistry) put(fp, src string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if el, ok := b.m[fp]; ok {
-		b.order.MoveToFront(el)
-		el.Value.(*baseEntry).src = src
-		return
-	}
-	b.m[fp] = b.order.PushFront(&baseEntry{fp: fp, src: src})
-	for b.order.Len() > b.cap {
-		victim := b.order.Back()
-		b.order.Remove(victim)
-		delete(b.m, victim.Value.(*baseEntry).fp)
-	}
-}
-
-func (b *baseRegistry) len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.order.Len()
-}
-
-// fragCache is a bounded LRU of region analysis fingerprint → rendered
-// RegionLabeling fragment. Fragments are value structs rendered with the
-// dependence list included (stripDeps removes it per request), shared
-// across programs: any region anywhere with the same fingerprint reuses
-// the row.
-type fragCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[ir.Fingerprint]*list.Element
-	order *list.List // values are *fragEntry
-}
-
-type fragEntry struct {
-	key ir.Fingerprint
-	row RegionLabeling
-}
-
-func newFragCache(capacity int) *fragCache {
-	return &fragCache{cap: capacity, m: make(map[ir.Fingerprint]*list.Element), order: list.New()}
-}
-
-func (c *fragCache) get(k ir.Fingerprint) (RegionLabeling, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[k]
-	if !ok {
-		return RegionLabeling{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*fragEntry).row, true
-}
-
-func (c *fragCache) put(k ir.Fingerprint, row RegionLabeling) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*fragEntry).row = row
-		return
-	}
-	c.m[k] = c.order.PushFront(&fragEntry{key: k, row: row})
-	for c.order.Len() > c.cap {
-		victim := c.order.Back()
-		c.order.Remove(victim)
-		delete(c.m, victim.Value.(*fragEntry).key)
-	}
-}
-
-func (c *fragCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
 
 // resolveRequest resolves the request's program: delta requests (Base
 // set) compose the registered base source with the patches; everything
@@ -144,7 +36,16 @@ func (s *Server) resolveRequest(req Request) (*ir.Program, error) {
 		s.metrics.deltaUnknownBase.Add(1)
 		return nil, fmt.Errorf("%w: %s (delta serving disabled)", ErrUnknownBase, req.Base)
 	}
-	src, ok := s.bases.get(req.Base)
+	// The registry is keyed by the decoded fingerprint, so the label fast
+	// path can check it without hex-encoding; a malformed fingerprint is
+	// simply unknown.
+	var fp ir.Fingerprint
+	src, ok := "", false
+	if len(req.Base) == hex.EncodedLen(len(fp)) {
+		if _, err := hex.Decode(fp[:], []byte(req.Base)); err == nil {
+			src, ok = s.bases.Get(fp)
+		}
+	}
 	if !ok {
 		s.metrics.deltaUnknownBase.Add(1)
 		return nil, fmt.Errorf("%w: %s", ErrUnknownBase, req.Base)
@@ -156,15 +57,33 @@ func (s *Server) resolveRequest(req Request) (*ir.Program, error) {
 	return lang.Parse(composed)
 }
 
-// registerBase records a successfully analyzed program's canonical source
-// under its fingerprint, making it available as a delta base. Called on
-// the compute path only — the per-request fast paths never pay the
-// Format.
+// registerBase makes a successfully served program addressable as a delta
+// base under its fingerprint. The canonical source is a pure function of
+// the fingerprint, so it is formatted only when the registry lacks it; a
+// registered base just becomes the most recently used.
 func (s *Server) registerBase(fp ir.Fingerprint, p *ir.Program) {
 	if s.bases == nil {
 		return
 	}
-	s.bases.put(hex.EncodeToString(fp[:]), p.Format())
+	if _, ok := s.bases.Get(fp); !ok {
+		s.bases.Put(fp, p.Format())
+	}
+}
+
+// reregisterBase restores the delta base of a full-program label answered
+// from the response cache. A client's resend after an unknown-base 404 is
+// such a hit, and its next delta must resolve; the program is re-resolved
+// only when the registry has lost it.
+func (s *Server) reregisterBase(req Request, fp ir.Fingerprint) {
+	if s.bases == nil {
+		return
+	}
+	if _, ok := s.bases.Get(fp); ok {
+		return
+	}
+	if p, err := resolveProgram(req); err == nil {
+		s.bases.Put(fp, p.Format())
+	}
 }
 
 // regionBlock is one region's canonical source text.
@@ -259,70 +178,4 @@ func applyPatches(src string, patches []RegionPatch) (string, error) {
 		b.WriteString(blk.text)
 	}
 	return b.String(), nil
-}
-
-// labelDelta answers an OpLabel task for a delta-resolved program region
-// by region: fragments cached under the region's analysis fingerprint are
-// reused verbatim, the rest are re-labeled individually through the same
-// pipeline body LabelProgram uses. The document is assembled from the
-// same renderRegionLabeling fragments as the full path, so the response
-// bytes are identical to a full re-label.
-func (s *Server) labelDelta(key taskKey, prog *ir.Program) ([]byte, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	infos := dataflow.AnalyzeProgram(prog)
-	doc := LabelResponse{
-		Op:          OpLabel,
-		Program:     prog.Name,
-		Fingerprint: hex.EncodeToString(key.fp[:]),
-		Regions:     make([]RegionLabeling, 0, len(prog.Regions)),
-	}
-	for _, r := range prog.Regions {
-		info := infos[r]
-		fk := ir.RegionFingerprintOf(prog, r, func(v *ir.Var) bool { return info.LiveOut(v) })
-		var row RegionLabeling
-		ok := false
-		if s.frags != nil {
-			row, ok = s.frags.get(fk)
-		}
-		if ok {
-			s.metrics.regionsReused.Add(1)
-		} else {
-			res := idem.LabelRegionWithInfo(r, info)
-			if errs := res.CheckTheorems(); len(errs) > 0 {
-				return nil, fmt.Errorf("region %s: theorem check failed: %v", r.Name, errs[0])
-			}
-			row = renderRegionLabeling(r, res)
-			if s.frags != nil {
-				s.frags.put(fk, row)
-			}
-			s.metrics.regionsRelabeled.Add(1)
-		}
-		if !key.deps {
-			row = stripDeps(row)
-		}
-		doc.Regions = append(doc.Regions, row)
-	}
-	return marshalResponse(doc)
-}
-
-// populateFragments caches the rendered fragment of every region of a
-// fully labeled program, so a later delta against it reuses the unchanged
-// regions. Runs on the compute path, after the response is rendered.
-func (s *Server) populateFragments(p *ir.Program, labs map[*ir.Region]*idem.Result) {
-	if s.frags == nil {
-		return
-	}
-	for _, r := range p.Regions {
-		res := labs[r]
-		if res == nil || res.Info == nil {
-			continue
-		}
-		fk := ir.RegionFingerprintOf(p, r, func(v *ir.Var) bool { return res.Info.LiveOut(v) })
-		if _, ok := s.frags.get(fk); ok {
-			continue
-		}
-		s.frags.put(fk, renderRegionLabeling(r, res))
-	}
 }

@@ -330,6 +330,31 @@ func TestDeltaBaseRegistryEviction(t *testing.T) {
 	}
 }
 
+// TestResendReregistersEvictedBase pins the documented unknown-base
+// recovery when the resend is answered from the response cache: the hit
+// must restore the evicted base so the client's next delta resolves.
+func TestResendReregistersEvictedBase(t *testing.T) {
+	cfg := testConfig()
+	cfg.DeltaBases = 1
+	s := New(cfg)
+	defer s.Close()
+	ctx := context.Background()
+
+	other := strings.Replace(deltaBaseSrc, "program delta_test", "program delta_other", 1)
+	for _, src := range []string{deltaBaseSrc, other, deltaBaseSrc} { // P, Q, resend P
+		if _, err := s.Label(ctx, Request{Program: src}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Metrics().SnapshotNow().RespHits; got != 1 {
+		t.Fatalf("response cache hits = %d, want 1 (the resend)", got)
+	}
+	delta := Request{Base: fpHexOf(t, deltaBaseSrc), Patches: []RegionPatch{{Region: "r1", Source: deltaPatchR1}}}
+	if _, err := s.Label(ctx, delta); err != nil {
+		t.Fatalf("delta after resend: %v", err)
+	}
+}
+
 func TestDeltaRequestValidation(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()

@@ -73,3 +73,27 @@ func TestEnsembleResponsesByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestEnsembleLabelsDeltaRegions: Config.Ensemble selects the labeler of
+// every path, so the regions a delta re-labels consult the ensemble too.
+func TestEnsembleLabelsDeltaRegions(t *testing.T) {
+	cfg := testConfig()
+	cfg.Ensemble = true
+	s := New(cfg)
+	defer s.Close()
+	ctx := context.Background()
+	if _, err := s.Label(ctx, Request{Program: deltaBaseSrc}); err != nil {
+		t.Fatal(err)
+	}
+	before := deps.MemberStatsNow().Queries[deps.MemberRange]
+	delta := Request{Base: fpHexOf(t, deltaBaseSrc), Patches: []RegionPatch{{Region: "r1", Source: deltaPatchR1}}}
+	if _, err := s.Label(ctx, delta); err != nil {
+		t.Fatal(err)
+	}
+	if s.Metrics().SnapshotNow().RegionsRelabeled == 0 {
+		t.Fatal("the delta re-labeled no region")
+	}
+	if after := deps.MemberStatsNow().Queries[deps.MemberRange]; after <= before {
+		t.Errorf("deps_member_range_queries stayed at %d across a delta label", after)
+	}
+}

@@ -44,7 +44,7 @@ type Metrics struct {
 	// hits on repeated deltas do not reach resolution and are counted
 	// under respHits); deltaUnknownBase counts delta requests whose base
 	// the registry did not hold (served as 404). regionsReused and
-	// regionsRelabeled count, over delta label computations, regions
+	// regionsRelabeled count, over delta label computations only, regions
 	// answered from the fragment cache versus re-labeled — their ratio is
 	// the realized incrementality.
 	deltaRequests    atomic.Int64
@@ -180,7 +180,7 @@ func (m *Metrics) SnapshotNow() Snapshot {
 }
 
 // RenderMetricz renders the /metricz document: one "name value" line per
-// counter in fixed order, followed by the aggregate cache statistics and
+// counter in fixed order, followed by the program-tier statistics and
 // the latency histogram (cumulative buckets; empty leading buckets are
 // elided).
 func (s *Server) RenderMetricz() string {
@@ -201,12 +201,12 @@ func (s *Server) RenderMetricz() string {
 	w("delta_regions_reused", m.regionsReused.Load())
 	w("delta_regions_relabeled", m.regionsRelabeled.Load())
 	if s.bases != nil {
-		w("delta_base_entries", int64(s.bases.len()))
+		w("delta_base_entries", int64(s.bases.Len()))
 	} else {
 		w("delta_base_entries", 0)
 	}
 	if s.frags != nil {
-		w("delta_fragment_entries", int64(s.frags.len()))
+		w("delta_fragment_entries", int64(s.frags.Len()))
 	} else {
 		w("delta_fragment_entries", 0)
 	}
@@ -218,9 +218,8 @@ func (s *Server) RenderMetricz() string {
 
 	// Dependence-ensemble block: per-member query/answer/short-circuit
 	// counters, rendered in chain order. The counters are package-wide in
-	// internal/deps (labeling runs inside cache shards, not the server),
-	// so they aggregate every ensemble consultation in the process; all
-	// zero when Config.Ensemble is off.
+	// internal/deps, so they aggregate every ensemble consultation in the
+	// process; all zero when Config.Ensemble is off.
 	ms := deps.MemberStatsNow()
 	names := deps.MemberNames()
 	for i, name := range names {
@@ -231,7 +230,7 @@ func (s *Server) RenderMetricz() string {
 
 	w("response_cache_hits", m.respHits.Load())
 	if s.resp != nil {
-		w("response_cache_entries", int64(s.resp.entries()))
+		w("response_cache_entries", int64(s.resp.Len()))
 	} else {
 		w("response_cache_entries", 0)
 	}
@@ -259,12 +258,10 @@ func (s *Server) RenderMetricz() string {
 	w("store_quarantined", quarantined)
 
 	cs := s.CacheStats()
-	w("cache_shards", int64(len(s.shards)))
 	w("cache_hits", cs.Hits)
 	w("cache_misses", cs.Misses)
 	w("cache_evictions", cs.Evictions)
 	w("cache_entries", int64(cs.Entries))
-	w("cache_pinned", int64(cs.Pinned))
 	w("cache_capacity", int64(cs.Capacity))
 
 	var buckets [latencyBuckets + 1]int64

@@ -51,8 +51,8 @@ func TestRenderMetriczLineOrder(t *testing.T) {
 		"store_corrupt_reads", "store_read_errors",
 		"store_degraded_events", "store_recoveries", "store_probe_failures",
 		"store_quarantined",
-		"cache_shards", "cache_hits", "cache_misses", "cache_evictions",
-		"cache_entries", "cache_pinned", "cache_capacity",
+		"cache_hits", "cache_misses", "cache_evictions",
+		"cache_entries", "cache_capacity",
 		"latency_count", "latency_mean_ns",
 		"latency_p50_us", "latency_p95_us", "latency_p99_us",
 	)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -274,6 +275,20 @@ func TestSimulateTimelineValidation(t *testing.T) {
 	}
 	if err := s.SimulateTimeline(context.Background(), Request{Example: "nope"}, &buf); err == nil {
 		t.Fatal("unknown example should fail")
+	}
+	// The selector rules Do enforces apply here too: a registered base
+	// must not silently win over the program, and patches must not be
+	// silently dropped from a full-program request.
+	if _, err := s.Label(context.Background(), Request{Program: deltaBaseSrc}); err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range map[string]Request{
+		"program and base":     {Program: testProgramSrc, Base: fpHexOf(t, deltaBaseSrc)},
+		"patches without base": {Program: testProgramSrc, Patches: []RegionPatch{{Region: "r1", Source: deltaPatchR1}}},
+	} {
+		if err := s.SimulateTimeline(context.Background(), req, &buf); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
+		}
 	}
 	if buf.Len() != 0 {
 		t.Fatal("failed exports must not write output")

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"refidem/internal/idem"
 	"refidem/internal/ir"
 	"refidem/internal/store"
 )
@@ -279,12 +278,11 @@ func TestRequestTimeout(t *testing.T) {
 	s := New(cfg)
 
 	release := make(chan struct{})
-	restore := idem.SetTestComputeHook(func(p *ir.Program) {
+	s.computeHook = func(p *ir.Program) {
 		if strings.HasPrefix(p.Name, "svc_slow") {
 			<-release
 		}
-	})
-	defer restore()
+	}
 	slow := func(name string) string {
 		return strings.Replace(testProgramSrc, "program svc_test", "program "+name, 1)
 	}

@@ -49,16 +49,41 @@ var (
 	ErrUnknownBase = api.ErrUnknownBase
 )
 
-// resolveProgram parses or looks up the request's program. The program is
-// validated here, in the submitting goroutine, so admission rejects
-// malformed requests before they consume queue space. Delta requests
-// (req.Base != "") are resolved by the server's resolveRequest, which has
-// access to the base registry; this free function handles the stateless
-// selectors.
+// validate is the one structural check of a request, shared by DoTraced
+// and SimulateTimeline. It runs before the response-cache lookup: the
+// cache keys on one program selector, so a malformed request (several
+// selectors set, or bad parameters) could otherwise collide with a cached
+// valid request and be accepted or rejected depending on cache warmth.
+func validate(req Request) error {
+	if req.Op != OpLabel && req.Op != OpSimulate {
+		return fmt.Errorf("%w: unknown op %q (want %q or %q)", ErrBadRequest, req.Op, OpLabel, OpSimulate)
+	}
+	selectors := 0
+	for _, set := range []bool{req.Program != "", req.Example != "", req.Base != ""} {
+		if set {
+			selectors++
+		}
+	}
+	if selectors > 1 {
+		return fmt.Errorf("%w: use exactly one of program, example or base, not both or all three", ErrBadRequest)
+	}
+	if len(req.Patches) > 0 && req.Base == "" {
+		return fmt.Errorf("%w: patches require a base fingerprint", ErrBadRequest)
+	}
+	if req.Procs < 0 || req.Capacity < 0 {
+		return fmt.Errorf("%w: procs and capacity must be non-negative", ErrBadRequest)
+	}
+	return nil
+}
+
+// resolveProgram parses or looks up the program of a validated request.
+// The program is resolved in the submitting goroutine, so admission
+// rejects malformed sources before they consume queue space. Delta
+// requests (req.Base != "") are resolved by the server's resolveRequest,
+// which has access to the base registry; this free function handles the
+// stateless selectors.
 func resolveProgram(req Request) (*ir.Program, error) {
 	switch {
-	case req.Program != "" && req.Example != "":
-		return nil, fmt.Errorf("use either program or example, not both")
 	case req.Program != "":
 		return lang.Parse(req.Program)
 	case req.Example != "":
@@ -92,11 +117,11 @@ func marshalResponse(doc any) ([]byte, error) {
 }
 
 // renderRegionLabeling builds one region's row of a label document from
-// its labeling result. It is the single rendering body shared by the
-// full-program path and the delta fragment cache, so a reused fragment
-// is byte-identical to a fresh rendering by construction. The Deps list
-// is always rendered (the fragment cache stores it once and strips it
-// for requests that did not ask); stripDeps below removes it.
+// its labeling result. Every label response is assembled from these rows
+// through the fragment cache, so a reused fragment is byte-identical to a
+// fresh rendering by construction. The Deps list is always rendered (the
+// fragment cache stores it once and strips it for requests that did not
+// ask); stripDeps below removes it.
 func renderRegionLabeling(r *ir.Region, res *idem.Result) RegionLabeling {
 	total, byCat := res.IdempotentFraction()
 	reg := RegionLabeling{
@@ -143,26 +168,6 @@ func renderRegionLabeling(r *ir.Region, res *idem.Result) RegionLabeling {
 func stripDeps(reg RegionLabeling) RegionLabeling {
 	reg.Deps = nil
 	return reg
-}
-
-// renderLabelResponse builds the label document from a canonical labeled
-// program (as returned by a cache shard). fp is the program's content
-// fingerprint, already computed at admission.
-func renderLabelResponse(fp ir.Fingerprint, p *ir.Program, labs map[*ir.Region]*idem.Result, withDeps bool) ([]byte, error) {
-	doc := LabelResponse{
-		Op:          OpLabel,
-		Program:     p.Name,
-		Fingerprint: hex.EncodeToString(fp[:]),
-		Regions:     make([]RegionLabeling, 0, len(p.Regions)),
-	}
-	for _, r := range p.Regions {
-		reg := renderRegionLabeling(r, labs[r])
-		if !withDeps {
-			reg = stripDeps(reg)
-		}
-		doc.Regions = append(doc.Regions, reg)
-	}
-	return marshalResponse(doc)
 }
 
 // traceTally aggregates the trace-JIT counters of one simulate

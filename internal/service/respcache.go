@@ -1,10 +1,10 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"sync"
+
+	"refidem/internal/ir"
 )
 
 // respKey identifies a cacheable response: the operation, a content hash
@@ -22,7 +22,7 @@ type respKey struct {
 // respKeyOf hashes the request's program selector. It is computed before
 // parsing, so a response-cache hit skips the parser entirely; requests
 // whose source text differs only in formatting miss here and are caught
-// by the (post-parse, fingerprint-keyed) program cache instead. The
+// by the (post-parse, fingerprint-keyed) tiers behind the queue instead. The
 // []byte(prefix + text) form compiles to a single fused allocation —
 // measurably cheaper than separate io.WriteString calls, and the
 // allocs/op gate on BenchmarkServiceLabelSerial holds it there.
@@ -52,82 +52,10 @@ func respKeyOf(req Request) respKey {
 	return k
 }
 
-// respShard is one LRU shard of the response cache. Responses are
-// immutable byte slices, shared with callers.
-type respShard struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[respKey]*list.Element
-	order *list.List // front = most recently used; values are *respEntry
-}
-
+// respEntry is one response-cache entry: the shared, immutable response
+// bytes and the program fingerprint they answer, kept so a label hit can
+// restore its delta base (reregisterBase).
 type respEntry struct {
-	key  respKey
 	resp []byte
-}
-
-func newRespShard(capacity int) *respShard {
-	return &respShard{cap: capacity, m: make(map[respKey]*list.Element), order: list.New()}
-}
-
-func (rs *respShard) get(k respKey) ([]byte, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	el, ok := rs.m[k]
-	if !ok {
-		return nil, false
-	}
-	rs.order.MoveToFront(el)
-	return el.Value.(*respEntry).resp, true
-}
-
-func (rs *respShard) put(k respKey, resp []byte) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if el, ok := rs.m[k]; ok {
-		rs.order.MoveToFront(el)
-		el.Value.(*respEntry).resp = resp
-		return
-	}
-	rs.m[k] = rs.order.PushFront(&respEntry{key: k, resp: resp})
-	for rs.order.Len() > rs.cap {
-		victim := rs.order.Back()
-		rs.order.Remove(victim)
-		delete(rs.m, victim.Value.(*respEntry).key)
-	}
-}
-
-func (rs *respShard) len() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.order.Len()
-}
-
-// respCache is the sharded response cache. The shard of a key is chosen
-// by its content hash, like the program cache's fingerprint sharding.
-type respCache struct {
-	shards []*respShard
-}
-
-func newRespCache(shards, capacityPerShard int) *respCache {
-	c := &respCache{shards: make([]*respShard, shards)}
-	for i := range c.shards {
-		c.shards[i] = newRespShard(capacityPerShard)
-	}
-	return c
-}
-
-func (c *respCache) shardFor(k respKey) *respShard {
-	return c.shards[binary.BigEndian.Uint64(k.src[:8])%uint64(len(c.shards))]
-}
-
-func (c *respCache) get(k respKey) ([]byte, bool) { return c.shardFor(k).get(k) }
-func (c *respCache) put(k respKey, resp []byte)   { c.shardFor(k).put(k, resp) }
-
-func (c *respCache) entries() int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.len()
-	}
-	return n
+	fp   ir.Fingerprint
 }

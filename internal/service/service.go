@@ -6,19 +6,25 @@
 //
 // The architecture, socket to core:
 //
-//   - a sharded program cache: N idem.ProgramCache shards keyed by
-//     ir.FingerprintOf, preserving the per-shard in-flight pinning and
-//     single-flight guarantees under cross-shard concurrency;
+//   - a response byte cache keyed by the request's pre-parse content
+//     hash, answering repeats without parsing or queueing;
 //   - a batching/coalescing admission queue: identical in-flight requests
 //     (same op, program fingerprint and parameters) deduplicate onto one
-//     computation, and admitted tasks drain in bounded batches through an
-//     internal/parallel worker pool;
+//     computation — the server's one singleflight — and admitted tasks
+//     drain in bounded batches through an internal/parallel worker pool;
 //   - admission control and backpressure: the queue is bounded, a full
 //     queue rejects with ErrOverloaded, and Close drains every admitted
 //     request before returning;
-//   - metrics: per-endpoint counters, aggregate cache hit/miss/eviction/
-//     pinned statistics and a request latency histogram, rendered by
+//   - one label path: every label response, full or delta, is assembled
+//     from rendered region rows cached by region analysis fingerprint, so
+//     only regions never seen before are labeled and rendered (label.go);
+//   - a program tier of labeled programs keyed by ir.FingerprintOf, read
+//     by simulate and timeline requests, which need whole-program labels;
+//   - metrics: per-endpoint counters, program-tier hit/miss/eviction
+//     statistics and a request latency histogram, rendered by
 //     RenderMetricz.
+//
+// Every bounded tier is one internal/lru cache under one lock.
 //
 // Responses are byte-deterministic: identical programs (and parameters)
 // produce byte-identical response documents, so the golden and fuzzing
@@ -27,7 +33,6 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -35,10 +40,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"refidem/internal/deps"
 	"refidem/internal/engine"
-	"refidem/internal/idem"
 	"refidem/internal/ir"
+	"refidem/internal/lru"
 	"refidem/internal/obs"
 	"refidem/internal/parallel"
 	"refidem/internal/store"
@@ -52,11 +56,8 @@ import (
 // Config parameterizes a Server. The zero value is normalized to the
 // defaults documented per field; DefaultConfig spells them out.
 type Config struct {
-	// Shards is the program cache shard count (<= 0 selects 8). The shard
-	// of a program is chosen by its content fingerprint.
-	Shards int
-	// CacheCapacity is the per-shard labeled-program capacity
-	// (<= 0 selects 64).
+	// CacheCapacity is the program tier's capacity in labeled programs
+	// (<= 0 selects 512).
 	CacheCapacity int
 	// Workers bounds the compute worker pool (<= 0 selects GOMAXPROCS).
 	Workers int
@@ -70,11 +71,10 @@ type Config struct {
 	// computation. DefaultConfig enables it; the zero Config leaves it
 	// off so the field composes with struct literals.
 	Coalesce bool
-	// ResponseCache is the per-shard capacity of the response byte cache
-	// — the fast path answering repeat requests without touching the
-	// parser or the queue (0 selects 4× CacheCapacity, negative disables
-	// it). Responses are byte-deterministic, so serving cached bytes is
-	// exact.
+	// ResponseCache is the capacity of the response byte cache — the fast
+	// path answering repeat requests without touching the parser or the
+	// queue (0 selects 4× CacheCapacity, negative disables it). Responses
+	// are byte-deterministic, so serving cached bytes is exact.
 	ResponseCache int
 	// Engine is the base simulated machine; per-request processors and
 	// capacity override it. A zero Processors selects
@@ -107,31 +107,31 @@ type Config struct {
 	// timings never reach response bytes, so responses are byte-identical
 	// either way.
 	FlightSpans int
-	// Ensemble labels programs through the collaborative dependence
-	// ensemble (idem.LabelProgramEnsemble) with the sound members (range
-	// pre-filter, must-write-first) enabled. Responses stay byte-identical
-	// to the plain labeler — speculative members only annotate
-	// confidences, never labels — while /metricz gains per-member query,
-	// hit and short-circuit counters.
+	// Ensemble labels every region — on the label, delta and program-tier
+	// paths alike — through the collaborative dependence ensemble
+	// (idem.LabelRegionEnsembleWithInfo) with the range pre-filter and
+	// must-write-first members enabled. Responses stay byte-identical to
+	// the plain labeler — speculative members only annotate confidences,
+	// never labels — while /metricz gains per-member query, hit and
+	// short-circuit counters.
 	Ensemble bool
 	// DeltaBases bounds the base registry: the canonical sources of the
 	// most recently analyzed programs, addressable as delta bases by
 	// fingerprint (0 selects 256, negative disables delta serving —
 	// every delta request then answers ErrUnknownBase).
 	DeltaBases int
-	// DeltaFragments bounds the per-region fragment cache delta requests
-	// reuse labelings from (0 selects 4096, negative disables reuse —
-	// delta requests then re-label every region, still byte-identically).
+	// DeltaFragments bounds the region fragment cache every label response
+	// is assembled from (0 selects 4096, negative disables reuse — every
+	// label then labels every region, still byte-identically).
 	DeltaFragments int
 }
 
-// DefaultConfig returns the production defaults: 8 cache shards of 64
-// programs, GOMAXPROCS workers, a 1024-deep admission queue drained in
-// batches of 64, coalescing on, the paper's default machine.
+// DefaultConfig returns the production defaults: a 512-program tier,
+// GOMAXPROCS workers, a 1024-deep admission queue drained in batches of
+// 64, coalescing on, the paper's default machine.
 func DefaultConfig() Config {
 	return Config{
-		Shards:        8,
-		CacheCapacity: 64,
+		CacheCapacity: 512,
 		QueueDepth:    1024,
 		MaxBatch:      64,
 		Coalesce:      true,
@@ -140,11 +140,8 @@ func DefaultConfig() Config {
 }
 
 func (c Config) normalized() Config {
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 64
+		c.CacheCapacity = 512
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -181,16 +178,24 @@ func (c Config) normalized() Config {
 // for concurrent use.
 type Server struct {
 	cfg     Config
-	shards  []*idem.ProgramCache
-	resp    *respCache // nil when disabled
 	metrics *Metrics
 	flight  *obs.FlightRecorder // nil when disabled
 
-	// Delta serving (see delta.go): the base registry resolves delta
-	// requests, the fragment cache reuses per-region labelings across
-	// requests and programs. Either is nil when disabled.
-	bases *baseRegistry
-	frags *fragCache
+	// The memory tiers; resp, bases and frags are nil when disabled. resp
+	// holds response bytes by request (respcache.go); programs holds the
+	// labeled programs simulate and timeline requests run (label.go);
+	// bases resolves delta requests (delta.go); frags holds the rendered
+	// region rows every label response is assembled from (label.go).
+	resp     *lru.Cache[respKey, respEntry]
+	programs *lru.Cache[ir.Fingerprint, programEntry]
+	bases    *lru.Cache[ir.Fingerprint, string]
+	frags    *lru.Cache[ir.Fingerprint, RegionLabeling]
+	// progHits and progMisses count program-tier lookups.
+	progHits, progMisses atomic.Int64
+
+	// computeHook, when a test sets it before the first request, runs at
+	// the start of every computation.
+	computeHook func(*ir.Program)
 
 	mu       sync.Mutex
 	closed   bool
@@ -233,10 +238,10 @@ type task struct {
 	resp []byte
 	err  error
 
-	// delta marks tasks admitted from a delta request (Base set): label
-	// computation goes through the per-region fragment path instead of
-	// the whole-program cache. The response bytes are identical either
-	// way, so coalescing full and delta requests onto one task is exact.
+	// delta marks tasks admitted from a delta request (Base set); only
+	// they advance the delta_regions_* counters. The response bytes do not
+	// depend on it, so coalescing full and delta requests onto one task is
+	// exact.
 	delta bool
 
 	// Flight-recorder stage timings of the worker-side phases (zero when
@@ -255,28 +260,20 @@ func New(cfg Config) *Server {
 	cfg = cfg.normalized()
 	s := &Server{
 		cfg:      cfg,
-		shards:   make([]*idem.ProgramCache, cfg.Shards),
 		metrics:  newMetrics(),
+		programs: lru.New[ir.Fingerprint, programEntry](cfg.CacheCapacity),
 		inflight: make(map[taskKey]*task),
 		queue:    make(chan *task, cfg.QueueDepth),
 		drained:  make(chan struct{}),
 	}
-	for i := range s.shards {
-		s.shards[i] = idem.NewProgramCache(cfg.CacheCapacity)
-		if cfg.Ensemble {
-			s.shards[i].SetLabeler(func(p *ir.Program) map[*ir.Region]*idem.Result {
-				return idem.LabelProgramEnsemble(p, deps.Ensemble{Range: true, MustWriteFirst: true})
-			})
-		}
-	}
 	if cfg.ResponseCache > 0 {
-		s.resp = newRespCache(cfg.Shards, cfg.ResponseCache)
+		s.resp = lru.New[respKey, respEntry](cfg.ResponseCache)
 	}
 	if cfg.DeltaBases > 0 {
-		s.bases = newBaseRegistry(cfg.DeltaBases)
+		s.bases = lru.New[ir.Fingerprint, string](cfg.DeltaBases)
 	}
 	if cfg.DeltaFragments > 0 {
-		s.frags = newFragCache(cfg.DeltaFragments)
+		s.frags = lru.New[ir.Fingerprint, RegionLabeling](cfg.DeltaFragments)
 	}
 	if cfg.FlightSpans > 0 {
 		s.flight = obs.NewFlightRecorder(cfg.FlightSpans)
@@ -303,11 +300,6 @@ func (s *Server) Close() {
 	// Every run() has returned, so nothing can enqueue persistence work
 	// anymore; the persister drains what is already queued and exits.
 	s.storeOnce.Do(s.closeStore)
-}
-
-// shardFor maps a program fingerprint to its cache shard.
-func (s *Server) shardFor(fp ir.Fingerprint) *idem.ProgramCache {
-	return s.shards[binary.BigEndian.Uint64(fp[:8])%uint64(len(s.shards))]
 }
 
 // Label runs the labeling pipeline on the request's program and returns
@@ -406,39 +398,13 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 		s.metrics.labelRequests.Add(1)
 	case OpSimulate:
 		s.metrics.simulateRequests.Add(1)
-	default:
+	}
+	if err := validate(req); err != nil {
 		s.metrics.badRequests.Add(1)
-		err := fmt.Errorf("%w: unknown op %q (want %q or %q)", ErrBadRequest, req.Op, OpLabel, OpSimulate)
 		return nil, s.finishSpan(fl, &sp, err), err
 	}
 	if s.closing.Load() {
 		return nil, s.finishSpan(fl, &sp, ErrClosed), ErrClosed
-	}
-	// Structural validation runs before the response-cache lookup: the
-	// cache keys on one program selector, so a malformed request (several
-	// selectors set, or bad parameters) could otherwise collide with a
-	// cached valid request and be accepted or rejected depending on
-	// cache warmth.
-	selectors := 0
-	for _, set := range []bool{req.Program != "", req.Example != "", req.Base != ""} {
-		if set {
-			selectors++
-		}
-	}
-	if selectors > 1 {
-		s.metrics.badRequests.Add(1)
-		err := fmt.Errorf("%w: use exactly one of program, example or base", ErrBadRequest)
-		return nil, s.finishSpan(fl, &sp, err), err
-	}
-	if len(req.Patches) > 0 && req.Base == "" {
-		s.metrics.badRequests.Add(1)
-		err := fmt.Errorf("%w: patches require a base fingerprint", ErrBadRequest)
-		return nil, s.finishSpan(fl, &sp, err), err
-	}
-	if req.Procs < 0 || req.Capacity < 0 {
-		s.metrics.badRequests.Add(1)
-		err := fmt.Errorf("%w: procs and capacity must be non-negative", ErrBadRequest)
-		return nil, s.finishSpan(fl, &sp, err), err
 	}
 	if fl != nil {
 		sp.Lap(obs.StageAdmission) // validation is part of admission
@@ -446,7 +412,10 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 	var rk respKey
 	if s.resp != nil {
 		rk = respKeyOf(req)
-		resp, ok := s.resp.get(rk)
+		e, ok := s.resp.Get(rk)
+		if ok && req.Op == OpLabel && req.Base == "" {
+			s.reregisterBase(req, e.fp)
+		}
 		if fl != nil {
 			sp.Lap(obs.StageRespCache)
 		}
@@ -461,7 +430,7 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 			if fl != nil {
 				sp.Source = "resp_cache"
 			}
-			return resp, s.finishSpan(fl, &sp, nil), nil
+			return e.resp, s.finishSpan(fl, &sp, nil), nil
 		}
 	}
 	prog, err := s.resolveRequest(req)
@@ -514,7 +483,7 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 		return nil, s.finishSpan(fl, &sp, t.err), t.err
 	}
 	if s.resp != nil {
-		s.resp.put(rk, t.resp)
+		s.resp.Put(rk, respEntry{resp: t.resp, fp: t.key.fp})
 	}
 	return t.resp, s.finishSpan(fl, &sp, nil), nil
 }
@@ -630,6 +599,7 @@ func (s *Server) run(t *task) {
 	// work may be skipped) applied to the analysis itself.
 	if resp := s.storeLookup(t.key); resp != nil {
 		t.resp = resp
+		s.registerBase(t.key.fp, t.prog)
 		if flight {
 			t.spanStoreRead = time.Since(lap).Nanoseconds()
 			t.src = "store"
@@ -662,64 +632,55 @@ func (s *Server) run(t *task) {
 	}
 }
 
-// compute produces one task's response bytes. Delta label tasks go
-// through the per-region fragment path (see delta.go); everything else
-// labels the whole program through its cache shard and renders.
+// compute produces one task's response bytes. Labels are assembled from
+// region fragments (label.go); simulates run the engine on the program
+// tier's canonical labeled program, so rendering sees identical inputs
+// for identical programs and the response bytes are identical too.
 func (s *Server) compute(t *task) {
-	if t.delta && t.key.op == OpLabel {
-		t.resp, t.err = s.labelDelta(t.key, t.prog)
+	if s.computeHook != nil {
+		s.computeHook(t.prog)
+	}
+	if t.key.op == OpLabel {
+		t.resp, t.err = s.label(t)
 		return
 	}
-	shard := s.shardFor(t.key.fp)
-	// The shard canonicalizes: identical programs share one labeled
-	// program, so response rendering below sees identical inputs and the
-	// response bytes are identical too.
-	prog, labs, err := shard.Labeled(t.prog)
+	prog, labs, err := s.labeled(t.key.fp, t.prog)
 	if err != nil {
 		t.err = fmt.Errorf("%w: %v", ErrBadRequest, err)
 		return
 	}
-	switch t.key.op {
-	case OpLabel:
-		t.resp, t.err = renderLabelResponse(t.key.fp, prog, labs, t.key.deps)
-		if t.err == nil {
-			// Seed the fragment cache so a later delta against this
-			// program reuses its unchanged regions.
-			s.populateFragments(prog, labs)
-		}
-	case OpSimulate:
-		cfg := s.cfg.Engine
-		if t.key.procs > 0 {
-			cfg.Processors = t.key.procs
-		}
-		if t.key.capacity > 0 {
-			cfg.SpecCapacity = t.key.capacity
-		}
-		var tt traceTally
-		t.resp, tt, t.err = renderSimulateResponse(t.key.fp, prog, labs, cfg)
-		if t.err == nil {
-			s.metrics.traceCompiled.Add(tt.compiled)
-			s.metrics.traceBailouts.Add(tt.bailouts)
-			s.metrics.guardElided.Add(tt.elided)
-		}
-	default:
-		t.err = fmt.Errorf("%w: unknown op %q", ErrBadRequest, t.key.op)
+	cfg := s.cfg.Engine
+	if t.key.procs > 0 {
+		cfg.Processors = t.key.procs
+	}
+	if t.key.capacity > 0 {
+		cfg.SpecCapacity = t.key.capacity
+	}
+	var tt traceTally
+	t.resp, tt, t.err = renderSimulateResponse(t.key.fp, prog, labs, cfg)
+	if t.err == nil {
+		s.metrics.traceCompiled.Add(tt.compiled)
+		s.metrics.traceBailouts.Add(tt.bailouts)
+		s.metrics.guardElided.Add(tt.elided)
 	}
 }
 
-// CacheStats aggregates the detailed statistics of every shard.
-func (s *Server) CacheStats() idem.CacheStats {
-	var agg idem.CacheStats
-	for _, shard := range s.shards {
-		st := shard.DetailedStats()
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-		agg.Entries += st.Entries
-		agg.Pinned += st.Pinned
-		agg.Capacity += st.Capacity
+// CacheStats is a snapshot of the program tier: Hits and Misses count the
+// lookups of simulate and timeline requests.
+type CacheStats struct {
+	Hits, Misses, Evictions int64
+	Entries, Capacity       int
+}
+
+// CacheStats snapshots the program tier.
+func (s *Server) CacheStats() CacheStats {
+	return CacheStats{
+		Hits:      s.progHits.Load(),
+		Misses:    s.progMisses.Load(),
+		Evictions: s.programs.Evictions(),
+		Entries:   s.programs.Len(),
+		Capacity:  s.cfg.CacheCapacity,
 	}
-	return agg
 }
 
 // Metrics exposes the server's counters (see Metrics for the fields).

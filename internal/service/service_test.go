@@ -19,7 +19,6 @@ import (
 // testConfig returns a small deterministic server configuration.
 func testConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Shards = 4
 	cfg.CacheCapacity = 8
 	cfg.Workers = 2
 	cfg.QueueDepth = 64
@@ -228,13 +227,12 @@ func TestCoalescingSingleCompute(t *testing.T) {
 
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	restore := idem.SetTestComputeHook(func(p *ir.Program) {
+	s.computeHook = func(p *ir.Program) {
 		if p.Name == "svc_test" {
 			entered <- struct{}{}
 			<-release
 		}
-	})
-	defer restore()
+	}
 
 	const followers = 8
 	results := make(chan error, followers+1)
@@ -271,9 +269,6 @@ func TestCoalescingSingleCompute(t *testing.T) {
 	if snap.Coalesced != followers {
 		t.Errorf("coalesced = %d, want %d", snap.Coalesced, followers)
 	}
-	if hits, misses := s.CacheStats().Hits, s.CacheStats().Misses; misses != 1 || hits != 0 {
-		t.Errorf("cache hits/misses = %d/%d, want 0/1 (single compute)", hits, misses)
-	}
 }
 
 // TestOverloadBackpressure fills the one-deep admission queue behind a
@@ -289,13 +284,12 @@ func TestOverloadBackpressure(t *testing.T) {
 
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	restore := idem.SetTestComputeHook(func(p *ir.Program) {
+	s.computeHook = func(p *ir.Program) {
 		if p.Name == "svc_test" {
 			entered <- struct{}{}
 			<-release
 		}
-	})
-	defer restore()
+	}
 
 	leader := make(chan error, 1)
 	go func() {
@@ -340,7 +334,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	restore := idem.SetTestComputeHook(func(p *ir.Program) {
+	s.computeHook = func(p *ir.Program) {
 		if p.Name == "svc_test" {
 			select {
 			case entered <- struct{}{}:
@@ -348,8 +342,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 			default:
 			}
 		}
-	})
-	defer restore()
+	}
 
 	leader := make(chan error, 1)
 	go func() {
@@ -399,98 +392,6 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestShardedSingleFlightUnderEviction extends the eviction-during-compute
-// technique to the sharded path: M goroutines submitting the same program
-// observe exactly one labeling compute even while cross-shard traffic of
-// distinct programs applies eviction pressure to capacity-1 shards. Runs
-// with -race in CI.
-func TestShardedSingleFlightUnderEviction(t *testing.T) {
-	const followers = 5 // same-program callers besides the leader
-	cfg := testConfig()
-	cfg.Shards = 4
-	cfg.CacheCapacity = 1 // every shard evicts on its second program
-	cfg.Coalesce = false  // the cache layer alone must single-flight
-	cfg.Workers = followers + 3
-	s := New(cfg)
-	defer s.Close()
-
-	var computes sync.Map // program name -> compute count
-	hold := make(chan struct{})
-	var holdOnce sync.Once
-	entered := make(chan struct{}, 1)
-	restore := idem.SetTestComputeHook(func(p *ir.Program) {
-		n, _ := computes.LoadOrStore(p.Name, new(int64))
-		// Counting is race-safe as long as single-flight holds: each
-		// fingerprint computes under its entry's once.Do. If sharded
-		// pinning ever broke, -race flags the duplicate compute here.
-		*(n.(*int64))++
-		if p.Name == "svc_test" {
-			holdOnce.Do(func() {
-				entered <- struct{}{}
-				<-hold
-			})
-		}
-	})
-	defer restore()
-
-	// Lead submission: holds the svc_test compute in flight, pinning its
-	// cache entry.
-	var wg sync.WaitGroup
-	errs := make([]error, followers+7)
-	submitAt := func(i int, req Request) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = s.Label(context.Background(), req)
-		}()
-	}
-	submitAt(0, Request{Program: testProgramSrc})
-	<-entered
-
-	// Eviction pressure: six distinct programs spread across the shards
-	// while the svc_test entry is pinned (capacity 1: every insertion
-	// provokes an eviction attempt, which must skip the pinned entry).
-	pressure := []string{"fig1", "fig2", "fig3", "buts"}
-	for i := 0; i < 4; i++ {
-		submitAt(1+i, Request{Example: pressure[i]})
-	}
-	variant := func(name, bound string) string {
-		src := strings.Replace(testProgramSrc, "program svc_test", "program "+name, 1)
-		return strings.Replace(src, "to 15", bound, 1)
-	}
-	submitAt(5, Request{Program: variant("svc_pressure_a", "to 7")})
-	submitAt(6, Request{Program: variant("svc_pressure_b", "to 3")})
-
-	// Same-program followers: each must find the pinned in-flight entry
-	// and register a cache hit (counted at lookup, before blocking on the
-	// entry's compute) instead of recomputing.
-	for i := 0; i < followers; i++ {
-		submitAt(7+i, Request{Program: testProgramSrc})
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.CacheStats().Hits < followers {
-		if time.Now().After(deadline) {
-			t.Fatalf("followers did not reach the pinned entry: %+v", s.CacheStats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(hold)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	n, ok := computes.Load("svc_test")
-	if !ok || *(n.(*int64)) != 1 {
-		got := int64(0)
-		if ok {
-			got = *(n.(*int64))
-		}
-		t.Errorf("svc_test computed %d times, want exactly 1 (single-flight across shards)", got)
-	}
-}
-
 func TestMetriczRendering(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
@@ -505,8 +406,6 @@ func TestMetriczRendering(t *testing.T) {
 		"requests_label 2\n",
 		"response_cache_hits 1\n", // the repeat is served from response bytes
 		"response_cache_entries 1\n",
-		"cache_misses 1\n",
-		"cache_shards 4\n",
 		"latency_count 2\n",
 		"rejected_overloaded 0\n",
 	} {
@@ -526,13 +425,12 @@ func TestContextCancelledWaiter(t *testing.T) {
 
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	restore := idem.SetTestComputeHook(func(p *ir.Program) {
+	s.computeHook = func(p *ir.Program) {
 		if p.Name == "svc_test" {
 			entered <- struct{}{}
 			<-release
 		}
-	})
-	defer restore()
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	abandoned := make(chan error, 1)

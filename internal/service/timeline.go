@@ -6,8 +6,8 @@ package service
 // deliberately bypasses the admission queue, the response byte cache and
 // the persistent store — it is a debugging artifact keyed to one
 // request, not a cacheable response — but labeling still goes through
-// the program-cache shard, so a timeline request warms the same labeled
-// program later requests reuse. Timeline timestamps are simulated
+// the program tier, so a timeline request warms the same labeled program
+// later simulate requests reuse. Timeline timestamps are simulated
 // cycles: the document is deterministic for a given program and machine.
 
 import (
@@ -23,19 +23,17 @@ import (
 
 // SimulateTimeline labels the request's program, runs it under HOSE and
 // CASE with speculation timelines attached, and writes the combined
-// Chrome trace-event document to w. Request parameters (procs, capacity)
-// apply exactly as on Simulate.
+// Chrome trace-event document to w. The request is validated and its
+// parameters (procs, capacity) apply exactly as on Simulate.
 func (s *Server) SimulateTimeline(ctx context.Context, req Request, w io.Writer) error {
 	_ = ctx // the export runs inline; no queue wait to cancel
 	s.metrics.timelineRequests.Add(1)
+	req.Op = OpSimulate
+	if err := validate(req); err != nil {
+		return err
+	}
 	if s.closing.Load() {
 		return ErrClosed
-	}
-	if req.Program != "" && req.Example != "" {
-		return fmt.Errorf("%w: use either program or example, not both", ErrBadRequest)
-	}
-	if req.Procs < 0 || req.Capacity < 0 {
-		return fmt.Errorf("%w: procs and capacity must be non-negative", ErrBadRequest)
 	}
 	prog, err := s.resolveRequest(req)
 	if err != nil {
@@ -44,8 +42,7 @@ func (s *Server) SimulateTimeline(ctx context.Context, req Request, w io.Writer)
 		}
 		return err
 	}
-	shard := s.shardFor(ir.FingerprintOf(prog))
-	prog, labs, err := shard.Labeled(prog)
+	prog, labs, err := s.labeled(ir.FingerprintOf(prog), prog)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
