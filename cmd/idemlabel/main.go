@@ -149,7 +149,7 @@ func printRegion(w io.Writer, p *ir.Program, r *ir.Region, res *idem.Result, sho
 		if ref.Access == ir.Write {
 			rfw = fmt.Sprint(res.RFW.IsRFW(ref))
 		}
-		t.AddRowf(refText(ref), segName, res.Label(ref), res.Category(ref),
+		t.AddRowf(ref.AccessText(), segName, res.Label(ref), res.Category(ref),
 			rfw, fmt.Sprint(res.Deps.IsCrossSink(ref)))
 	}
 	fmt.Fprintln(w, t.String())
@@ -170,19 +170,4 @@ func printRegion(w io.Writer, p *ir.Program, r *ir.Region, res *idem.Result, sho
 		}
 	}
 	fmt.Fprintln(w)
-}
-
-func refText(ref *ir.Ref) string {
-	s := ref.Var.Name
-	if len(ref.Subs) > 0 {
-		s += "["
-		for i, sub := range ref.Subs {
-			if i > 0 {
-				s += ","
-			}
-			s += sub.String()
-		}
-		s += "]"
-	}
-	return fmt.Sprintf("%s %s", ref.Access, s)
 }

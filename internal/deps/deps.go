@@ -21,8 +21,8 @@
 package deps
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"refidem/internal/cfg"
@@ -76,7 +76,7 @@ func (d Dep) String() string {
 	if d.Cross {
 		scope = "cross"
 	}
-	return fmt.Sprintf("%s %s: %s -> %s", scope, d.Kind, d.Src, d.Dst)
+	return scope + " " + d.Kind.String() + ": " + d.Src.String() + " -> " + d.Dst.String()
 }
 
 // Analysis holds the dependences of one region. Endpoint indexes are
@@ -210,15 +210,14 @@ func (a *Analysis) analyze(g *cfg.Graph) {
 		}
 	}
 	// Deterministic order for printing and tests.
-	sort.SliceStable(a.All, func(i, j int) bool {
-		x, y := a.All[i], a.All[j]
-		if x.Src.ID != y.Src.ID {
-			return x.Src.ID < y.Src.ID
+	slices.SortStableFunc(a.All, func(x, y Dep) int {
+		if c := cmp.Compare(x.Src.ID, y.Src.ID); c != 0 {
+			return c
 		}
-		if x.Dst.ID != y.Dst.ID {
-			return x.Dst.ID < y.Dst.ID
+		if c := cmp.Compare(x.Dst.ID, y.Dst.ID); c != 0 {
+			return c
 		}
-		return x.Kind < y.Kind
+		return cmp.Compare(x.Kind, y.Kind)
 	})
 	a.buildIndexes()
 }

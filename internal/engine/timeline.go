@@ -6,8 +6,6 @@ package engine
 // is nil.
 
 import (
-	"fmt"
-
 	"refidem/internal/idem"
 	"refidem/internal/ir"
 	"refidem/internal/obs"
@@ -15,34 +13,19 @@ import (
 
 // timelineRefs renders a region's reference table for timeline
 // attribution, indexed by dense ref ID (the same ID timeline events carry
-// in Event.Ref). Text matches the service/report rendering ("access
-// var[subs]") so squash-attribution tables line up with label tables.
+// in Event.Ref). Text is ir.Ref.AccessText ("access var[subs]"), the
+// rendering label tables use, so squash-attribution tables line up with
+// them.
 func timelineRefs(r *ir.Region, lab *idem.Result) []obs.RefInfo {
 	out := make([]obs.RefInfo, len(r.Refs))
 	for i, ref := range r.Refs {
 		out[i] = obs.RefInfo{
-			Text:     timelineRefText(ref),
+			Text:     ref.AccessText(),
 			Label:    lab.Label(ref).String(),
 			Category: lab.Category(ref).String(),
 		}
 	}
 	return out
-}
-
-// timelineRefText renders one reference as "access var[subs]".
-func timelineRefText(ref *ir.Ref) string {
-	s := ref.Var.Name
-	if len(ref.Subs) > 0 {
-		s += "["
-		for i, sub := range ref.Subs {
-			if i > 0 {
-				s += ","
-			}
-			s += sub.String()
-		}
-		s += "]"
-	}
-	return fmt.Sprintf("%s %s", ref.Access, s)
 }
 
 // sinceSpawn is the cycles an instance has been running at time t, used

@@ -39,24 +39,31 @@ func (*Bin) isExpr()   {}
 
 func (e *Const) String() string { return strconv.FormatInt(e.Val, 10) }
 func (e *Index) String() string { return e.Name }
+func (e *Load) String() string  { return string(e.Ref.appendText(nil)) }
+func (e *Bin) String() string   { return string(appendExpr(nil, e)) }
 
-func (e *Load) String() string {
-	s := e.Ref.Var.Name
-	if len(e.Ref.Subs) > 0 {
-		s += "["
-		for i, sub := range e.Ref.Subs {
-			if i > 0 {
-				s += ","
-			}
-			s += sub.String()
-		}
-		s += "]"
+// appendExpr appends e's source text to b: the one expression printer,
+// behind the String methods of compound expressions and every
+// reference's subscripts. A binary operation prints fully parenthesized,
+// "(i + 1)".
+func appendExpr(b []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case *Const:
+		return strconv.AppendInt(b, e.Val, 10)
+	case *Index:
+		return append(b, e.Name...)
+	case *Load:
+		return e.Ref.appendText(b)
+	case *Bin:
+		b = append(b, '(')
+		b = appendExpr(b, e.L)
+		b = append(b, ' ')
+		b = append(b, e.Op.String()...)
+		b = append(b, ' ')
+		b = appendExpr(b, e.R)
+		return append(b, ')')
 	}
-	return s
-}
-
-func (e *Bin) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.L.String(), e.Op.String(), e.R.String())
+	panic("ir: unknown expression type") // Expr is sealed by isExpr
 }
 
 // BinOp enumerates the binary operators of the expression language.

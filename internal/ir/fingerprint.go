@@ -14,12 +14,21 @@ import (
 // per point can share one labeling.
 type Fingerprint [sha256.Size]byte
 
-// FingerprintOf computes the content fingerprint. It hashes the
-// program's canonical mini-language rendering: Format round-trips through
-// the parser (property-tested), which makes it a faithful serialization
-// of everything the analyses see.
+// FingerprintOf computes the content fingerprint (see Canonical).
 func FingerprintOf(p *Program) Fingerprint {
-	return sha256.Sum256([]byte(p.Format()))
+	_, fp := Canonical(p)
+	return fp
+}
+
+// Canonical returns the program's canonical mini-language rendering
+// (Format) together with its fingerprint, the hash of exactly that text.
+// Format round-trips through the parser (property-tested), which makes it
+// a faithful serialization of everything the analyses see. Callers that
+// keep the text as well, such as the service's delta-base registry, use
+// this to format a program once.
+func Canonical(p *Program) (string, Fingerprint) {
+	src := p.Format()
+	return src, sha256.Sum256([]byte(src))
 }
 
 // RegionFingerprintOf computes the analysis fingerprint of one region of

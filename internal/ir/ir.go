@@ -19,6 +19,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // AccessType distinguishes read references from write references.
@@ -128,19 +129,47 @@ func (l LoopInfo) Trips() int {
 	return (l.From-l.To)/(-l.Step) + 1
 }
 
-func (r *Ref) String() string {
-	s := r.Var.Name
-	if len(r.Subs) > 0 {
-		s += "["
-		for i, e := range r.Subs {
-			if i > 0 {
-				s += ","
-			}
-			s += e.String()
-		}
-		s += "]"
+// appendText appends the reference's source text to b: the variable name,
+// then any subscripts in brackets, "a[(i + 1),j]". It is the one
+// rendering of a reference; the formatter, expression printing,
+// AccessText and String all build on it.
+func (r *Ref) appendText(b []byte) []byte {
+	b = append(b, r.Var.Name...)
+	if len(r.Subs) == 0 {
+		return b
 	}
-	return fmt.Sprintf("%s %s@S%d#%d", r.Access, s, r.SegID, r.ID)
+	b = append(b, '[')
+	for i, e := range r.Subs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendExpr(b, e)
+	}
+	return append(b, ']')
+}
+
+// appendAccessText appends "access text", e.g. "write a[i]".
+func (r *Ref) appendAccessText(b []byte) []byte {
+	b = append(b, r.Access.String()...)
+	b = append(b, ' ')
+	return r.appendText(b)
+}
+
+// AccessText returns the access type and source text, "write a[i]": the
+// reference column of label tables, timelines and dependence graphs.
+func (r *Ref) AccessText() string {
+	return string(r.appendAccessText(make([]byte, 0, 32)))
+}
+
+// String returns AccessText tagged with the segment and reference IDs,
+// "write a[i]@S0#3", the form dependence lists print.
+func (r *Ref) String() string {
+	b := r.appendAccessText(make([]byte, 0, 48))
+	b = append(b, "@S"...)
+	b = strconv.AppendInt(b, int64(r.SegID), 10)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(r.ID), 10)
+	return string(b)
 }
 
 // Stmt is a structured statement in a segment body.

@@ -371,10 +371,23 @@ func TestFormatRoundTripShape(t *testing.T) {
 func TestRefString(t *testing.T) {
 	p := NewProgram("t")
 	v := p.AddVar("v", 4)
+	w := p.AddVar("w", 4, 4)
 	r := Wr(v, Idx("k"))
 	r.ID = 7
 	r.SegID = 2
-	if got := r.String(); !strings.Contains(got, "write") || !strings.Contains(got, "v[k]") {
+	if got := r.String(); got != "write v[k]@S2#7" {
 		t.Errorf("String = %q", got)
+	}
+	if got := r.AccessText(); got != "write v[k]" {
+		t.Errorf("AccessText = %q", got)
+	}
+	// Compound subscripts: a parenthesized binary operation and a nested
+	// load, rendered by the same rule as the formatter's.
+	nested := Wr(w, Op(Add, Idx("k"), C(1)), Rd(v, Op(Mul, C(2), Idx("j"))))
+	if got, want := nested.AccessText(), "write w[(k + 1),v[(2 * j)]]"; got != want {
+		t.Errorf("AccessText = %q, want %q", got, want)
+	}
+	if got, want := nested.Subs[1].String(), "v[(2 * j)]"; got != want {
+		t.Errorf("Load.String = %q, want %q", got, want)
 	}
 }

@@ -109,7 +109,7 @@ func writeStmts(b *strings.Builder, stmts []Stmt, indent string) {
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *Assign:
-			fmt.Fprintf(b, "%s%s = %s\n", indent, refStr(s.LHS), s.RHS.String())
+			fmt.Fprintf(b, "%s%s = %s\n", indent, s.LHS.appendText(nil), s.RHS.String())
 		case *If:
 			fmt.Fprintf(b, "%sif %s {\n", indent, s.Cond.String())
 			writeStmts(b, s.Then, indent+"  ")
@@ -132,15 +132,4 @@ func writeStmts(b *strings.Builder, stmts []Stmt, indent string) {
 			fmt.Fprintf(b, "%scall %s(%s)\n", indent, s.Callee, strings.Join(args, ", "))
 		}
 	}
-}
-
-func refStr(r *Ref) string {
-	if len(r.Subs) == 0 {
-		return r.Var.Name
-	}
-	subs := make([]string, len(r.Subs))
-	for i, s := range r.Subs {
-		subs[i] = s.String()
-	}
-	return fmt.Sprintf("%s[%s]", r.Var.Name, strings.Join(subs, ","))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"refidem/internal/gen"
@@ -116,6 +117,44 @@ func BenchmarkServiceLabelTracedOff(b *testing.B) {
 	b.StopTimer()
 	if snap := s.Metrics().SnapshotNow(); snap.Computed != 1 {
 		b.Fatalf("computed = %d, want 1 (steady state must be pure response hits)", snap.Computed)
+	}
+}
+
+// BenchmarkServiceLabelUncached measures the cold label path with every
+// tier that could answer a label turned off: one caller, no response
+// cache, no fragment reuse, and one fixed multi-region program. Every
+// iteration parses, fingerprints, queues, analyzes, labels and renders
+// every region, so the exact allocs gate pins the cold path's allocation
+// count — among other things, that a label without "deps" renders no
+// dependence list. It runs on one processor: the request crosses three
+// goroutines, and with more processors the runtime's per-processor caches
+// add a fraction of an allocation per request that grows with the core
+// count, which an exact gate cannot absorb.
+func BenchmarkServiceLabelUncached(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := DefaultConfig()
+	cfg.ResponseCache = -1
+	cfg.DeltaFragments = -1
+	s := New(cfg)
+	defer s.Close()
+	src := benchSources(7)[6] // the multiregion profile's program
+	if p, err := lang.Parse(src); err != nil || len(p.Regions) < 2 {
+		b.Fatalf("benchmark program must parse into several regions (err %v)", err)
+	}
+	ctx := context.Background()
+	if _, err := s.Label(ctx, Request{Program: src}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Label(ctx, Request{Program: src}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if snap := s.Metrics().SnapshotNow(); snap.Computed != int64(b.N)+1 {
+		b.Fatalf("computed = %d, want %d (every request must compute)", snap.Computed, b.N+1)
 	}
 }
 

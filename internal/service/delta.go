@@ -58,15 +58,15 @@ func (s *Server) resolveRequest(req Request) (*ir.Program, error) {
 }
 
 // registerBase makes a successfully served program addressable as a delta
-// base under its fingerprint. The canonical source is a pure function of
-// the fingerprint, so it is formatted only when the registry lacks it; a
-// registered base just becomes the most recently used.
-func (s *Server) registerBase(fp ir.Fingerprint, p *ir.Program) {
+// base: src is its canonical source, which admission formatted once for
+// the fingerprint fp. A registered base just becomes the most recently
+// used.
+func (s *Server) registerBase(fp ir.Fingerprint, src string) {
 	if s.bases == nil {
 		return
 	}
 	if _, ok := s.bases.Get(fp); !ok {
-		s.bases.Put(fp, p.Format())
+		s.bases.Put(fp, src)
 	}
 }
 

@@ -122,8 +122,7 @@ func TestDeltaLivenessShiftRelabelsDependents(t *testing.T) {
 	}
 }
 
-// Deps requests strip/keep the dependence lists identically on both
-// paths.
+// Deps requests carry the dependence lists identically on both paths.
 func TestDeltaEquivalenceWithDeps(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
@@ -143,6 +142,62 @@ func TestDeltaEquivalenceWithDeps(t *testing.T) {
 	}
 	if want := labelFresh(t, composed, true); !bytes.Equal(got, want) {
 		t.Fatalf("deps delta bytes differ from full re-label\ndelta: %s\nfull:  %s", got, want)
+	}
+}
+
+// The "deps" flag is part of a fragment's identity. Rows rendered for a
+// deps-less request carry no dependence list, so a deps delta over the
+// same regions must relabel them rather than reuse those rows: every body
+// equals a fresh full label of its program and flag, only deps bodies
+// carry "deps", and the delta_regions_* counters show the relabeling.
+func TestDeltaDepsFlagKeysFragments(t *testing.T) {
+	const base = `program deps_flag
+var a[16]
+var b[16]
+region r0 loop k = 1 to 15 {
+  a[k] = (a[(k - 1)] + b[k])
+}
+region r1 loop k = 0 to 15 {
+  b[k] = (a[k] + 2)
+}
+`
+	patches := []RegionPatch{{Region: "r1", Source: deltaPatchR1}}
+	composed, err := applyPatches(base, patches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseFP := fpHexOf(t, base)
+	s := New(testConfig())
+	defer s.Close()
+	ctx := context.Background()
+	for _, step := range []struct {
+		name              string
+		req               Request
+		src               string // the program the body must label
+		relabeled, reused int64  // delta_regions_* advances
+	}{
+		{"full", Request{Program: base}, base, 0, 0},
+		{"delta", Request{Base: baseFP, Patches: patches}, composed, 1, 1},
+		{"delta+deps", Request{Base: baseFP, Patches: patches, Deps: true}, composed, 2, 0},
+	} {
+		before := s.Metrics().SnapshotNow()
+		got, err := s.Label(ctx, step.req)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if want := labelFresh(t, step.src, step.req.Deps); !bytes.Equal(got, want) {
+			t.Fatalf("%s: bytes differ from a fresh full label\ngot:  %s\nwant: %s", step.name, got, want)
+		}
+		if has := bytes.Contains(got, []byte(`"deps":`)); has != step.req.Deps {
+			t.Fatalf("%s: body carries a dependence list = %v, want %v", step.name, has, step.req.Deps)
+		}
+		after := s.Metrics().SnapshotNow()
+		relabeled := after.RegionsRelabeled - before.RegionsRelabeled
+		reused := after.RegionsReused - before.RegionsReused
+		if relabeled != step.relabeled || reused != step.reused {
+			t.Fatalf("%s: relabeled/reused = %d/%d, want %d/%d",
+				step.name, relabeled, reused, step.relabeled, step.reused)
+		}
 	}
 }
 

@@ -2,12 +2,15 @@ package service
 
 // The two labeling tiers. Every label response, full or delta, is
 // assembled from rendered region rows cached by region analysis
-// fingerprint (ir.RegionFingerprintOf): a region whose labeling inputs
-// were seen before, in any program, reuses its row, and only the others
-// are labeled and rendered, once. Simulate and timeline requests drive
-// the engine with the whole program's labeling; they read the program
-// tier, an LRU of labeled programs by content fingerprint. Neither tier
-// single-flights: identical requests already coalesce at admission.
+// fingerprint (ir.RegionFingerprintOf) and the request's "deps" flag: a
+// region whose labeling inputs were seen before, in any program, reuses
+// its row, and only the others are labeled and rendered, once. A row
+// carries a dependence list only when its request asked for one, so a
+// deps-less label renders no dependences. Simulate and timeline requests
+// drive the engine with the whole program's labeling; they read the
+// program tier, an LRU of labeled programs by content fingerprint.
+// Neither tier single-flights: identical requests already coalesce at
+// admission.
 
 import (
 	"encoding/hex"
@@ -50,9 +53,16 @@ func labelChecked(label func(*ir.Region, *dataflow.RegionInfo) *idem.Result, r *
 	return res, nil
 }
 
+// fragKey identifies a rendered region row: the region's analysis
+// fingerprint and whether the row carries its dependence list.
+type fragKey struct {
+	fp   ir.Fingerprint
+	deps bool
+}
+
 // label answers an OpLabel task region by region: rows cached under the
-// region's analysis fingerprint are reused verbatim, the rest are labeled
-// through the same pipeline body LabelProgram uses and rendered once.
+// region's fragment key are reused verbatim, the rest are labeled through
+// the same pipeline body LabelProgram uses and rendered once.
 func (s *Server) label(t *task) ([]byte, error) {
 	prog := t.prog
 	if err := prog.Validate(); err != nil {
@@ -68,7 +78,10 @@ func (s *Server) label(t *task) ([]byte, error) {
 	}
 	for _, r := range prog.Regions {
 		info := infos[r]
-		fk := ir.RegionFingerprintOf(prog, r, func(v *ir.Var) bool { return info.LiveOut(v) })
+		fk := fragKey{
+			fp:   ir.RegionFingerprintOf(prog, r, func(v *ir.Var) bool { return info.LiveOut(v) }),
+			deps: t.key.deps,
+		}
 		var row RegionLabeling
 		ok := false
 		if s.frags != nil {
@@ -82,7 +95,7 @@ func (s *Server) label(t *task) ([]byte, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 			}
-			row = renderRegionLabeling(r, res)
+			row = renderRegionLabeling(r, res, t.key.deps)
 			if s.frags != nil {
 				s.frags.Put(fk, row)
 			}
@@ -93,9 +106,6 @@ func (s *Server) label(t *task) ([]byte, error) {
 			} else {
 				s.metrics.regionsRelabeled.Add(1)
 			}
-		}
-		if !t.key.deps {
-			row = stripDeps(row)
 		}
 		doc.Regions = append(doc.Regions, row)
 	}

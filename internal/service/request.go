@@ -4,7 +4,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"refidem/internal/api"
 	"refidem/internal/engine"
@@ -119,14 +120,14 @@ func marshalResponse(doc any) ([]byte, error) {
 // renderRegionLabeling builds one region's row of a label document from
 // its labeling result. Every label response is assembled from these rows
 // through the fragment cache, so a reused fragment is byte-identical to a
-// fresh rendering by construction. The Deps list is always rendered (the
-// fragment cache stores it once and strips it for requests that did not
-// ask); stripDeps below removes it.
-func renderRegionLabeling(r *ir.Region, res *idem.Result) RegionLabeling {
+// fresh rendering by construction. The dependence list is rendered only
+// when withDeps is set (the request's "deps" flag), which is why the flag
+// is part of a fragment's key.
+func renderRegionLabeling(r *ir.Region, res *idem.Result, withDeps bool) RegionLabeling {
 	total, byCat := res.IdempotentFraction()
 	reg := RegionLabeling{
 		Name:             r.Name,
-		Kind:             fmt.Sprint(r.Kind),
+		Kind:             r.Kind.String(),
 		FullyIndependent: res.FullyIndependent,
 		IdemFraction:     total,
 		Refs:             make([]RefLabel, 0, len(r.Refs)),
@@ -137,12 +138,15 @@ func renderRegionLabeling(r *ir.Region, res *idem.Result) RegionLabeling {
 		}
 	}
 	for _, ref := range r.Refs {
-		segName := fmt.Sprint(ref.SegID)
-		if s := r.Seg(ref.SegID); s != nil && s.Name != "" {
+		var segName string
+		if s := r.Seg(ref.SegID); s != nil {
 			segName = s.Name
 		}
+		if segName == "" {
+			segName = strconv.Itoa(ref.SegID)
+		}
 		row := RefLabel{
-			Ref:       refText(ref),
+			Ref:       ref.AccessText(),
 			Segment:   segName,
 			Label:     res.Label(ref).String(),
 			Category:  res.Category(ref).String(),
@@ -154,19 +158,13 @@ func renderRegionLabeling(r *ir.Region, res *idem.Result) RegionLabeling {
 		}
 		reg.Refs = append(reg.Refs, row)
 	}
-	reg.Deps = make([]string, 0, len(res.Deps.All))
-	for _, d := range res.Deps.All {
-		reg.Deps = append(reg.Deps, fmt.Sprint(d))
+	if withDeps {
+		reg.Deps = make([]string, 0, len(res.Deps.All))
+		for _, d := range res.Deps.All {
+			reg.Deps = append(reg.Deps, d.String())
+		}
+		slices.Sort(reg.Deps)
 	}
-	sort.Strings(reg.Deps)
-	return reg
-}
-
-// stripDeps returns the row without its dependence list (requests that
-// did not set "deps"). Rows are value types, so the fragment cache's
-// copy is untouched.
-func stripDeps(reg RegionLabeling) RegionLabeling {
-	reg.Deps = nil
 	return reg
 }
 
@@ -236,21 +234,4 @@ func renderSimulateResponse(fp ir.Fingerprint, p *ir.Program, labs map[*ir.Regio
 	}
 	b, err := marshalResponse(doc)
 	return b, tt, err
-}
-
-// refText renders a reference as "access var[subs]" (the cmd/idemlabel
-// convention).
-func refText(ref *ir.Ref) string {
-	s := ref.Var.Name
-	if len(ref.Subs) > 0 {
-		s += "["
-		for i, sub := range ref.Subs {
-			if i > 0 {
-				s += ","
-			}
-			s += sub.String()
-		}
-		s += "]"
-	}
-	return fmt.Sprintf("%s %s", ref.Access, s)
 }

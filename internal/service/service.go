@@ -121,8 +121,9 @@ type Config struct {
 	// every delta request then answers ErrUnknownBase).
 	DeltaBases int
 	// DeltaFragments bounds the region fragment cache every label response
-	// is assembled from (0 selects 4096, negative disables reuse — every
-	// label then labels every region, still byte-identically).
+	// is assembled from, in rendered region rows keyed by region analysis
+	// fingerprint and "deps" flag (0 selects 4096, negative disables reuse
+	// — every label then labels every region, still byte-identically).
 	DeltaFragments int
 }
 
@@ -185,11 +186,12 @@ type Server struct {
 	// holds response bytes by request (respcache.go); programs holds the
 	// labeled programs simulate and timeline requests run (label.go);
 	// bases resolves delta requests (delta.go); frags holds the rendered
-	// region rows every label response is assembled from (label.go).
+	// region rows every label response is assembled from, a row with a
+	// dependence list only for "deps" requests (label.go).
 	resp     *lru.Cache[respKey, respEntry]
 	programs *lru.Cache[ir.Fingerprint, programEntry]
 	bases    *lru.Cache[ir.Fingerprint, string]
-	frags    *lru.Cache[ir.Fingerprint, RegionLabeling]
+	frags    *lru.Cache[fragKey, RegionLabeling]
 	// progHits and progMisses count program-tier lookups.
 	progHits, progMisses atomic.Int64
 
@@ -238,6 +240,10 @@ type task struct {
 	resp []byte
 	err  error
 
+	// canonical is prog's canonical source, formatted once at admission
+	// for the fingerprint and registered as a delta base on success.
+	canonical string
+
 	// delta marks tasks admitted from a delta request (Base set); only
 	// they advance the delta_regions_* counters. The response bytes do not
 	// depend on it, so coalescing full and delta requests onto one task is
@@ -273,7 +279,7 @@ func New(cfg Config) *Server {
 		s.bases = lru.New[ir.Fingerprint, string](cfg.DeltaBases)
 	}
 	if cfg.DeltaFragments > 0 {
-		s.frags = lru.New[ir.Fingerprint, RegionLabeling](cfg.DeltaFragments)
+		s.frags = lru.New[fragKey, RegionLabeling](cfg.DeltaFragments)
 	}
 	if cfg.FlightSpans > 0 {
 		s.flight = obs.NewFlightRecorder(cfg.FlightSpans)
@@ -492,7 +498,8 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 // second return) or enqueues a new one, applying backpressure when the
 // queue is full.
 func (s *Server) admit(req Request, prog *ir.Program) (*task, bool, error) {
-	key := taskKey{op: req.Op, fp: ir.FingerprintOf(prog), deps: req.Deps,
+	canonical, fp := ir.Canonical(prog)
+	key := taskKey{op: req.Op, fp: fp, deps: req.Deps,
 		procs: req.Procs, capacity: req.Capacity}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -505,7 +512,7 @@ func (s *Server) admit(req Request, prog *ir.Program) (*task, bool, error) {
 			return t, true, nil
 		}
 	}
-	t := &task{key: key, prog: prog, delta: req.Base != "", done: make(chan struct{})}
+	t := &task{key: key, prog: prog, canonical: canonical, delta: req.Base != "", done: make(chan struct{})}
 	select {
 	case s.queue <- t:
 	default:
@@ -599,7 +606,7 @@ func (s *Server) run(t *task) {
 	// work may be skipped) applied to the analysis itself.
 	if resp := s.storeLookup(t.key); resp != nil {
 		t.resp = resp
-		s.registerBase(t.key.fp, t.prog)
+		s.registerBase(t.key.fp, t.canonical)
 		if flight {
 			t.spanStoreRead = time.Since(lap).Nanoseconds()
 			t.src = "store"
@@ -616,7 +623,7 @@ func (s *Server) run(t *task) {
 	if t.err == nil {
 		// The resolved program becomes addressable as a delta base — for
 		// delta tasks too, so edits can chain base → patched → re-patched.
-		s.registerBase(t.key.fp, t.prog)
+		s.registerBase(t.key.fp, t.canonical)
 	}
 	if flight {
 		now := time.Now()

@@ -51,15 +51,7 @@ func SegmentGraphDOT(r *ir.Region) string {
 
 // refNode returns a stable DOT identifier and display label for a ref.
 func refNode(ref *ir.Ref) (id, label string) {
-	text := ref.Var.Name
-	if len(ref.Subs) > 0 {
-		parts := make([]string, len(ref.Subs))
-		for i, s := range ref.Subs {
-			parts[i] = s.String()
-		}
-		text += "[" + strings.Join(parts, ",") + "]"
-	}
-	return fmt.Sprintf("r%d", ref.ID), fmt.Sprintf("%s %s\\n#%d S%d", ref.Access, text, ref.ID, ref.SegID)
+	return fmt.Sprintf("r%d", ref.ID), fmt.Sprintf("%s\\n#%d S%d", ref.AccessText(), ref.ID, ref.SegID)
 }
 
 // DependenceGraphDOT renders the reference-by-reference dependence graph

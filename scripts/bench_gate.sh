@@ -20,7 +20,9 @@
 # gated exactly at 2 allocs/op so placement never grows a hidden
 # allocation). BenchmarkServiceLabelDelta rides the BenchmarkServiceLabel
 # prefix: the steady-state delta path (every unchanged region served
-# from the fragment cache) is alloc-exact too. Allocation counts are
+# from the fragment cache) is alloc-exact too, and so is
+# BenchmarkServiceLabelUncached (the cold label path with no cache or
+# fragment reuse, single caller). Allocation counts are
 # machine-independent for the single-threaded benchmarks
 # (BenchmarkServiceLabelSerial included), so their allocs gate is exact;
 # the *Throughput service benchmarks run concurrent submitters whose
