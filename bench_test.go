@@ -243,6 +243,28 @@ func BenchmarkEngineCASETraced(b *testing.B) { benchEngine(b, true, true) }
 // (engine.Config.Timeline documents the contract; this row enforces it).
 func BenchmarkEngineCASETimelineOff(b *testing.B) { benchEngine(b, true, false) }
 
+// BenchmarkEngineCapacitySweep runs HOSE on the TOMCATV loop with a
+// different speculative-storage capacity each iteration, cycling through
+// 64 to 8192 entries. Buffers are sized by occupancy and pooled buffers
+// survive a capacity change, so its alloc gate pins that a capacity sweep
+// allocates what a fixed-capacity run does, whatever the capacity.
+func BenchmarkEngineCapacitySweep(b *testing.B) {
+	spec, _ := workloads.FindLoop("TOMCATV", "MAIN_DO80")
+	p := spec.Program()
+	labs := LabelProgram(p)
+	cfg := engine.DefaultConfig()
+	if _, err := RunHOSE(p, labs, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.SpecCapacity = 64 << (i % 8)
+		if _, err := RunHOSE(p, labs, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchEngine(b *testing.B, useCase, traced bool) {
 	spec, _ := workloads.FindLoop("TOMCATV", "MAIN_DO80")
 	p := spec.Program()

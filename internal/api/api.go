@@ -29,6 +29,12 @@ const (
 	OpSimulate = "simulate"
 )
 
+// MaxProcs bounds Request.Procs; a larger count is a bad request. Every
+// simulated processor costs the server its own L1 model, per-processor
+// engine state and a private stack frame, so the bound caps what one
+// request can make it allocate.
+const MaxProcs = 1024
+
 // Request is one analysis request. Exactly one of Program (mini-language
 // source text), Example (a built-in worked example: fig1, fig2, fig3,
 // buts) and Base (a delta request: the fingerprint of a previously
@@ -56,7 +62,7 @@ type Request struct {
 	// Deps includes the may-dependence list in label responses.
 	Deps bool `json:"deps,omitempty"`
 	// Procs overrides the simulated processor count (simulate only;
-	// 0 keeps the server's base machine).
+	// 0 keeps the server's base machine). At most MaxProcs.
 	Procs int `json:"procs,omitempty"`
 	// Capacity overrides the per-segment speculative storage capacity
 	// (simulate only; 0 keeps the server's base machine).

@@ -215,3 +215,22 @@ type Result struct {
 	Layout *Layout
 	Stats  Stats
 }
+
+// SameRunAtCapacity reports whether a speculative run on cfg that ended
+// with the given overflow count and peak occupancy (Stats.Overflows and
+// Stats.PeakSpecOccupancy) is also, in cycles, memory and every Stats
+// field, the run on cfg with SpecCapacity set to capacity. It is the rule
+// that lets one run answer many capacities — the one-pass-for-all-sizes
+// idea of Mattson et al.'s stack simulation of storage hierarchies.
+//
+// Capacity enters an untraced run only through the speculative buffers'
+// overflow check. A saturated run, one with zero overflows, passed every
+// check with no buffer ever holding more than peak entries, so it passes
+// each of them again at any capacity >= peak and cannot tell the
+// capacities apart; at peak-1 its busiest buffer overflows. The rule
+// needs a fully associative storage (SpecSets <= 1: with sets, capacity
+// also sets the ways per set) and the untraced engine (a traced run's
+// counters also depend on the process-wide superblock cache).
+func SameRunAtCapacity(cfg Config, overflows int64, peak, capacity int) bool {
+	return !cfg.Traced && cfg.SpecSets <= 1 && overflows == 0 && capacity >= peak
+}

@@ -11,7 +11,10 @@ import (
 // RunSequential executes the original (un-privatized) program serially and
 // returns the final memory plus cycle count. It is both the correctness
 // oracle (Definition 3 compares every execution against it) and the
-// uniprocessor baseline the paper's speedups are relative to.
+// uniprocessor baseline the paper's speedups are relative to. It reads
+// only cfg's Hier, OpCost, Seed and MaxEvents: the processor count,
+// speculative storage and speculation knobs do not change it, so one run
+// serves every machine that shares those four.
 func RunSequential(p *ir.Program, cfg Config) (*Result, error) {
 	if err := ir.CheckExecutable(p); err != nil {
 		return nil, err

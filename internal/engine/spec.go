@@ -200,7 +200,7 @@ type specRunner struct {
 	refMeta []refMeta
 
 	// specCap/specSets record the buffer geometry of the pooled buffers
-	// on the free list; a config change invalidates them.
+	// on the free list (see acquireRunner for what a change costs).
 	specCap  int
 	specSets int
 }
@@ -223,8 +223,16 @@ func acquireRunner(cfg *Config, mode Mode, layout *Layout, mem []int64, hier *sp
 	sr.tl = cfg.Timeline
 	sr.sharedSize, sr.frameSize = layout.SharedSize, layout.FrameSize
 	if sr.specCap != cfg.SpecCapacity || sr.specSets != cfg.SpecSets {
+		// Buffers are sized by occupancy, so a fully associative buffer
+		// serves any capacity once its limit moves; a set-associative
+		// geometry (sets, or ways = capacity/sets) is rebuilt.
+		assoc := cfg.SpecSets <= 1 && sr.specSets <= 1
 		for _, in := range sr.free {
-			in.buf = nil
+			if assoc && in.buf != nil {
+				in.buf.SetCapacity(cfg.SpecCapacity)
+			} else {
+				in.buf = nil
+			}
 		}
 		sr.specCap, sr.specSets = cfg.SpecCapacity, cfg.SpecSets
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // Cache maps keys to values, holding at most its capacity of entries.
-// Get and Put both make the entry the most recently used; a Put that
-// overflows the capacity evicts the least recently used entry.
+// Get, Put and GetOrPut all make the entry the most recently used; an
+// insert that overflows the capacity evicts the least recently used entry.
 type Cache[K comparable, V any] struct {
 	mu        sync.Mutex
 	cap       int
@@ -56,6 +56,27 @@ func (c *Cache[K, V]) Put(k K, v V) {
 		el.Value.(*entry[K, V]).val = v
 		return
 	}
+	c.insert(k, v)
+}
+
+// GetOrPut returns the value stored under k, or stores v under k and
+// returns it when k is absent; either way the entry becomes the most
+// recently used. Concurrent callers that each built a value for one key
+// all end up with the first one stored.
+func (c *Cache[K, V]) GetOrPut(k K, v V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.order.MoveToFront(el)
+		return el.Value.(*entry[K, V]).val
+	}
+	c.insert(k, v)
+	return v
+}
+
+// insert adds an absent key as the most recently used entry, evicting the
+// least recently used one beyond capacity. The caller holds mu.
+func (c *Cache[K, V]) insert(k K, v V) {
 	c.items[k] = c.order.PushFront(&entry[K, V]{key: k, val: v})
 	if c.order.Len() > c.cap {
 		victim := c.order.Back()

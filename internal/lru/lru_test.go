@@ -78,6 +78,21 @@ func TestPutOverwritesAndRefreshes(t *testing.T) {
 	}
 }
 
+func TestGetOrPutKeepsTheFirstValue(t *testing.T) {
+	c := New[int, string](2)
+	if v := c.GetOrPut(0, "a"); v != "a" {
+		t.Fatalf("GetOrPut on an absent key = %q, want the stored value", v)
+	}
+	c.Put(1, "b")
+	if v := c.GetOrPut(0, "a2"); v != "a" {
+		t.Fatalf("GetOrPut on a present key = %q, want the first value", v)
+	}
+	c.GetOrPut(2, "c") // 0 was refreshed above, so 1 is evicted
+	if got := resident(c, 3); !equal(got, []int{0, 2}) || c.Evictions() != 1 {
+		t.Fatalf("resident = %v with %d evictions, want [0 2] and 1", got, c.Evictions())
+	}
+}
+
 func TestCapacityFloorIsOne(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
 		c := New[int, string](capacity)

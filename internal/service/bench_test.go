@@ -159,8 +159,12 @@ func BenchmarkServiceLabelUncached(b *testing.B) {
 }
 
 // BenchmarkServiceSimulateThroughput measures simulate request throughput
-// (label + three engine runs + live-out verification per distinct
-// program; coalescing collapses concurrent duplicates).
+// over four programs at the server's base machine, with the response
+// cache off and coalescing collapsing concurrent duplicates. Each
+// program's first request labels it and runs the engine; every later one
+// serves all three model rows from the program-tier entry (the sequential
+// run and the saturated speculative rows), so the steady state measures
+// parse, fingerprint, queue, row lookup and render, not engine runs.
 func BenchmarkServiceSimulateThroughput(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.QueueDepth = 1 << 16

@@ -8,7 +8,8 @@ package service
 // carries a dependence list only when its request asked for one, so a
 // deps-less label renders no dependences. Simulate and timeline requests
 // drive the engine with the whole program's labeling; they read the
-// program tier, an LRU of labeled programs by content fingerprint.
+// program tier, an LRU of labeled programs by content fingerprint, whose
+// entries also carry the program's simulation state (simulate.go).
 // Neither tier single-flights: identical requests already coalesce at
 // admission.
 
@@ -23,12 +24,14 @@ import (
 	"refidem/internal/ir"
 )
 
-// programEntry is one program-tier entry: a canonical program and its
+// programEntry is one program-tier entry: a canonical program, its
 // labeling, whose maps are keyed by that program's refs — callers run
-// this program, not their own parse of it.
+// this program, not their own parse of it — and its simulation state
+// (simulate.go).
 type programEntry struct {
 	prog *ir.Program
 	labs map[*ir.Region]*idem.Result
+	sim  *simMemo
 }
 
 // regionLabeler returns the per-region labeling function Config.Ensemble
@@ -112,16 +115,17 @@ func (s *Server) label(t *task) ([]byte, error) {
 	return marshalResponse(doc)
 }
 
-// labeled returns the program tier's canonical program and labeling for
-// fingerprint fp, labeling p on a miss.
-func (s *Server) labeled(fp ir.Fingerprint, p *ir.Program) (*ir.Program, map[*ir.Region]*idem.Result, error) {
+// labeled returns the program tier's entry for fingerprint fp, labeling
+// p on a miss. Concurrent misses on one fingerprint all get the entry
+// stored first, so they share its simulation state.
+func (s *Server) labeled(fp ir.Fingerprint, p *ir.Program) (programEntry, error) {
 	if e, ok := s.programs.Get(fp); ok {
 		s.progHits.Add(1)
-		return e.prog, e.labs, nil
+		return e, nil
 	}
 	s.progMisses.Add(1)
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return programEntry{}, err
 	}
 	infos := dataflow.AnalyzeProgram(p)
 	labeler := s.regionLabeler(p)
@@ -129,10 +133,9 @@ func (s *Server) labeled(fp ir.Fingerprint, p *ir.Program) (*ir.Program, map[*ir
 	for _, r := range p.Regions {
 		res, err := labelChecked(labeler, r, infos[r])
 		if err != nil {
-			return nil, nil, err
+			return programEntry{}, err
 		}
 		labs[r] = res
 	}
-	s.programs.Put(fp, programEntry{prog: p, labs: labs})
-	return p, labs, nil
+	return s.programs.GetOrPut(fp, programEntry{prog: p, labs: labs, sim: &simMemo{}}), nil
 }

@@ -91,6 +91,13 @@ type Metrics struct {
 	traceBailouts atomic.Int64
 	guardElided   atomic.Int64
 
+	// Simulate model-row counters (simulate.go): simRowsComputed counts
+	// rows whose engine run a computation ran, simRowsReused rows served
+	// from the program-tier entry instead, sequential rows included in
+	// both. Their ratio is the engine work the reuse rules saved.
+	simRowsComputed atomic.Int64
+	simRowsReused   atomic.Int64
+
 	// Latency histogram over completed requests (coalesced waiters
 	// included): bucket i counts latencies <= 2^i µs.
 	latency [latencyBuckets + 1]atomic.Int64
@@ -136,6 +143,7 @@ type Snapshot struct {
 	StoreDegradedEvents, StoreRecoveries        int64
 	StoreProbeFailures                          int64
 	TraceCompiled, TraceBailouts, GuardElided   int64
+	SimRowsComputed, SimRowsReused              int64
 }
 
 // SnapshotNow copies the counters.
@@ -172,6 +180,8 @@ func (m *Metrics) SnapshotNow() Snapshot {
 		TraceCompiled:       m.traceCompiled.Load(),
 		TraceBailouts:       m.traceBailouts.Load(),
 		GuardElided:         m.guardElided.Load(),
+		SimRowsComputed:     m.simRowsComputed.Load(),
+		SimRowsReused:       m.simRowsReused.Load(),
 	}
 	for i := range m.latency {
 		s.LatencyCount += m.latency[i].Load()
@@ -215,6 +225,8 @@ func (s *Server) RenderMetricz() string {
 	w("trace_compiled", m.traceCompiled.Load())
 	w("trace_bailouts", m.traceBailouts.Load())
 	w("guard_elided", m.guardElided.Load())
+	w("sim_rows_computed", m.simRowsComputed.Load())
+	w("sim_rows_reused", m.simRowsReused.Load())
 
 	// Dependence-ensemble block: per-member query/answer/short-circuit
 	// counters, rendered in chain order. The counters are package-wide in

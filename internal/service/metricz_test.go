@@ -36,6 +36,7 @@ func TestRenderMetriczLineOrder(t *testing.T) {
 		"delta_base_entries", "delta_fragment_entries",
 		"dispatch_batches", "dispatch_batch_tasks",
 		"trace_compiled", "trace_bailouts", "guard_elided",
+		"sim_rows_computed", "sim_rows_reused",
 	}
 	for _, name := range deps.MemberNames() {
 		want = append(want,

@@ -1,14 +1,12 @@
 package service
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
 
 	"refidem/internal/api"
-	"refidem/internal/engine"
 	"refidem/internal/idem"
 	"refidem/internal/ir"
 	"refidem/internal/lang"
@@ -73,6 +71,9 @@ func validate(req Request) error {
 	}
 	if req.Procs < 0 || req.Capacity < 0 {
 		return fmt.Errorf("%w: procs and capacity must be non-negative", ErrBadRequest)
+	}
+	if req.Procs > api.MaxProcs {
+		return fmt.Errorf("%w: procs must be at most %d", ErrBadRequest, api.MaxProcs)
 	}
 	return nil
 }
@@ -166,72 +167,4 @@ func renderRegionLabeling(r *ir.Region, res *idem.Result, withDeps bool) RegionL
 		slices.Sort(reg.Deps)
 	}
 	return reg
-}
-
-// traceTally aggregates the trace-JIT counters of one simulate
-// computation (all zero when the server runs untraced). It rides next to
-// the response bytes so the metrics counters can advance without the
-// JSON document changing shape.
-type traceTally struct {
-	compiled int64
-	bailouts int64
-	elided   int64
-}
-
-// renderSimulateResponse executes the labeled program under all three
-// models on cfg, verifies the speculative runs against the sequential
-// memory state, and builds the simulate document.
-func renderSimulateResponse(fp ir.Fingerprint, p *ir.Program, labs map[*ir.Region]*idem.Result, cfg engine.Config) ([]byte, traceTally, error) {
-	var tt traceTally
-	seq, err := engine.RunSequential(p, cfg)
-	if err != nil {
-		return nil, tt, err
-	}
-	hose, err := engine.RunSpeculative(p, labs, cfg, engine.HOSE)
-	if err != nil {
-		return nil, tt, err
-	}
-	caseR, err := engine.RunSpeculative(p, labs, cfg, engine.CASE)
-	if err != nil {
-		return nil, tt, err
-	}
-	for _, r := range []*engine.Result{hose, caseR} {
-		tt.compiled += r.Stats.TracesCompiled
-		tt.bailouts += r.Stats.TraceBailouts
-		tt.elided += r.Stats.TraceElidedOps
-	}
-	for _, r := range []*engine.Result{hose, caseR} {
-		if err := engine.LiveOutMismatch(p, labs, seq, r); err != nil {
-			return nil, tt, fmt.Errorf("%v run produced wrong results: %v", r.Mode, err)
-		}
-	}
-	doc := SimulateResponse{
-		Op:           OpSimulate,
-		Program:      p.Name,
-		Fingerprint:  hex.EncodeToString(fp[:]),
-		Processors:   cfg.Processors,
-		SpecCapacity: cfg.SpecCapacity,
-		Verified:     true,
-	}
-	for _, r := range []*engine.Result{seq, hose, caseR} {
-		row := ModelRow{
-			Mode:                r.Mode.String(),
-			Cycles:              r.Cycles,
-			Speedup:             float64(seq.Cycles) / float64(r.Cycles),
-			DynRefs:             r.Stats.DynRefs,
-			IdemRefs:            r.Stats.IdemRefs,
-			Overflows:           r.Stats.Overflows,
-			OverflowStallCycles: r.Stats.OverflowStallCycles,
-			FlowViolations:      r.Stats.FlowViolations,
-			ControlViolations:   r.Stats.ControlViolations,
-			PeakSpecOccupancy:   r.Stats.PeakSpecOccupancy,
-		}
-		if r.Mode != engine.Sequential && r.Cycles > 0 {
-			row.UtilizationPct = 100 * float64(r.Stats.BusyCycles) /
-				float64(int64(cfg.Processors)*r.Cycles)
-		}
-		doc.Models = append(doc.Models, row)
-	}
-	b, err := marshalResponse(doc)
-	return b, tt, err
 }

@@ -20,6 +20,9 @@
 //     only regions never seen before are labeled and rendered (label.go);
 //   - a program tier of labeled programs keyed by ir.FingerprintOf, read
 //     by simulate and timeline requests, which need whole-program labels;
+//     each entry also keeps the program's sequential run and the rows of
+//     its saturated speculative runs, so a simulate runs only the engine
+//     work its machine changes (simulate.go);
 //   - metrics: per-endpoint counters, program-tier hit/miss/eviction
 //     statistics and a request latency histogram, rendered by
 //     RenderMetricz.
@@ -640,9 +643,9 @@ func (s *Server) run(t *task) {
 }
 
 // compute produces one task's response bytes. Labels are assembled from
-// region fragments (label.go); simulates run the engine on the program
-// tier's canonical labeled program, so rendering sees identical inputs
-// for identical programs and the response bytes are identical too.
+// region fragments (label.go); simulates run on the program tier's
+// canonical labeled program (simulate.go), so rendering sees identical
+// inputs for identical programs and the response bytes are identical too.
 func (s *Server) compute(t *task) {
 	if s.computeHook != nil {
 		s.computeHook(t.prog)
@@ -651,25 +654,7 @@ func (s *Server) compute(t *task) {
 		t.resp, t.err = s.label(t)
 		return
 	}
-	prog, labs, err := s.labeled(t.key.fp, t.prog)
-	if err != nil {
-		t.err = fmt.Errorf("%w: %v", ErrBadRequest, err)
-		return
-	}
-	cfg := s.cfg.Engine
-	if t.key.procs > 0 {
-		cfg.Processors = t.key.procs
-	}
-	if t.key.capacity > 0 {
-		cfg.SpecCapacity = t.key.capacity
-	}
-	var tt traceTally
-	t.resp, tt, t.err = renderSimulateResponse(t.key.fp, prog, labs, cfg)
-	if t.err == nil {
-		s.metrics.traceCompiled.Add(tt.compiled)
-		s.metrics.traceBailouts.Add(tt.bailouts)
-		s.metrics.guardElided.Add(tt.elided)
-	}
+	t.resp, t.err = s.simulate(t)
 }
 
 // CacheStats is a snapshot of the program tier: Hits and Misses count the

@@ -42,22 +42,16 @@ func (s *Server) SimulateTimeline(ctx context.Context, req Request, w io.Writer)
 		}
 		return err
 	}
-	prog, labs, err := s.labeled(ir.FingerprintOf(prog), prog)
+	e, err := s.labeled(ir.FingerprintOf(prog), prog)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	cfg := s.cfg.Engine
-	if req.Procs > 0 {
-		cfg.Processors = req.Procs
-	}
-	if req.Capacity > 0 {
-		cfg.SpecCapacity = req.Capacity
-	}
+	cfg := s.machine(req.Procs, req.Capacity)
 	named := make([]obs.NamedTimeline, 0, 2)
 	for _, mode := range []engine.Mode{engine.HOSE, engine.CASE} {
 		tl := &obs.Timeline{}
 		cfg.Timeline = tl
-		if _, err := engine.RunSpeculative(prog, labs, cfg, mode); err != nil {
+		if _, err := engine.RunSpeculative(e.prog, e.labs, cfg, mode); err != nil {
 			return err
 		}
 		named = append(named, obs.NamedTimeline{Name: mode.String(), T: tl})

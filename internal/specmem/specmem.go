@@ -5,10 +5,7 @@
 // memory hierarchy).
 package specmem
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Entry is one speculative-storage record: the data value plus the access
 // information the speculation engine needs to track dependences (HOSE
@@ -44,12 +41,20 @@ type slot struct {
 // the Multiscalar ARB — and a new location is also rejected when its
 // address-indexed set is full, even if total capacity remains.
 //
-// Entries live in a dense, preallocated store indexed by an epoch-stamped
-// open-addressed hash table, so the squash/commit-heavy simulator hot path
-// never allocates: inserts append into the store, lookups probe the index,
-// and Reset recycles everything by bumping the epoch. Entry pointers
-// returned by Lookup and PrematureRead stay valid until the next Reset
-// (the store never grows past its preallocated capacity).
+// Capacity is only the overflow limit, not the storage size. Entries live
+// in a dense store that grows by append, indexed by an epoch-stamped
+// open-addressed hash table that doubles when it is half full, so storage
+// follows the locations a segment actually touches: a buffer with room for
+// a million entries costs what its busiest segment used. Lookups probe
+// the index, Reset recycles everything by bumping the epoch, and a reused
+// buffer keeps its grown storage, so the simulator's squash/commit-heavy
+// steady state never allocates.
+//
+// Growth can move the store: an Entry pointer returned by Lookup or
+// PrematureRead stays valid only until the next insert (a NoteRead or
+// Write of a new location) into the same buffer. The engine uses each
+// pointer before then: spec.go in doLoad and checkViolation, and
+// traced.go in its load path.
 type Buffer struct {
 	capacity int
 	sets     int
@@ -82,25 +87,27 @@ func NewSetAssocBuffer(sets, ways int) *Buffer {
 	return newBuffer(sets*ways, sets, ways)
 }
 
+// minSlots is the initial slot-table size (a power of two, 1<<minSlotsLog2).
+const (
+	minSlotsLog2 = 3
+	minSlots     = 1 << minSlotsLog2
+)
+
 func newBuffer(capacity, sets, ways int) *Buffer {
 	b := &Buffer{capacity: capacity, sets: sets, ways: ways, epoch: 1}
-	n := 8
-	shift := uint32(61)
-	for n < 2*capacity {
-		n <<= 1
-		shift--
-	}
-	b.slots = make([]slot, n)
-	b.mask = uint32(n - 1)
-	b.hashShift = shift
-	if capacity > 0 {
-		b.entries = make([]Entry, 0, capacity)
-	}
+	b.slots = make([]slot, minSlots)
+	b.mask = minSlots - 1
+	b.hashShift = 64 - minSlotsLog2
 	if sets > 1 {
 		b.setCount = make([]int32, sets)
 	}
 	return b
 }
+
+// SetCapacity changes the overflow limit of a fully associative buffer;
+// the entries it holds and its grown storage stay. It lets a pooled
+// buffer serve a run on another capacity without being rebuilt.
+func (b *Buffer) SetCapacity(capacity int) { b.capacity = capacity }
 
 // probe returns the slot index holding addr (found=true) or the first
 // free slot of its chain (found=false). The table is kept at most half
@@ -139,14 +146,29 @@ func (b *Buffer) canAllocate(addr int64) bool {
 	return true
 }
 
-// allocate appends a new entry and indexes it at the (free) slot idx.
-func (b *Buffer) allocate(idx uint32, e Entry) *Entry {
+// allocate appends a new entry and indexes it at the (free) slot idx,
+// doubling the slot table once it is more than half full.
+func (b *Buffer) allocate(idx uint32, e Entry) {
 	b.entries = append(b.entries, e)
 	b.slots[idx] = slot{epoch: b.epoch, ref: int32(len(b.entries) - 1)}
 	if b.sets > 1 {
 		b.setCount[b.setOf(e.Addr)]++
 	}
-	return &b.entries[len(b.entries)-1]
+	if 2*len(b.entries) > len(b.slots) {
+		b.grow()
+	}
+}
+
+// grow doubles the slot table and re-indexes the live entries.
+func (b *Buffer) grow() {
+	n := 2 * len(b.slots)
+	b.slots = make([]slot, n)
+	b.mask = uint32(n - 1)
+	b.hashShift--
+	for i := range b.entries {
+		idx, _ := b.probe(b.entries[i].Addr)
+		b.slots[idx] = slot{epoch: b.epoch, ref: int32(i)}
+	}
 }
 
 // Lookup returns the entry for addr, or nil.
@@ -229,22 +251,6 @@ func (b *Buffer) Reset() {
 			b.setCount[i] = 0
 		}
 	}
-}
-
-// Clear discards all entries; it is Reset under its historical name.
-func (b *Buffer) Clear() { b.Reset() }
-
-// WrittenEntries returns the segment-produced entries in address order
-// (the values a commit transfers to non-speculative storage).
-func (b *Buffer) WrittenEntries() []*Entry {
-	out := make([]*Entry, 0, len(b.entries))
-	for i := range b.entries {
-		if b.entries[i].Written {
-			out = append(out, &b.entries[i])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
 }
 
 // AppendWritten appends the segment-produced entries to dst in address

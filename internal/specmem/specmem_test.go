@@ -94,18 +94,87 @@ func TestPrematureRead(t *testing.T) {
 	}
 }
 
-func TestClearAndWrittenEntries(t *testing.T) {
+func TestResetAndAppendWritten(t *testing.T) {
 	b := NewBuffer(8)
 	b.Write(5, 50)
 	b.Write(3, 30)
 	b.NoteRead(9, 0, -1)
-	entries := b.WrittenEntries()
+	entries := b.AppendWritten(nil)
 	if len(entries) != 2 || entries[0].Addr != 3 || entries[1].Addr != 5 {
 		t.Errorf("written entries = %v", entries)
 	}
-	b.Clear()
+	b.Reset()
 	if b.Size() != 0 || b.Lookup(5) != nil {
-		t.Error("Clear did not empty the buffer")
+		t.Error("Reset did not empty the buffer")
+	}
+}
+
+// TestBufferStorageFollowsOccupancy pins storage to the locations a
+// segment touches: a buffer whose capacity allows a billion entries starts
+// with the minimal slot table, grows as entries arrive (doubling whenever
+// the table passes half full), keeps every entry findable across growth
+// and Reset, and keeps its grown storage for reuse.
+func TestBufferStorageFollowsOccupancy(t *testing.T) {
+	b := NewBuffer(1 << 30)
+	if len(b.slots) != minSlots || cap(b.entries) != 0 {
+		t.Fatalf("new buffer holds %d slots and room for %d entries, want %d and 0",
+			len(b.slots), cap(b.entries), minSlots)
+	}
+	const n = 1000
+	for round := 0; round < 3; round++ {
+		for i := int64(0); i < n; i++ {
+			addr := i*7919 - 3000 // negative and positive, spread over the hash
+			if i%3 == 0 {
+				if !b.NoteRead(addr, i, int(i%4)-1) {
+					t.Fatal("read rejected under capacity")
+				}
+			} else if !b.Write(addr, i+int64(round)) {
+				t.Fatal("write rejected under capacity")
+			}
+			if 2*b.Size() > len(b.slots) {
+				t.Fatalf("slot table %d is more than half full with %d entries", len(b.slots), b.Size())
+			}
+		}
+		if b.Size() != n {
+			t.Fatalf("size = %d, want %d", b.Size(), n)
+		}
+		for i := int64(0); i < n; i++ {
+			e := b.Lookup(i*7919 - 3000)
+			if e == nil || e.Addr != i*7919-3000 {
+				t.Fatalf("round %d: entry %d lost after growth: %+v", round, i, e)
+			}
+			if i%3 == 0 && (!e.ReadFromBelow || e.Value != i) {
+				t.Fatalf("round %d: read entry %d = %+v", round, i, e)
+			}
+			if i%3 != 0 && (!e.Written || e.Value != i+int64(round)) {
+				t.Fatalf("round %d: written entry %d = %+v", round, i, e)
+			}
+		}
+		slots := len(b.slots)
+		b.Reset()
+		if len(b.slots) != slots || b.Lookup(-3000) != nil {
+			t.Fatal("Reset must empty the buffer and keep its grown table")
+		}
+	}
+}
+
+// TestBufferSetCapacity: the overflow limit moves with SetCapacity and
+// nothing else about the buffer changes.
+func TestBufferSetCapacity(t *testing.T) {
+	b := NewBuffer(2)
+	if !b.Write(1, 1) || !b.Write(2, 2) || b.Write(3, 3) {
+		t.Fatal("capacity 2 must hold exactly two locations")
+	}
+	b.SetCapacity(3)
+	if b.Capacity() != 3 || !b.Write(3, 3) || b.Write(4, 4) {
+		t.Fatal("capacity 3 must admit exactly one more location")
+	}
+	if e := b.Lookup(1); e == nil || e.Value != 1 {
+		t.Errorf("entries must survive SetCapacity, got %+v", e)
+	}
+	b.SetCapacity(1)
+	if !b.Write(2, 9) || b.NoteRead(5, 0, -1) {
+		t.Error("a lowered limit keeps existing entries writable and rejects new ones")
 	}
 }
 
@@ -233,10 +302,10 @@ func TestSetAssocBufferConflicts(t *testing.T) {
 	if !b.Write(0, 9) || !b.NoteRead(4, 0, -1) {
 		t.Error("existing entries must not conflict")
 	}
-	// Clear resets set occupancy.
-	b.Clear()
+	// Reset clears set occupancy.
+	b.Reset()
 	if !b.Write(8, 1) || !b.Write(12, 1) {
-		t.Error("clear should reset set counters")
+		t.Error("Reset should clear set counters")
 	}
 }
 

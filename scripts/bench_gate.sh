@@ -5,7 +5,9 @@
 # (via `benchjson -gate`) against the checked-in BENCH_results.json
 # baseline: the gate fails if any gated benchmark's ns/op regresses by
 # more than 25% or its allocs/op grows beyond its limit. Gated:
-# BenchmarkEngine* (the simulator hot path), BenchmarkAnalysisPipeline*
+# BenchmarkEngine* (the simulator hot path, including
+# BenchmarkEngineCapacitySweep: a capacity change must allocate what a
+# fixed-capacity run does), BenchmarkAnalysisPipeline*
 # (the labeling pipeline, exact-only and through the dependence
 # ensemble), BenchmarkDepsQuery* (the dependence solver plus the dense
 # CSR query sweep — its allocs gate is exact, pinning the
@@ -13,7 +15,8 @@
 # ensemble chain), BenchmarkSequentialBaseline (the uniprocessor
 # reference run) and the service benchmarks — BenchmarkServiceLabel*
 # (queue path with coalescing on/off plus the response-cache fast path)
-# and BenchmarkServiceSimulateThroughput (label + simulate pipeline) —
+# and BenchmarkServiceSimulateThroughput (the simulate path serving rows
+# kept on the program-tier entry) —
 # and the persistent-store benchmarks BenchmarkStore* (durable put,
 # validated get, recovery scan), plus the router's routing hot path
 # BenchmarkRouterRoute (ring walk + bounded-load pick, no network —

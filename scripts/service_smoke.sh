@@ -5,8 +5,10 @@
 # label request and diffs the body against the checked-in golden response
 # (cmd/refidemd/testdata/label_fig2.golden — the byte-determinism
 # guarantee, enforced against a live server), exercises /metricz and the
-# /debug/tracez flight recorder, then sends SIGTERM and verifies the
-# graceful drain exits cleanly.
+# /debug/tracez flight recorder, simulates fig2 at capacities up to 2^30
+# (each must verify, and /metricz must count reused rows), checks that an
+# out-of-range processor count answers 400, then sends SIGTERM and
+# verifies the graceful drain exits cleanly.
 #
 # Usage: scripts/service_smoke.sh
 set -euo pipefail
@@ -63,6 +65,28 @@ curl -sfS "$url/debug/tracez?format=json" >"$out/tracez.json"
 grep -q '"op": "label"' "$out/tracez.json"
 grep -q '"outcome": "ok"' "$out/tracez.json"
 echo "smoke: tracez shows the label spans"
+
+# Simulate fig2 at capacities 16, 4096 and 2^30: each must verify. The
+# sequential run and every saturated speculative run are kept on the
+# program's entry, so later capacities reuse rows, and speculative storage
+# is sized by occupancy, so 2^30 entries cost no more than 16.
+for cap in 16 4096 1073741824; do
+  curl -sfS -X POST -H 'Content-Type: application/json' \
+    -d "{\"example\": \"fig2\", \"capacity\": $cap}" \
+    "$url/v1/simulate" >"$out/simulate_$cap.json"
+  grep -q '"verified": true' "$out/simulate_$cap.json" ||
+    { echo "fig2 simulate at capacity $cap did not verify:" >&2; cat "$out/simulate_$cap.json" >&2; exit 1; }
+done
+curl -sfS "$url/metricz" >"$out/metricz"
+grep -q '^sim_rows_reused [1-9]' "$out/metricz" ||
+  { echo "no simulate row was reused" >&2; cat "$out/metricz" >&2; exit 1; }
+echo "smoke: fig2 simulates verify at capacities 16, 4096 and 2^30, rows reused"
+
+# A processor count above the documented maximum (1024) is a bad request.
+code="$(curl -sS -o "$out/procs_body" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+  -d '{"example": "fig2", "procs": 100000}' "$url/v1/simulate")"
+[ "$code" = 400 ] || { echo "procs 100000 answered $code, want 400" >&2; cat "$out/procs_body" >&2; exit 1; }
+echo "smoke: procs 100000 rejected with 400"
 
 # Graceful shutdown: SIGTERM must drain and exit 0.
 kill -TERM "$pid"
