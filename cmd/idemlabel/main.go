@@ -109,18 +109,7 @@ func loadProgram(example, file string) (*ir.Program, error) {
 	case example != "" && file != "":
 		return nil, fmt.Errorf("use either -example or -file, not both")
 	case example != "":
-		switch example {
-		case "fig1", "intro":
-			return workloads.IntroExample(), nil
-		case "fig2":
-			return workloads.Figure2(), nil
-		case "fig3":
-			return workloads.Figure3(), nil
-		case "buts", "fig4":
-			return workloads.ButsDO1(8), nil
-		default:
-			return nil, fmt.Errorf("unknown example %q (want fig1, fig2, fig3, buts)", example)
-		}
+		return workloads.Example(example)
 	case file != "":
 		src, err := os.ReadFile(file)
 		if err != nil {

@@ -4,17 +4,18 @@
 // same replica, so delta requests find their base registered — with
 // bounded-load balancing, health-probe ejection and deterministic
 // failover along the ring's successor order. Because replica responses
-// are byte-deterministic, clients cannot tell which replica answered, or
-// that a failover happened at all.
+// are byte-deterministic, clients cannot tell which replica answered,
+// that the router answered a repeat from its own response cache, or that
+// a failover happened at all.
 //
 // Endpoints (the /v1 surface of a replica, plus the router's own):
 //
-//	POST /v1/label                label via the owning replica
-//	POST /v1/simulate             simulate via the owning replica
+//	POST /v1/label                a repeat from the router cache, else via the owning replica
+//	POST /v1/simulate             a repeat from the router cache, else via the owning replica
 //	POST /v1/simulate?timeline=1  speculation timeline, proxied
 //	POST /v1/batch                items route independently, answered in order
 //	GET  /healthz                 router + per-replica liveness (JSON)
-//	GET  /metricz                 routing, failover and probe counters
+//	GET  /metricz                 routing, failover, probe and cache counters
 //
 // Usage:
 //

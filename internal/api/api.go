@@ -35,6 +35,22 @@ const (
 // request can make it allocate.
 const MaxProcs = 1024
 
+// MaxRequestBody bounds a request document in bytes, and MaxBatchItems
+// the items one /v1/batch call may carry. Both protect a server's
+// admission queue from a single oversized request; the router enforces
+// the same bounds, so a request is refused identically through it.
+const (
+	MaxRequestBody = 4 << 20
+	MaxBatchItems  = 256
+)
+
+// VersionHeader names the response header in which a server states its
+// analysis version (internal/service.AnalysisVersion) on every /v1/label
+// and /v1/simulate answer. Response bytes are a pure function of the
+// request only within one version, so the router serves cached bytes only
+// while every live replica answers with the version that produced them.
+const VersionHeader = "X-Refidem-Analysis-Version"
+
 // Request is one analysis request. Exactly one of Program (mini-language
 // source text), Example (a built-in worked example: fig1, fig2, fig3,
 // buts) and Base (a delta request: the fingerprint of a previously

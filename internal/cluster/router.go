@@ -11,8 +11,20 @@ package cluster
 // successor order. Replica-answered errors (400, 404, 503, ...) are
 // re-served byte-identically — only transport errors fail over, so a bad
 // request does not hammer every replica in turn.
+//
+// Responses are byte-deterministic, so a repeated request need not leave
+// the router: label and simulate answers are cached by the same
+// pre-parse key the replicas' response caches use (api.KeyOf), and a
+// valid repeat is answered from the router's cache with no parse and no
+// replica hop. A miss is parsed only to place it, and the client's body
+// bytes are forwarded unchanged. Two contracts bound what a hit may
+// serve: a full label of a program whose delta was just answered 404
+// "unknown base" goes to the replica, so the replica registers the base
+// again; and no hit is served while a live replica answers with another
+// analysis version than the one that produced the bytes.
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -30,10 +42,19 @@ import (
 	"refidem/internal/ir"
 	"refidem/internal/lang"
 	"refidem/internal/lru"
+	"refidem/internal/workloads"
 )
 
-// maxRequestBody mirrors the service's request-body bound.
-const maxRequestBody = 4 << 20
+// The router's two bounded tables. responseCacheCap counts cached label
+// and simulate answers: the router keeps them on top of every replica's
+// own response cache, which still answers a router miss without
+// recomputing, so a small router tier buys most of the hop saving for
+// little resident memory. recoveringCap counts the placement keys of
+// deltas awaiting their base's resend.
+const (
+	responseCacheCap = 1024
+	recoveringCap    = 256
+)
 
 // Replica names one backend refidemd.
 type Replica struct {
@@ -104,6 +125,26 @@ type replica struct {
 	fails    atomic.Int32
 	inflight atomic.Int64
 	proxied  atomic.Int64
+	// version is the analysis version the replica stated on its last
+	// label or simulate answer (nil until it gives one; "" if the answer
+	// carried no version header).
+	version atomic.Pointer[string]
+}
+
+// noteVersion records the analysis version of the replica's latest answer.
+func (rep *replica) noteVersion(v string) {
+	if cur := rep.version.Load(); cur == nil || *cur != v {
+		rep.version.Store(&v)
+	}
+}
+
+// cached is one router response-cache entry: the answer's bytes, the
+// request's placement key and the analysis version of the replica that
+// answered.
+type cached struct {
+	resp    []byte
+	place   string
+	version string
 }
 
 // Router proxies the /v1 API across a replica set. Construct with New,
@@ -115,8 +156,11 @@ type Router struct {
 	// after New.
 	reps   []*replica
 	byName map[string]*replica
-	// routes caches full-program sources' placement keys (routeKey).
-	routes *lru.Cache[string, string]
+	// cache holds label and simulate answers by api.KeyOf.
+	cache *lru.Cache[api.Key, cached]
+	// recovering holds the placement keys of deltas answered 404 unknown
+	// base, until a full label of that program succeeds through a replica.
+	recovering *lru.Cache[string, struct{}]
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -132,6 +176,9 @@ type Router struct {
 	noReplica        atomic.Int64
 	ejections        atomic.Int64
 	readmissions     atomic.Int64
+	cacheHits        atomic.Int64
+	cacheMisses      atomic.Int64
+	resendForwards   atomic.Int64
 }
 
 // New builds a router over cfg's replicas and starts the health prober
@@ -159,12 +206,13 @@ func New(cfg Config) (*Router, error) {
 		names = append(names, rc.Name)
 	}
 	rt := &Router{
-		cfg:    cfg,
-		ring:   NewRing(names, cfg.VNodes),
-		byName: byName,
-		routes: lru.New[string, string](routeKeyCacheCap),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:        cfg,
+		ring:       NewRing(names, cfg.VNodes),
+		byName:     byName,
+		cache:      lru.New[api.Key, cached](responseCacheCap),
+		recovering: lru.New[string, struct{}](recoveringCap),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	// Ring members are sorted; keep reps in the same order for
 	// deterministic metrics rendering.
@@ -217,43 +265,34 @@ func (rt *Router) probeLoop() {
 }
 
 // RouteKey computes a request's placement key: the program's content
-// fingerprint when it can be determined (parsing full-program requests,
-// reusing the Base fingerprint of delta requests), so a base program and
-// its deltas share a replica and the delta finds its base registered.
-// Unparseable programs key on their raw text — the replica will answer
-// the 400 and there is nothing to co-locate.
+// fingerprint when it can be determined, so a base program and its
+// deltas share a replica and the delta finds its base registered.
+// Full-program requests are parsed, examples are built from the one
+// example table (workloads.Example), and delta requests reuse their Base
+// lower-cased: a replica decodes the hex fingerprint case-insensitively,
+// and every fingerprint the router computes is lower-case. Unparseable
+// programs and unknown examples key on their raw text — the replica will
+// answer the 400 and there is nothing to co-locate.
 func RouteKey(req api.Request) string {
 	switch {
 	case req.Base != "":
-		return "fp:" + req.Base
+		return "fp:" + strings.ToLower(req.Base)
 	case req.Example != "":
+		if p, err := workloads.Example(req.Example); err == nil {
+			return fingerprintKey(p)
+		}
 		return "example:" + req.Example
 	default:
 		if p, err := lang.Parse(req.Program); err == nil {
-			fp := ir.FingerprintOf(p)
-			return "fp:" + hex.EncodeToString(fp[:])
+			return fingerprintKey(p)
 		}
 		return "src:" + req.Program
 	}
 }
 
-// routeKeyCacheCap bounds the router's source→placement-key LRU. Keying
-// a full-program request means parsing it; under skewed popularity the
-// same sources recur constantly, and the parse — not the proxying — is
-// the router's dominant per-request cost.
-const routeKeyCacheCap = 4096
-
-// routeKey is RouteKey through the router's source→key cache.
-func (rt *Router) routeKey(req api.Request) string {
-	if req.Base != "" || req.Example != "" || req.Program == "" {
-		return RouteKey(req) // cheap cases: no parse involved
-	}
-	if key, ok := rt.routes.Get(req.Program); ok {
-		return key
-	}
-	key := RouteKey(req)
-	rt.routes.Put(req.Program, key)
-	return key
+func fingerprintKey(p *ir.Program) string {
+	fp := ir.FingerprintOf(p)
+	return "fp:" + hex.EncodeToString(fp[:])
 }
 
 // sequence returns the alive replicas in the key's failover order, with
@@ -327,17 +366,25 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
+// handleOp serves one label, simulate or timeline request. The body is
+// read whole, decoded to place the request and forwarded unchanged; a
+// document the router cannot decode is answered 400 here, as a replica
+// would.
 func (rt *Router) handleOp(w http.ResponseWriter, r *http.Request, op, path string) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxRequestBody))
 	var req api.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&req)
+	}
+	if err != nil {
 		rt.badRequests.Add(1)
 		api.WriteError(w, fmt.Errorf("%w: %v", api.ErrBadRequest, err))
 		return
 	}
 	req.Op = op
-	resp, err := rt.proxy(r.Context(), path, req)
+	resp, err := rt.route(r.Context(), path, req, body)
 	if err != nil {
 		api.WriteError(w, err)
 		return
@@ -346,15 +393,84 @@ func (rt *Router) handleOp(w http.ResponseWriter, r *http.Request, op, path stri
 	w.Write(resp)
 }
 
-// proxy routes one request and returns the winning replica's response
-// bytes. Replica-answered errors return as *api.RemoteError (re-served
-// verbatim by the caller); transport errors fail over along the
-// sequence.
-func (rt *Router) proxy(ctx context.Context, path string, req api.Request) ([]byte, error) {
-	seq := rt.sequence(rt.routeKey(req), req.Base != "")
+// route answers one request: from the response cache when the request is
+// a valid label or simulate that the cache may serve, otherwise by
+// forwarding body to the replicas that own its placement key (body nil
+// marshals req, once for every failover attempt). Replica-answered errors
+// return as *api.RemoteError, re-served verbatim by the caller; they are
+// never cached. Timeline exports (a query on path) and deltas are never
+// cached either, and deltas stay sticky to the owner of their base.
+func (rt *Router) route(ctx context.Context, path string, req api.Request, body []byte) ([]byte, error) {
+	cacheable := req.Base == "" && !strings.Contains(path, "?") && api.Validate(req) == nil
+	var key api.Key
+	var e cached
+	hit := false
+	if cacheable {
+		key = api.KeyOf(req)
+		e, hit = rt.cache.Get(key)
+	}
+	place := e.place
+	if !hit {
+		place = RouteKey(req)
+	}
+	// A full label of a program whose delta was answered 404 unknown base
+	// is the client's resend: it must reach the delta's replica so that
+	// replica registers the base again, so it is forwarded, sticky like
+	// the delta it recovers.
+	resend := false
+	if req.Op == api.OpLabel && req.Base == "" {
+		_, resend = rt.recovering.Get(place)
+	}
+	switch {
+	case hit && resend:
+		rt.resendForwards.Add(1)
+	case hit && rt.versionsAgree(e.version):
+		rt.cacheHits.Add(1)
+		return e.resp, nil
+	case cacheable:
+		rt.cacheMisses.Add(1)
+	}
+	if body == nil {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return nil, err
+		}
+	}
+	resp, version, err := rt.forward(ctx, path, place, req.Base != "" || resend, body)
+	switch {
+	case err == nil:
+		if resend {
+			rt.recovering.Remove(place)
+		}
+		if cacheable && version != "" {
+			rt.cache.Put(key, cached{resp: resp, place: place, version: version})
+		}
+	case req.Base != "" && errors.Is(err, api.ErrUnknownBase):
+		rt.recovering.Put(place, struct{}{})
+	}
+	return resp, err
+}
+
+// versionsAgree reports whether every live replica that has answered
+// stated analysis version v on its latest answer.
+func (rt *Router) versionsAgree(v string) bool {
+	for _, rep := range rt.reps {
+		if cur := rep.version.Load(); cur != nil && *cur != v && rep.alive.Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// forward posts body to the placement key's replicas in failover order
+// and returns the first answer with the analysis version it stated.
+// Replica-answered errors return as *api.RemoteError; transport errors
+// fail over along the sequence.
+func (rt *Router) forward(ctx context.Context, path, place string, sticky bool, body []byte) ([]byte, string, error) {
+	seq := rt.sequence(place, sticky)
 	if len(seq) == 0 {
 		rt.noReplica.Add(1)
-		return nil, fmt.Errorf("%w: no live replica", api.ErrOverloaded)
+		return nil, "", fmt.Errorf("%w: no live replica", api.ErrOverloaded)
 	}
 	var lastErr error
 	for i, rep := range seq {
@@ -362,69 +478,60 @@ func (rt *Router) proxy(ctx context.Context, path string, req api.Request) ([]by
 			rt.failovers.Add(1)
 		}
 		rep.inflight.Add(1)
-		resp, err := rt.postRaw(ctx, rep, path, req)
+		resp, version, err := rep.post(ctx, path, body)
 		rep.inflight.Add(-1)
 		if err == nil {
 			rep.proxied.Add(1)
-			return resp, nil
+			return resp, version, nil
 		}
 		var re *api.RemoteError
 		if errors.As(err, &re) {
 			// The replica is up and answered: its verdict stands. A bad
 			// request is bad everywhere; an overload is backpressure the
 			// client's backoff handles.
-			return nil, err
+			return nil, "", err
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The caller went away; trying more replicas helps nobody.
-			return nil, err
+			return nil, "", err
 		}
 		lastErr = err
 	}
 	rt.noReplica.Add(1)
-	return nil, fmt.Errorf("%w: no replica reachable (last error: %v)", api.ErrOverloaded, lastErr)
+	return nil, "", fmt.Errorf("%w: no replica reachable (last error: %v)", api.ErrOverloaded, lastErr)
 }
 
-// postRaw posts the request document to one replica. The timeline path
-// is not part of the typed client, so the router posts JSON itself
-// through the replica client's transport.
-func (rt *Router) postRaw(ctx context.Context, rep *replica, path string, req api.Request) ([]byte, error) {
-	if !strings.Contains(path, "?") {
-		switch req.Op {
-		case api.OpLabel:
-			return rep.c.Label(ctx, req)
-		case api.OpSimulate:
-			return rep.c.Simulate(ctx, req)
-		}
-	}
-	body, err := json.Marshal(req)
+// post sends one request body to the replica through its client's
+// transport and returns the response bytes and the analysis version the
+// replica stated, which it also records as the replica's latest. A
+// non-200 answer returns as *api.RemoteError.
+func (rep *replica) post(ctx context.Context, path string, body []byte) ([]byte, string, error) {
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+path, strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	resp, err := rep.c.HTTP.Do(httpReq)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
+	version := resp.Header.Get(api.VersionHeader)
+	rep.noteVersion(version)
 	if resp.StatusCode != http.StatusOK {
-		return nil, api.ErrorFromStatus(resp.StatusCode, resp.Header.Get("Retry-After"), b)
+		return nil, version, api.ErrorFromStatus(resp.StatusCode, resp.Header.Get("Retry-After"), b)
 	}
-	return b, nil
+	return b, version, nil
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.batchCalls.Add(1)
 	var batch api.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batch); err != nil {
 		rt.badRequests.Add(1)
@@ -435,9 +542,17 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, fmt.Errorf("%w: empty batch", api.ErrBadRequest))
 		return
 	}
+	if len(batch.Requests) > api.MaxBatchItems {
+		api.WriteError(w, fmt.Errorf("%w: batch of %d exceeds the %d-item limit",
+			api.ErrBadRequest, len(batch.Requests), api.MaxBatchItems))
+		return
+	}
 	// Items route independently (different programs live on different
 	// replicas) and concurrently, mirroring the single-node batch
 	// semantics: item failures are per-item error documents, in order.
+	// An item carries its own op, which the endpoint it is forwarded to
+	// would overwrite, so the router validates it first, as a replica's
+	// batch does.
 	out := api.BatchResponse{Responses: make([]json.RawMessage, len(batch.Requests))}
 	var wg sync.WaitGroup
 	for i := range batch.Requests {
@@ -445,11 +560,15 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func(i int) {
 			defer wg.Done()
 			req := batch.Requests[i]
-			path := "/v1/label"
-			if req.Op == api.OpSimulate {
-				path = "/v1/simulate"
+			err := api.Validate(req)
+			var resp []byte
+			if err == nil {
+				path := "/v1/label"
+				if req.Op == api.OpSimulate {
+					path = "/v1/simulate"
+				}
+				resp, err = rt.route(r.Context(), path, req, nil)
 			}
-			resp, err := rt.proxy(r.Context(), path, req)
 			if err != nil {
 				doc, _ := json.Marshal(api.ErrorDoc{Error: err.Error()})
 				out.Responses[i] = doc
@@ -511,6 +630,10 @@ func (rt *Router) RenderMetricz() string {
 	w("router_no_replica", rt.noReplica.Load())
 	w("router_probe_ejections", rt.ejections.Load())
 	w("router_probe_readmissions", rt.readmissions.Load())
+	w("router_cache_hits", rt.cacheHits.Load())
+	w("router_cache_misses", rt.cacheMisses.Load())
+	w("router_cache_evictions", rt.cache.Evictions())
+	w("router_resend_forwards", rt.resendForwards.Load())
 	for _, rep := range rt.reps {
 		alive := int64(0)
 		if rep.alive.Load() {

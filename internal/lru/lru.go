@@ -2,7 +2,8 @@
 // fixed-capacity map that evicts its least recently used entry, safe for
 // concurrent use under a single lock. The response, program, delta-base
 // and fragment tiers of internal/service, the labeled-program cache of
-// internal/idem and the router's placement-key cache are all instances.
+// internal/idem and the router's response cache and delta-recovery set
+// are all instances.
 package lru
 
 import (
@@ -72,6 +73,19 @@ func (c *Cache[K, V]) GetOrPut(k K, v V) V {
 	}
 	c.insert(k, v)
 	return v
+}
+
+// Remove deletes the entry stored under k and reports whether there was
+// one. A removal is not an eviction.
+func (c *Cache[K, V]) Remove(k K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[k]
+	if ok {
+		c.order.Remove(el)
+		delete(c.items, k)
+	}
+	return ok
 }
 
 // insert adds an absent key as the most recently used entry, evicting the

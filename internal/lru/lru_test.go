@@ -93,6 +93,31 @@ func TestGetOrPutKeepsTheFirstValue(t *testing.T) {
 	}
 }
 
+func TestRemove(t *testing.T) {
+	c := New[int, string](2)
+	c.Put(0, "a")
+	c.Put(1, "b")
+	if !c.Remove(0) {
+		t.Fatal("Remove of a resident key reported no entry")
+	}
+	if c.Remove(0) {
+		t.Fatal("second Remove of the same key reported an entry")
+	}
+	if _, ok := c.Get(0); ok || c.Len() != 1 {
+		t.Fatalf("removed key still answers Get, or len = %d, want 1", c.Len())
+	}
+	// The freed slot takes a new key without evicting 1, and a removal
+	// is not counted as an eviction.
+	c.Put(2, "c")
+	if got := resident(c, 3); !equal(got, []int{1, 2}) || c.Evictions() != 0 {
+		t.Fatalf("resident = %v with %d evictions, want [1 2] and 0", got, c.Evictions())
+	}
+	c.Put(3, "d") // 1 is the least recently used survivor
+	if got := resident(c, 4); !equal(got, []int{2, 3}) || c.Evictions() != 1 {
+		t.Fatalf("resident = %v with %d evictions, want [2 3] and 1", got, c.Evictions())
+	}
+}
+
 func TestCapacityFloorIsOne(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
 		c := New[int, string](capacity)
@@ -121,5 +146,30 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if c.Len() != 16 {
 		t.Fatalf("len = %d, want 16", c.Len())
+	}
+}
+
+// Goroutines putting and removing disjoint keys leave nothing behind, and
+// removals never count as evictions.
+func TestConcurrentRemove(t *testing.T) {
+	c := New[int, int](64)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := g*8 + i%8
+				c.Put(k, i)
+				c.Get(k)
+				if !c.Remove(k) {
+					t.Errorf("goroutine %d: Remove(%d) found no entry", g, k)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if c.Len() != 0 || c.Evictions() != 0 {
+		t.Fatalf("len/evictions = %d/%d, want 0/0", c.Len(), c.Evictions())
 	}
 }

@@ -10,14 +10,6 @@ import (
 	"refidem/internal/api"
 )
 
-// maxRequestBody bounds a request document; maxBatchItems bounds how many
-// items one /v1/batch call may carry. Both protect the admission queue
-// from a single oversized request.
-const (
-	maxRequestBody = 4 << 20
-	maxBatchItems  = 256
-)
-
 // Handler returns the server's HTTP API:
 //
 //	POST /v1/label             — label a program (Request document)
@@ -30,14 +22,18 @@ const (
 //
 // Responses for identical programs are byte-identical. Overload maps to
 // 503 with Retry-After; malformed requests to 400; requests exceeding
-// the configured per-request deadline to 504. When the flight recorder
-// is on, /v1/label and /v1/simulate answers carry X-Refidem-Trace-Id.
+// the configured per-request deadline to 504. Every /v1/label and
+// /v1/simulate answer, error or not, states AnalysisVersion in the
+// api.VersionHeader header; when the flight recorder is on, it also
+// carries X-Refidem-Trace-Id.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/label", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(api.VersionHeader, AnalysisVersion)
 		s.handleOp(w, r, OpLabel)
 	})
 	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(api.VersionHeader, AnalysisVersion)
 		if r.URL.Query().Get("timeline") == "1" {
 			s.handleTimeline(w, r)
 			return
@@ -113,9 +109,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: empty batch", ErrBadRequest))
 		return
 	}
-	if len(batch.Requests) > maxBatchItems {
+	if len(batch.Requests) > api.MaxBatchItems {
 		writeError(w, fmt.Errorf("%w: batch of %d exceeds the %d-item limit",
-			ErrBadRequest, len(batch.Requests), maxBatchItems))
+			ErrBadRequest, len(batch.Requests), api.MaxBatchItems))
 		return
 	}
 	resps, errs := s.Batch(r.Context(), batch.Requests)
@@ -140,7 +136,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // decodeBody parses the request body into dst, answering 400 itself on
 // failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))

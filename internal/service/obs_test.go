@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"refidem/internal/api"
 	"refidem/internal/obs"
 )
 
@@ -189,6 +190,43 @@ func TestTracezDisabled(t *testing.T) {
 	jr.Body.Close()
 	if doc.Enabled {
 		t.Fatal("tracez JSON claims enabled on a disabled recorder")
+	}
+}
+
+// TestVersionHeader: every /v1/label and /v1/simulate answer states the
+// analysis version, whatever its status, and the bytes do not carry it.
+func TestVersionHeader(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/label", `{"example":"fig2"}`, http.StatusOK},
+		{"/v1/simulate", `{"example":"fig2"}`, http.StatusOK},
+		{"/v1/simulate?timeline=1", `{"example":"fig2"}`, http.StatusOK},
+		{"/v1/label", `{"example":"nope"}`, http.StatusBadRequest},
+		{"/v1/label", `{"unknown_field":1}`, http.StatusBadRequest},
+		{"/v1/simulate", `{"base":"` + strings.Repeat("ab", 32) + `"}`, http.StatusNotFound},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s %s: status %d, want %d\n%s", c.path, c.body, resp.StatusCode, c.status, body)
+		}
+		if got := resp.Header.Get(api.VersionHeader); got != AnalysisVersion {
+			t.Errorf("%s %s: %s = %q, want %q", c.path, c.body, api.VersionHeader, got, AnalysisVersion)
+		}
+		if bytes.Contains(body, []byte(AnalysisVersion)) {
+			t.Errorf("%s %s: the body carries the analysis version", c.path, c.body)
+		}
 	}
 }
 

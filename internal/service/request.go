@@ -48,36 +48,6 @@ var (
 	ErrUnknownBase = api.ErrUnknownBase
 )
 
-// validate is the one structural check of a request, shared by DoTraced
-// and SimulateTimeline. It runs before the response-cache lookup: the
-// cache keys on one program selector, so a malformed request (several
-// selectors set, or bad parameters) could otherwise collide with a cached
-// valid request and be accepted or rejected depending on cache warmth.
-func validate(req Request) error {
-	if req.Op != OpLabel && req.Op != OpSimulate {
-		return fmt.Errorf("%w: unknown op %q (want %q or %q)", ErrBadRequest, req.Op, OpLabel, OpSimulate)
-	}
-	selectors := 0
-	for _, set := range []bool{req.Program != "", req.Example != "", req.Base != ""} {
-		if set {
-			selectors++
-		}
-	}
-	if selectors > 1 {
-		return fmt.Errorf("%w: use exactly one of program, example or base, not both or all three", ErrBadRequest)
-	}
-	if len(req.Patches) > 0 && req.Base == "" {
-		return fmt.Errorf("%w: patches require a base fingerprint", ErrBadRequest)
-	}
-	if req.Procs < 0 || req.Capacity < 0 {
-		return fmt.Errorf("%w: procs and capacity must be non-negative", ErrBadRequest)
-	}
-	if req.Procs > api.MaxProcs {
-		return fmt.Errorf("%w: procs must be at most %d", ErrBadRequest, api.MaxProcs)
-	}
-	return nil
-}
-
 // resolveProgram parses or looks up the program of a validated request.
 // The program is resolved in the submitting goroutine, so admission
 // rejects malformed sources before they consume queue space. Delta
@@ -89,18 +59,7 @@ func resolveProgram(req Request) (*ir.Program, error) {
 	case req.Program != "":
 		return lang.Parse(req.Program)
 	case req.Example != "":
-		switch req.Example {
-		case "fig1", "intro":
-			return workloads.IntroExample(), nil
-		case "fig2":
-			return workloads.Figure2(), nil
-		case "fig3":
-			return workloads.Figure3(), nil
-		case "buts", "fig4":
-			return workloads.ButsDO1(8), nil
-		default:
-			return nil, fmt.Errorf("unknown example %q (want fig1, fig2, fig3, buts)", req.Example)
-		}
+		return workloads.Example(req.Example)
 	default:
 		return nil, fmt.Errorf("empty request: pass program source, an example name, or a base fingerprint with patches")
 	}

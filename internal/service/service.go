@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"refidem/internal/api"
 	"refidem/internal/engine"
 	"refidem/internal/ir"
 	"refidem/internal/lru"
@@ -191,7 +192,7 @@ type Server struct {
 	// bases resolves delta requests (delta.go); frags holds the rendered
 	// region rows every label response is assembled from, a row with a
 	// dependence list only for "deps" requests (label.go).
-	resp     *lru.Cache[respKey, respEntry]
+	resp     *lru.Cache[api.Key, respEntry]
 	programs *lru.Cache[ir.Fingerprint, programEntry]
 	bases    *lru.Cache[ir.Fingerprint, string]
 	frags    *lru.Cache[fragKey, RegionLabeling]
@@ -276,7 +277,7 @@ func New(cfg Config) *Server {
 		drained:  make(chan struct{}),
 	}
 	if cfg.ResponseCache > 0 {
-		s.resp = lru.New[respKey, respEntry](cfg.ResponseCache)
+		s.resp = lru.New[api.Key, respEntry](cfg.ResponseCache)
 	}
 	if cfg.DeltaBases > 0 {
 		s.bases = lru.New[ir.Fingerprint, string](cfg.DeltaBases)
@@ -408,7 +409,7 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 	case OpSimulate:
 		s.metrics.simulateRequests.Add(1)
 	}
-	if err := validate(req); err != nil {
+	if err := api.Validate(req); err != nil {
 		s.metrics.badRequests.Add(1)
 		return nil, s.finishSpan(fl, &sp, err), err
 	}
@@ -418,9 +419,9 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 	if fl != nil {
 		sp.Lap(obs.StageAdmission) // validation is part of admission
 	}
-	var rk respKey
+	var rk api.Key
 	if s.resp != nil {
-		rk = respKeyOf(req)
+		rk = api.KeyOf(req)
 		e, ok := s.resp.Get(rk)
 		if ok && req.Op == OpLabel && req.Base == "" {
 			s.reregisterBase(req, e.fp)

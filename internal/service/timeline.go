@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 
+	"refidem/internal/api"
 	"refidem/internal/engine"
 	"refidem/internal/ir"
 	"refidem/internal/obs"
@@ -29,7 +30,7 @@ func (s *Server) SimulateTimeline(ctx context.Context, req Request, w io.Writer)
 	_ = ctx // the export runs inline; no queue wait to cancel
 	s.metrics.timelineRequests.Add(1)
 	req.Op = OpSimulate
-	if err := validate(req); err != nil {
+	if err := api.Validate(req); err != nil {
 		return err
 	}
 	if s.closing.Load() {

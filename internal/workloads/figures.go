@@ -6,8 +6,29 @@
 package workloads
 
 import (
+	"fmt"
+
 	"refidem/internal/ir"
 )
+
+// Example builds the worked example a request or command line names:
+// "fig1" (or "intro"), "fig2", "fig3" and "buts" (or "fig4", the loop at
+// n = 8). Every name resolves to a fresh program. This is the one example
+// table: the service resolves example requests with it, and the router
+// places them by the fingerprint of the program it returns.
+func Example(name string) (*ir.Program, error) {
+	switch name {
+	case "fig1", "intro":
+		return IntroExample(), nil
+	case "fig2":
+		return Figure2(), nil
+	case "fig3":
+		return Figure3(), nil
+	case "buts", "fig4":
+		return ButsDO1(8), nil
+	}
+	return nil, fmt.Errorf("unknown example %q (want fig1, fig2, fig3, buts)", name)
+}
 
 // IntroExample reconstructs Figure 1: a two-segment region where B is
 // read-only, A carries a cross-segment flow dependence (write in segment

@@ -6,7 +6,8 @@
 #
 #   1. Byte-identity through the router: a fig2 label via the router
 #      must equal the single-daemon golden byte for byte — clients
-#      cannot tell the router from a replica.
+#      cannot tell the router from a replica. Repeating it must be
+#      answered from the router's response cache, with the same bytes.
 #   2. The delta protocol: label a program, extract its fingerprint
 #      from the response, send a region patch as a delta request, and
 #      require the delta response byte-identical to a full label of the
@@ -75,6 +76,12 @@ post() { curl -sfS -X POST -H 'Content-Type: application/json' -d "$1" "$router$
 post '{"example": "fig2", "deps": true}' /v1/label >"$out/fig2.json"
 diff -u cmd/refidemd/testdata/label_fig2.golden "$out/fig2.json"
 echo "smoke: fig2 via router matches the single-daemon golden"
+post '{"example": "fig2", "deps": true}' /v1/label >"$out/fig2_again.json"
+diff -u cmd/refidemd/testdata/label_fig2.golden "$out/fig2_again.json"
+curl -sfS "$router/metricz" >"$out/metricz_hits"
+grep -q '^router_cache_hits [1-9]' "$out/metricz_hits" ||
+  { echo "the repeated fig2 label was not answered from the router cache" >&2; cat "$out/metricz_hits" >&2; exit 1; }
+echo "smoke: repeated fig2 answered from the router cache"
 
 # 2. The delta protocol. Region r0 shrinks by one trip; r1 is untouched
 # and must be served from the owner's fragment cache.
