@@ -82,3 +82,10 @@ func KeyOf(req Request) Key {
 	h.Sum(k.src[:0])
 	return k
 }
+
+// Selector returns the key's selector digest: the domain-prefixed hash of
+// the program text, example name or delta selector alone, without the
+// operation or any parameter. Two valid requests with equal selectors name
+// the same program, which is how the service finds a program it has
+// already parsed without parsing it again.
+func (k Key) Selector() [sha256.Size]byte { return k.src }

@@ -63,3 +63,27 @@ func TestKeyOfSeparatesRequests(t *testing.T) {
 		seen[KeyOf(req)] = i
 	}
 }
+
+// Selector names the program alone: requests that differ only in
+// operation or parameters share it, and the program, example and delta
+// selector domains never do.
+func TestSelectorNamesTheProgramAlone(t *testing.T) {
+	base := KeyOf(Request{Op: OpSimulate, Program: "fig2"}).Selector()
+	for _, req := range []Request{
+		{Op: OpLabel, Program: "fig2"},
+		{Op: OpSimulate, Program: "fig2", Deps: true, Procs: 8, Capacity: 64},
+	} {
+		if KeyOf(req).Selector() != base {
+			t.Errorf("%+v: selector differs from the same program's", req)
+		}
+	}
+	for _, req := range []Request{
+		{Op: OpSimulate, Example: "fig2"},
+		{Op: OpSimulate, Base: "fig2"},
+		{Op: OpSimulate, Program: "fig2 "},
+	} {
+		if KeyOf(req).Selector() == base {
+			t.Errorf("%+v: shares the selector of program text %q", req, "fig2")
+		}
+	}
+}

@@ -79,8 +79,11 @@ type Span struct {
 	// Outcome classifies how the request ended: "ok", "bad_request",
 	// "overloaded", "timeout", "closed", "canceled" or "error".
 	Outcome string
-	// Source says what answered an ok request: "resp_cache", "store" or
-	// "compute" (coalesced waiters inherit the leader's source).
+	// Source says what answered an ok request: "resp_cache", "store",
+	// "compute" (coalesced waiters inherit the leader's source) or "rows",
+	// a simulate answered in the request goroutine from the model rows its
+	// program-tier entry keeps, with no task, queue or engine run; its
+	// rendering is charged to StageCompute.
 	Source string
 	// Coalesced marks a request that joined an identical in-flight
 	// computation instead of enqueueing its own.

@@ -160,11 +160,13 @@ func BenchmarkServiceLabelUncached(b *testing.B) {
 
 // BenchmarkServiceSimulateThroughput measures simulate request throughput
 // over four programs at the server's base machine, with the response
-// cache off and coalescing collapsing concurrent duplicates. Each
-// program's first request labels it and runs the engine; every later one
-// serves all three model rows from the program-tier entry (the sequential
-// run and the saturated speculative rows), so the steady state measures
-// parse, fingerprint, queue, row lookup and render, not engine runs.
+// cache off. Each program's first request labels it and runs the engine,
+// and its second finds the program by fingerprint and gives the text an
+// alias. Every later one finds the program by its selector digest (no
+// parse or canonicalization) and, its sequential run and saturated
+// speculative rows being kept, is answered in the calling goroutine
+// without a queue or worker hop. So the steady state measures the request
+// key, one program-tier lookup, the row lookups and the render.
 func BenchmarkServiceSimulateThroughput(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.QueueDepth = 1 << 16

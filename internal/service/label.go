@@ -9,9 +9,12 @@ package service
 // deps-less label renders no dependences. Simulate and timeline requests
 // drive the engine with the whole program's labeling; they read the
 // program tier, an LRU of labeled programs by content fingerprint, whose
-// entries also carry the program's simulation state (simulate.go).
-// Neither tier single-flights: identical requests already coalesce at
-// admission.
+// entries also carry the program's simulation state (simulate.go). The
+// same LRU holds alias entries: a program or example simulate that found
+// its program by fingerprint stores the entry under its request's
+// selector digest too, so a later repeat of the same text finds the
+// program without parsing it. Neither tier single-flights:
+// identical requests already coalesce at admission.
 
 import (
 	"encoding/hex"
@@ -24,14 +27,26 @@ import (
 	"refidem/internal/ir"
 )
 
-// programEntry is one program-tier entry: a canonical program, its
-// labeling, whose maps are keyed by that program's refs — callers run
-// this program, not their own parse of it — and its simulation state
-// (simulate.go).
+// programEntry is a resolved program: its fingerprint, canonical source
+// and parse. A program-tier entry also carries the labeling, whose maps
+// are keyed by that program's refs — callers run this program, not their
+// own parse of it — and the simulation state (simulate.go); a program the
+// tier does not hold yet has neither, and labs and sim stay nil.
 type programEntry struct {
-	prog *ir.Program
-	labs map[*ir.Region]*idem.Result
-	sim  *simMemo
+	fp        ir.Fingerprint
+	canonical string
+	prog      *ir.Program
+	labs      map[*ir.Region]*idem.Result
+	sim       *simMemo
+}
+
+// progKey is a program-tier key: a program fingerprint, or with alias set
+// the selector digest (api.Key.Selector) of a program or example request
+// whose simulate found the entry by fingerprint (Server.remember). Both
+// kinds count toward Config.CacheCapacity and are evicted independently.
+type progKey struct {
+	sum   [32]byte
+	alias bool
 }
 
 // regionLabeler returns the per-region labeling function Config.Ensemble
@@ -67,7 +82,7 @@ type fragKey struct {
 // region's fragment key are reused verbatim, the rest are labeled through
 // the same pipeline body LabelProgram uses and rendered once.
 func (s *Server) label(t *task) ([]byte, error) {
-	prog := t.prog
+	prog := t.entry.prog
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -115,27 +130,33 @@ func (s *Server) label(t *task) ([]byte, error) {
 	return marshalResponse(doc)
 }
 
-// labeled returns the program tier's entry for fingerprint fp, labeling
-// p on a miss. Concurrent misses on one fingerprint all get the entry
-// stored first, so they share its simulation state.
-func (s *Server) labeled(fp ir.Fingerprint, p *ir.Program) (programEntry, error) {
-	if e, ok := s.programs.Get(fp); ok {
-		s.progHits.Add(1)
+// labeled returns the program tier's entry for a resolved program: e
+// itself when resolution found it in the tier, otherwise the entry a
+// concurrent request has stored since, or e labeled and stored.
+// Concurrent misses on one fingerprint all get the entry stored first, so
+// they share its simulation state.
+func (s *Server) labeled(e programEntry) (programEntry, error) {
+	if e.sim != nil {
 		return e, nil
 	}
-	s.progMisses.Add(1)
+	key := progKey{sum: e.fp}
+	if stored, ok := s.programs.Get(key); ok {
+		return stored, nil
+	}
+	p := e.prog
 	if err := p.Validate(); err != nil {
 		return programEntry{}, err
 	}
 	infos := dataflow.AnalyzeProgram(p)
 	labeler := s.regionLabeler(p)
-	labs := make(map[*ir.Region]*idem.Result, len(p.Regions))
+	e.labs = make(map[*ir.Region]*idem.Result, len(p.Regions))
 	for _, r := range p.Regions {
 		res, err := labelChecked(labeler, r, infos[r])
 		if err != nil {
 			return programEntry{}, err
 		}
-		labs[r] = res
+		e.labs[r] = res
 	}
-	return s.programs.GetOrPut(fp, programEntry{prog: p, labs: labs, sim: &simMemo{}}), nil
+	e.sim = &simMemo{}
+	return s.programs.GetOrPut(key, e), nil
 }

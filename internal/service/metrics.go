@@ -97,6 +97,12 @@ type Metrics struct {
 	// both. Their ratio is the engine work the reuse rules saved.
 	simRowsComputed atomic.Int64
 	simRowsReused   atomic.Int64
+	// simSourceHits counts simulate and timeline requests resolved by
+	// their selector digest, with no parse; simAnsweredKept counts
+	// simulates answered from kept rows in the request goroutine, without
+	// admission (they do not advance computed).
+	simSourceHits   atomic.Int64
+	simAnsweredKept atomic.Int64
 
 	// Latency histogram over completed requests (coalesced waiters
 	// included): bucket i counts latencies <= 2^i µs.
@@ -144,6 +150,7 @@ type Snapshot struct {
 	StoreProbeFailures                          int64
 	TraceCompiled, TraceBailouts, GuardElided   int64
 	SimRowsComputed, SimRowsReused              int64
+	SimSourceHits, SimAnsweredKept              int64
 }
 
 // SnapshotNow copies the counters.
@@ -182,6 +189,8 @@ func (m *Metrics) SnapshotNow() Snapshot {
 		GuardElided:         m.guardElided.Load(),
 		SimRowsComputed:     m.simRowsComputed.Load(),
 		SimRowsReused:       m.simRowsReused.Load(),
+		SimSourceHits:       m.simSourceHits.Load(),
+		SimAnsweredKept:     m.simAnsweredKept.Load(),
 	}
 	for i := range m.latency {
 		s.LatencyCount += m.latency[i].Load()
@@ -227,6 +236,8 @@ func (s *Server) RenderMetricz() string {
 	w("guard_elided", m.guardElided.Load())
 	w("sim_rows_computed", m.simRowsComputed.Load())
 	w("sim_rows_reused", m.simRowsReused.Load())
+	w("sim_source_hits", m.simSourceHits.Load())
+	w("sim_answered_kept", m.simAnsweredKept.Load())
 
 	// Dependence-ensemble block: per-member query/answer/short-circuit
 	// counters, rendered in chain order. The counters are package-wide in

@@ -37,6 +37,7 @@ func TestRenderMetriczLineOrder(t *testing.T) {
 		"dispatch_batches", "dispatch_batch_tasks",
 		"trace_compiled", "trace_bailouts", "guard_elided",
 		"sim_rows_computed", "sim_rows_reused",
+		"sim_source_hits", "sim_answered_kept",
 	}
 	for _, name := range deps.MemberNames() {
 		want = append(want,

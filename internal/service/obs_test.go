@@ -100,7 +100,8 @@ func TestFlightRecorderSpans(t *testing.T) {
 }
 
 // TestTracezEndpoint drives the HTTP surface: the trace-ID header, the
-// text table and the JSON document.
+// text table and the JSON document, including the "rows" source of a
+// simulate answered from its program's kept rows.
 func TestTracezEndpoint(t *testing.T) {
 	cfg := testConfig()
 	cfg.FlightSpans = 16
@@ -109,21 +110,29 @@ func TestTracezEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/label", "application/json",
-		strings.NewReader(`{"example":"fig2"}`))
-	if err != nil {
-		t.Fatal(err)
+	post := func(path, body string) uint64 {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		tid := resp.Header.Get("X-Refidem-Trace-Id")
+		if tid == "" {
+			t.Fatal("no X-Refidem-Trace-Id header on a recorded request")
+		}
+		id, err := strconv.ParseUint(tid, 10, 64)
+		if err != nil || id == 0 {
+			t.Fatalf("bad trace id %q: %v", tid, err)
+		}
+		return id
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	tid := resp.Header.Get("X-Refidem-Trace-Id")
-	if tid == "" {
-		t.Fatal("no X-Refidem-Trace-Id header on a recorded request")
-	}
-	wantID, err := strconv.ParseUint(tid, 10, 64)
-	if err != nil || wantID == 0 {
-		t.Fatalf("bad trace id %q: %v", tid, err)
-	}
+	labelID := post("/v1/label", `{"example":"fig2"}`)
+	// fig2 saturates well below both capacities: the second simulate is
+	// answered from the rows the first one kept.
+	computeID := post("/v1/simulate", `{"example":"fig2","capacity":4096}`)
+	rowsID := post("/v1/simulate", `{"example":"fig2","capacity":8192}`)
 
 	text, err := http.Get(ts.URL + "/debug/tracez")
 	if err != nil {
@@ -131,8 +140,10 @@ func TestTracezEndpoint(t *testing.T) {
 	}
 	body, _ := io.ReadAll(text.Body)
 	text.Body.Close()
-	if !strings.Contains(string(body), "label") || !strings.Contains(string(body), "ok") {
-		t.Fatalf("tracez text lacks the recorded span:\n%s", body)
+	for _, want := range []string{"label", "simulate", "ok", "compute", "rows"} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("tracez text lacks %q:\n%s", want, body)
+		}
 	}
 
 	jr, err := http.Get(ts.URL + "/debug/tracez?format=json")
@@ -147,17 +158,28 @@ func TestTracezEndpoint(t *testing.T) {
 	if !doc.Enabled || doc.Capacity != 16 {
 		t.Fatalf("tracez doc = enabled %v capacity %d, want true/16", doc.Enabled, doc.Capacity)
 	}
-	found := false
+	spans := map[uint64]tracezSpan{}
 	for _, sp := range doc.Spans {
-		if sp.TraceID == wantID {
-			found = true
-			if sp.Op != "label" || sp.Outcome != "ok" || sp.Fingerprint == "" {
-				t.Fatalf("span %d = %+v, want ok label with fingerprint", wantID, sp)
-			}
+		spans[sp.TraceID] = sp
+	}
+	for _, want := range []struct {
+		id         uint64
+		op, source string
+	}{
+		{labelID, "label", "compute"},
+		{computeID, "simulate", "compute"},
+		{rowsID, "simulate", "rows"},
+	} {
+		sp, ok := spans[want.id]
+		if !ok {
+			t.Fatalf("span %d missing from tracez JSON: %+v", want.id, doc.Spans)
+		}
+		if sp.Op != want.op || sp.Outcome != "ok" || sp.Source != want.source || sp.Fingerprint == "" {
+			t.Errorf("span %d = %+v, want ok %s from %s with fingerprint", want.id, sp, want.op, want.source)
 		}
 	}
-	if !found {
-		t.Fatalf("span %d missing from tracez JSON: %+v", wantID, doc.Spans)
+	if rows := spans[rowsID]; rows.Fingerprint != spans[computeID].Fingerprint || rows.ComputeNs <= 0 || rows.StoreReadNs != 0 {
+		t.Errorf("rows span = %+v, want the program's fingerprint, its rendering under compute and no store read", rows)
 	}
 }
 

@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"refidem/internal/ir"
 	"refidem/internal/store"
+	"refidem/internal/workloads"
 )
 
 // storeTestConfig is testConfig plus a filesystem store at dir.
@@ -360,5 +362,142 @@ func TestHealthDocument(t *testing.T) {
 	defer withStore.Close()
 	if h := withStore.Health(); h.Store != "ok" {
 		t.Errorf("store-backed health = %+v, want store ok", h)
+	}
+}
+
+// TestKeptRowAnswersPersist: a simulate answered from kept rows is durable
+// like a computed one. The one whose key has a warm-start record drains it
+// and writes nothing, the record being durable already, and the other is
+// written behind and found after a restart.
+func TestKeptRowAnswersPersist(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	sim := func(capacity int) Request { return Request{Op: OpSimulate, Example: "fig2", Capacity: capacity} }
+	open := func() *store.FS {
+		st, _, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	st1 := open()
+	s1 := New(storeTestConfig(t, st1))
+	warmWant, err := s1.Do(ctx, sim(8192))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	st1.Close()
+
+	st2 := open()
+	s2 := New(storeTestConfig(t, st2))
+	if _, err := s2.Do(ctx, sim(4096)); err != nil {
+		t.Fatal(err) // computes, keeping fig2's saturated rows
+	}
+	got, err := s2.Do(ctx, sim(8192))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, warmWant) {
+		t.Fatal("kept-row answer differs from the persisted bytes")
+	}
+	written, err := s2.Do(ctx, sim(16384))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := s2.Metrics().SnapshotNow()
+	if snap.SimAnsweredKept != 2 || snap.Computed != 1 {
+		t.Errorf("answered from kept rows %d, computed %d; want 2 and 1", snap.SimAnsweredKept, snap.Computed)
+	}
+	if snap.StoreWarmEntries != 0 || snap.StoreWarmHits != 1 {
+		t.Errorf("warm entries %d, warm hits %d; want the record drained by one hit", snap.StoreWarmEntries, snap.StoreWarmHits)
+	}
+	s2.Close()
+	if got := s2.Metrics().SnapshotNow().StoreWrites; got != 2 {
+		t.Errorf("store writes = %d, want 2 (capacities 4096 and 16384)", got)
+	}
+	st2.Close()
+
+	st3 := open()
+	defer st3.Close()
+	fp := ir.FingerprintOf(workloads.Figure2())
+	data, err := st3.Get(storeKeyOf(taskKey{op: OpSimulate, fp: fp, capacity: 16384}))
+	if err != nil {
+		t.Fatalf("kept-row answer not persisted: %v", err)
+	}
+	if !bytes.Equal(data, written) {
+		t.Error("persisted record differs from the kept-row answer")
+	}
+}
+
+// TestKeptRowRepeatsWriteOnce: with the response cache off, every repeat
+// of a simulate reaches the kept-row path; each finds the record the first
+// answer wrote and writes nothing again, so repeats never crowd new
+// answers out of the write-behind queue.
+func TestKeptRowRepeatsWriteOnce(t *testing.T) {
+	st, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := storeTestConfig(t, st)
+	cfg.ResponseCache = -1
+	s := New(cfg)
+	ctx := context.Background()
+	req := Request{Example: "fig2", Capacity: 4096}
+	first, err := s.Simulate(ctx, req)
+	if err != nil {
+		t.Fatal(err) // computes, keeping fig2's saturated rows
+	}
+	waitFor(t, "the first answer's write", func() bool {
+		return s.Metrics().SnapshotNow().StoreWrites >= 1
+	})
+	const repeats = 5
+	for i := 0; i < repeats; i++ {
+		got, err := s.Simulate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, first) {
+			t.Fatalf("repeat %d differs from the first answer", i)
+		}
+	}
+	s.Close()
+	snap := s.Metrics().SnapshotNow()
+	if snap.SimAnsweredKept != repeats || snap.StoreHits != repeats {
+		t.Errorf("answered from kept rows %d, store hits %d; want %d each", snap.SimAnsweredKept, snap.StoreHits, repeats)
+	}
+	if snap.StoreWrites != 1 || snap.StoreDroppedWrites != 0 {
+		t.Errorf("store writes %d, dropped %d; want 1 and 0", snap.StoreWrites, snap.StoreDroppedWrites)
+	}
+}
+
+// TestKeptRowAnswersRaceClose: simulates answered from kept rows while
+// Close runs either persist before the write-behind queue closes or are
+// refused; none sends on the closed queue or writes after Close returns.
+func TestKeptRowAnswersRaceClose(t *testing.T) {
+	b := &blockingBackend{gate: make(chan struct{})}
+	close(b.gate) // writes never block here
+	s := New(storeTestConfig(t, b))
+	ctx := context.Background()
+	if _, err := s.Simulate(ctx, Request{Example: "fig2", Capacity: 4096}); err != nil {
+		t.Fatal(err) // keeps fig2's saturated rows
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Simulate(ctx, Request{Example: "fig2", Capacity: 8192 + i}); err != nil && !errors.Is(err, ErrClosed) {
+				t.Error(err)
+			}
+		}()
+	}
+	s.Close()
+	b.closedSrv.Store(true)
+	wg.Wait()
+	if b.lateWrite.Load() {
+		t.Error("a store write completed after Close returned")
 	}
 }

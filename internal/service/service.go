@@ -22,7 +22,10 @@
 //     by simulate and timeline requests, which need whole-program labels;
 //     each entry also keeps the program's sequential run and the rows of
 //     its saturated speculative runs, so a simulate runs only the engine
-//     work its machine changes (simulate.go);
+//     work its machine changes, and a simulate whose rows are all kept is
+//     answered in the request goroutine without queueing (simulate.go);
+//     alias entries under the selector digest of texts simulated more
+//     than once resolve a repeated text without parsing it;
 //   - metrics: per-endpoint counters, program-tier hit/miss/eviction
 //     statistics and a request latency histogram, rendered by
 //     RenderMetricz.
@@ -60,8 +63,11 @@ import (
 // Config parameterizes a Server. The zero value is normalized to the
 // defaults documented per field; DefaultConfig spells them out.
 type Config struct {
-	// CacheCapacity is the program tier's capacity in labeled programs
-	// (<= 0 selects 512).
+	// CacheCapacity is the program tier's capacity in entries (<= 0
+	// selects 512). A labeled program takes one entry under its
+	// fingerprint, and each program or example text simulated again after
+	// the program was labeled takes one more alias entry under its
+	// selector digest.
 	CacheCapacity int
 	// Workers bounds the compute worker pool (<= 0 selects GOMAXPROCS).
 	Workers int
@@ -188,15 +194,17 @@ type Server struct {
 
 	// The memory tiers; resp, bases and frags are nil when disabled. resp
 	// holds response bytes by request (respcache.go); programs holds the
-	// labeled programs simulate and timeline requests run (label.go);
+	// labeled programs simulate and timeline requests run, by fingerprint
+	// and by the selector digests of repeatedly simulated texts (label.go);
 	// bases resolves delta requests (delta.go); frags holds the rendered
 	// region rows every label response is assembled from, a row with a
 	// dependence list only for "deps" requests (label.go).
 	resp     *lru.Cache[api.Key, respEntry]
-	programs *lru.Cache[ir.Fingerprint, programEntry]
+	programs *lru.Cache[progKey, programEntry]
 	bases    *lru.Cache[ir.Fingerprint, string]
 	frags    *lru.Cache[fragKey, RegionLabeling]
-	// progHits and progMisses count program-tier lookups.
+	// progHits and progMisses count program-tier resolutions: one per
+	// simulate or timeline request, by alias or fingerprint.
 	progHits, progMisses atomic.Int64
 
 	// computeHook, when a test sets it before the first request, runs at
@@ -239,14 +247,14 @@ type taskKey struct {
 // read-only afterwards.
 type task struct {
 	key  taskKey
-	prog *ir.Program
 	done chan struct{}
 	resp []byte
 	err  error
 
-	// canonical is prog's canonical source, formatted once at admission
-	// for the fingerprint and registered as a delta base on success.
-	canonical string
+	// entry is the resolved program, its canonical source formatted once
+	// at resolution for the fingerprint and registered as a delta base on
+	// success.
+	entry programEntry
 
 	// delta marks tasks admitted from a delta request (Base set); only
 	// they advance the delta_regions_* counters. The response bytes do not
@@ -271,7 +279,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		metrics:  newMetrics(),
-		programs: lru.New[ir.Fingerprint, programEntry](cfg.CacheCapacity),
+		programs: lru.New[progKey, programEntry](cfg.CacheCapacity),
 		inflight: make(map[taskKey]*task),
 		queue:    make(chan *task, cfg.QueueDepth),
 		drained:  make(chan struct{}),
@@ -419,9 +427,13 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 	if fl != nil {
 		sp.Lap(obs.StageAdmission) // validation is part of admission
 	}
+	// The key also carries the selector digest a simulate resolves its
+	// program by, so simulates compute it with the response cache off too.
 	var rk api.Key
-	if s.resp != nil {
+	if s.resp != nil || req.Op == OpSimulate {
 		rk = api.KeyOf(req)
+	}
+	if s.resp != nil {
 		e, ok := s.resp.Get(rk)
 		if ok && req.Op == OpLabel && req.Base == "" {
 			s.reregisterBase(req, e.fp)
@@ -443,7 +455,7 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 			return e.resp, s.finishSpan(fl, &sp, nil), nil
 		}
 	}
-	prog, err := s.resolveRequest(req)
+	e, known, err := s.resolve(req, rk.Selector())
 	if err != nil {
 		s.metrics.badRequests.Add(1)
 		if !errors.Is(err, ErrUnknownBase) {
@@ -452,18 +464,47 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 		return nil, s.finishSpan(fl, &sp, err), err
 	}
 	if fl != nil {
-		sp.Lap(obs.StageSingleflight) // program resolution (parse/example)
+		sp.Lap(obs.StageSingleflight) // program resolution (alias, parse or example)
+		sp.Fingerprint = e.fp
+		sp.HasFingerprint = true
+	}
+	key := taskKey{op: req.Op, fp: e.fp, deps: req.Deps,
+		procs: req.Procs, capacity: req.Capacity}
+	if e.sim != nil {
+		// A simulate whose every row the entry keeps is answered here,
+		// like a response-cache hit: no task, queue or worker hop.
+		if resp, ok := s.answerKept(key, e); ok {
+			s.registerBase(e.fp, e.canonical)
+			// Durable like a computed answer (run): a record the store
+			// holds, warm-start or not, is not written again. Close closes
+			// the write-behind queue once admission has stopped, so the
+			// write is queued only while admission is open.
+			if s.cfg.Store != nil && s.storeLookup(key) == nil {
+				s.mu.Lock()
+				if s.closed {
+					s.metrics.storeDroppedWrites.Add(1)
+				} else {
+					s.persistAsync(key, resp)
+				}
+				s.mu.Unlock()
+			}
+			s.remember(req, rk, e, known, resp)
+			s.metrics.observeLatency(time.Since(start))
+			if fl != nil {
+				sp.Lap(obs.StageCompute)
+				sp.Source = "rows"
+			}
+			return resp, s.finishSpan(fl, &sp, nil), nil
+		}
 	}
 
-	t, coalesced, err := s.admit(req, prog)
+	t, coalesced, err := s.admit(key, e, req.Base != "")
 	if err != nil {
 		return nil, s.finishSpan(fl, &sp, err), err
 	}
 	if fl != nil {
 		sp.Lap(obs.StageAdmission)
 		sp.Coalesced = coalesced
-		sp.Fingerprint = t.key.fp
-		sp.HasFingerprint = true
 	}
 	select {
 	case <-t.done:
@@ -492,19 +533,64 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 	if t.err != nil {
 		return nil, s.finishSpan(fl, &sp, t.err), t.err
 	}
-	if s.resp != nil {
-		s.resp.Put(rk, respEntry{resp: t.resp, fp: t.key.fp})
-	}
+	s.remember(req, rk, e, known, t.resp)
 	return t.resp, s.finishSpan(fl, &sp, nil), nil
 }
 
-// admit coalesces the request onto an in-flight task (reported by the
-// second return) or enqueues a new one, applying backpressure when the
-// queue is full.
-func (s *Server) admit(req Request, prog *ir.Program) (*task, bool, error) {
-	canonical, fp := ir.Canonical(prog)
-	key := taskKey{op: req.Op, fp: fp, deps: req.Deps,
-		procs: req.Procs, capacity: req.Capacity}
+// resolve resolves a validated request's program in the submitting
+// goroutine, so malformed sources are rejected before they take queue
+// space. A simulate of a program or example selector whose alias the
+// program tier holds is found by its selector digest sel, with no parse
+// and no canonicalization. Any other request resolves its program
+// (resolveRequest) and formats it once for the fingerprint, and a
+// simulate then looks the fingerprint up; known reports that the tier
+// held it, so the text names a program already labeled there. A simulate's
+// entry is the tier's, labeled, when the tier held it. Each simulate
+// resolution counts as one program-tier hit or miss.
+func (s *Server) resolve(req Request, sel [32]byte) (e programEntry, known bool, err error) {
+	simulate := req.Op == OpSimulate
+	if simulate && req.Base == "" {
+		if aliased, ok := s.programs.Get(progKey{sum: sel, alias: true}); ok {
+			s.progHits.Add(1)
+			s.metrics.simSourceHits.Add(1)
+			return aliased, false, nil
+		}
+	}
+	p, err := s.resolveRequest(req)
+	if err != nil {
+		return programEntry{}, false, err
+	}
+	e.canonical, e.fp = ir.Canonical(p)
+	e.prog = p
+	if simulate {
+		if stored, ok := s.programs.Get(progKey{sum: e.fp}); ok {
+			s.progHits.Add(1)
+			return stored, true, nil
+		}
+		s.progMisses.Add(1)
+	}
+	return e, false, nil
+}
+
+// remember records a successful answer to req, whose program resolved to
+// e: the response cache stores its bytes, and a simulate of a program or
+// example selector that found its program by fingerprint (known) stores
+// e under the selector digest, so the text's next repeat needs no parse.
+// A text simulated once thus takes no alias slot, and one that failed to
+// parse never gains one.
+func (s *Server) remember(req Request, rk api.Key, e programEntry, known bool, resp []byte) {
+	if known && req.Op == OpSimulate && req.Base == "" {
+		s.programs.Put(progKey{sum: rk.Selector(), alias: true}, e)
+	}
+	if s.resp != nil {
+		s.resp.Put(rk, respEntry{resp: resp, fp: e.fp})
+	}
+}
+
+// admit coalesces the resolved request onto an in-flight task (reported
+// by the second return) or enqueues a new one, applying backpressure when
+// the queue is full.
+func (s *Server) admit(key taskKey, e programEntry, delta bool) (*task, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -516,7 +602,7 @@ func (s *Server) admit(req Request, prog *ir.Program) (*task, bool, error) {
 			return t, true, nil
 		}
 	}
-	t := &task{key: key, prog: prog, canonical: canonical, delta: req.Base != "", done: make(chan struct{})}
+	t := &task{key: key, entry: e, delta: delta, done: make(chan struct{})}
 	select {
 	case s.queue <- t:
 	default:
@@ -610,7 +696,7 @@ func (s *Server) run(t *task) {
 	// work may be skipped) applied to the analysis itself.
 	if resp := s.storeLookup(t.key); resp != nil {
 		t.resp = resp
-		s.registerBase(t.key.fp, t.canonical)
+		s.registerBase(t.key.fp, t.entry.canonical)
 		if flight {
 			t.spanStoreRead = time.Since(lap).Nanoseconds()
 			t.src = "store"
@@ -627,7 +713,7 @@ func (s *Server) run(t *task) {
 	if t.err == nil {
 		// The resolved program becomes addressable as a delta base — for
 		// delta tasks too, so edits can chain base → patched → re-patched.
-		s.registerBase(t.key.fp, t.canonical)
+		s.registerBase(t.key.fp, t.entry.canonical)
 	}
 	if flight {
 		now := time.Now()
@@ -649,7 +735,7 @@ func (s *Server) run(t *task) {
 // inputs for identical programs and the response bytes are identical too.
 func (s *Server) compute(t *task) {
 	if s.computeHook != nil {
-		s.computeHook(t.prog)
+		s.computeHook(t.entry.prog)
 	}
 	if t.key.op == OpLabel {
 		t.resp, t.err = s.label(t)

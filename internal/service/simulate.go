@@ -8,12 +8,15 @@ package service
 // (processor count, mode). engine.SameRunAtCapacity says such a run is
 // the run at every capacity at or above its peak occupancy. A row is kept
 // only after its run passed the live-out check, so a reused row is the
-// verified row a fresh run would render.
+// verified row a fresh run would render. A simulate whose three rows are
+// all kept needs no engine run at all, and is answered in the request
+// goroutine (answerKept) instead of queueing for a worker.
 
 import (
 	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"refidem/internal/engine"
 	"refidem/internal/ir"
@@ -26,6 +29,10 @@ type simMemo struct {
 	seqOnce sync.Once
 	seq     *engine.Result
 	seqErr  error
+	// seqDone is set once seq and seqErr are written, so a reader that
+	// must not run the sequential model can see whether it has run
+	// (ranSequential).
+	seqDone atomic.Bool
 
 	mu   sync.Mutex
 	rows []simRow
@@ -46,8 +53,37 @@ func (m *simMemo) sequential(p *ir.Program, base engine.Config) (res *engine.Res
 	m.seqOnce.Do(func() {
 		ran = true
 		m.seq, m.seqErr = engine.RunSequential(p, base)
+		m.seqDone.Store(true)
 	})
 	return m.seq, ran, m.seqErr
+}
+
+// ranSequential returns the entry's sequential run if it has already run
+// and succeeded, without running it.
+func (m *simMemo) ranSequential() (*engine.Result, bool) {
+	if !m.seqDone.Load() || m.seqErr != nil {
+		return nil, false
+	}
+	return m.seq, true
+}
+
+// specModes are the speculative models of a simulate document, in the
+// order of its rows after the sequential one.
+var specModes = [2]engine.Mode{engine.HOSE, engine.CASE}
+
+// models assembles the rows of a simulate on machine cfg from what the
+// entry keeps: the sequential row of seq, and for each of specModes the
+// kept row that is, by engine.SameRunAtCapacity, its row on cfg. need[i]
+// reports that specModes[i] has no such row: models[i+1] is then empty
+// and needs an engine run. Both simulate paths assemble through it.
+func (m *simMemo) models(seq *engine.Result, cfg engine.Config) (models []ModelRow, need [2]bool) {
+	models = []ModelRow{modelRow(seq, seq.Cycles, cfg.Processors), {}, {}}
+	for i, mode := range specModes {
+		var ok bool
+		models[i+1], ok = m.row(cfg, mode)
+		need[i] = !ok
+	}
+	return models, need
 }
 
 // row returns a kept row that is, by engine.SameRunAtCapacity, the row of
@@ -100,7 +136,7 @@ func (s *Server) machine(procs, capacity int) engine.Config {
 // are verified against the sequential live-outs before they are served
 // or kept.
 func (s *Server) simulate(t *task) ([]byte, error) {
-	e, err := s.labeled(t.key.fp, t.prog)
+	e, err := s.labeled(t.entry)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -110,11 +146,10 @@ func (s *Server) simulate(t *task) ([]byte, error) {
 		return nil, err
 	}
 	s.countRow(ran)
-	models := []ModelRow{modelRow(seq, seq.Cycles, cfg.Processors), {}, {}}
+	models, need := e.sim.models(seq, cfg)
 	var runs [2]*engine.Result
-	for i, mode := range [2]engine.Mode{engine.HOSE, engine.CASE} {
-		if row, ok := e.sim.row(cfg, mode); ok {
-			models[i+1] = row
+	for i, mode := range specModes {
+		if !need[i] {
 			s.countRow(false)
 			continue
 		}
@@ -136,10 +171,43 @@ func (s *Server) simulate(t *task) ([]byte, error) {
 		s.metrics.traceBailouts.Add(r.Stats.TraceBailouts)
 		s.metrics.guardElided.Add(r.Stats.TraceElidedOps)
 	}
+	return renderSimulate(e, cfg, models)
+}
+
+// answerKept answers a simulate in the request goroutine when its
+// resolved entry keeps every row of the request's machine, assembling
+// and rendering the rows through models and renderSimulate like the
+// worker path. It reports false, having changed nothing, when some row
+// needs an engine run (or the rendering fails, which the worker path then
+// reports); the request is then admitted.
+func (s *Server) answerKept(key taskKey, e programEntry) ([]byte, bool) {
+	seq, ok := e.sim.ranSequential()
+	if !ok {
+		return nil, false
+	}
+	cfg := s.machine(key.procs, key.capacity)
+	models, need := e.sim.models(seq, cfg)
+	if need != [2]bool{} {
+		return nil, false
+	}
+	resp, err := renderSimulate(e, cfg, models)
+	if err != nil {
+		return nil, false
+	}
+	for range models {
+		s.countRow(false)
+	}
+	s.metrics.simAnsweredKept.Add(1)
+	return resp, true
+}
+
+// renderSimulate renders the simulate document of a program-tier entry's
+// model rows on machine cfg; both simulate paths answer through it.
+func renderSimulate(e programEntry, cfg engine.Config, models []ModelRow) ([]byte, error) {
 	return marshalResponse(SimulateResponse{
 		Op:           OpSimulate,
 		Program:      e.prog.Name,
-		Fingerprint:  hex.EncodeToString(t.key.fp[:]),
+		Fingerprint:  hex.EncodeToString(e.fp[:]),
 		Processors:   cfg.Processors,
 		SpecCapacity: cfg.SpecCapacity,
 		Models:       models,

@@ -5,10 +5,12 @@ package service
 // CASE runs instead of the simulate response document. The export
 // deliberately bypasses the admission queue, the response byte cache and
 // the persistent store — it is a debugging artifact keyed to one
-// request, not a cacheable response — but labeling still goes through
-// the program tier, so a timeline request warms the same labeled program
-// later simulate requests reuse. Timeline timestamps are simulated
-// cycles: the document is deterministic for a given program and machine.
+// request, not a cacheable response — but it resolves its program through
+// the same lookup as a simulate (Server.resolve), so a text an earlier
+// simulate resolved is found by its selector digest without a parse, and
+// a new program is labeled into the program tier that later simulates
+// reuse. Timeline timestamps are simulated cycles: the document is
+// deterministic for a given program and machine.
 
 import (
 	"context"
@@ -18,7 +20,6 @@ import (
 
 	"refidem/internal/api"
 	"refidem/internal/engine"
-	"refidem/internal/ir"
 	"refidem/internal/obs"
 )
 
@@ -36,20 +37,19 @@ func (s *Server) SimulateTimeline(ctx context.Context, req Request, w io.Writer)
 	if s.closing.Load() {
 		return ErrClosed
 	}
-	prog, err := s.resolveRequest(req)
+	e, _, err := s.resolve(req, api.KeyOf(req).Selector())
 	if err != nil {
 		if !errors.Is(err, ErrUnknownBase) {
 			err = fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		return err
 	}
-	e, err := s.labeled(ir.FingerprintOf(prog), prog)
-	if err != nil {
+	if e, err = s.labeled(e); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	cfg := s.machine(req.Procs, req.Capacity)
 	named := make([]obs.NamedTimeline, 0, 2)
-	for _, mode := range []engine.Mode{engine.HOSE, engine.CASE} {
+	for _, mode := range specModes {
 		tl := &obs.Timeline{}
 		cfg.Timeline = tl
 		if _, err := engine.RunSpeculative(e.prog, e.labs, cfg, mode); err != nil {

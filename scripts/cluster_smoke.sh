@@ -36,7 +36,9 @@ pids=()
 trap 'for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done; rm -rf "$out"' EXIT
 
 # await_url FILE VAR — parse the "listening on http://HOST:PORT" line a
-# daemon prints once ready, into the named variable.
+# daemon prints once ready, into the named variable. FILE is created
+# before its daemon is launched, so it exists even if the daemon has not
+# started yet.
 await_url() {
   local file="$1" var="$2" found=""
   for _ in $(seq 1 100); do
@@ -51,6 +53,7 @@ await_url() {
 # Three replicas.
 urls=()
 for i in 0 1 2; do
+  : >"$out/rep$i.out"
   /tmp/refidemd -addr 127.0.0.1:0 >"$out/rep$i.out" 2>"$out/rep$i.err" &
   pids+=($!)
 done
@@ -61,6 +64,7 @@ done
 echo "smoke: replicas at ${urls[*]}"
 
 # The router, probing fast enough that ejection shows within the run.
+: >"$out/router.out"
 /tmp/refidem-router -addr 127.0.0.1:0 \
   -replicas "$(IFS=,; echo "${urls[*]}")" \
   -probe-interval 100ms -probe-timeout 500ms -fail-after 2 \

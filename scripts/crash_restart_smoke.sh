@@ -24,8 +24,12 @@ pid=""
 trap 'kill -9 "$pid" 2>/dev/null || true; rm -rf "$out"' EXIT
 
 # boot starts the daemon on an ephemeral port against $store and sets
-# $url/$pid.
+# $url/$pid. Every boot writes the same files, so they are emptied first:
+# the loop below must neither read a missing file nor the address of a
+# daemon killed earlier.
 boot() {
+  : >"$out/stdout"
+  : >"$out/stderr"
   /tmp/refidemd -addr 127.0.0.1:0 -store "$store" >"$out/stdout" 2>"$out/stderr" &
   pid=$!
   url=""

@@ -6,7 +6,8 @@
 # (cmd/refidemd/testdata/label_fig2.golden — the byte-determinism
 # guarantee, enforced against a live server), exercises /metricz and the
 # /debug/tracez flight recorder, simulates fig2 at capacities up to 2^30
-# (each must verify, and /metricz must count reused rows), checks that an
+# (each must verify, and /metricz must count reused rows, repeats resolved
+# by selector digest and answers from kept rows), checks that an
 # out-of-range processor count answers 400, then sends SIGTERM and
 # verifies the graceful drain exits cleanly.
 #
@@ -19,6 +20,9 @@ go build -o /tmp/refidemd ./cmd/refidemd
 out="$(mktemp -d)"
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$out"' EXIT
 
+# The file exists before the loop below reads it, even if the daemon has
+# not started yet.
+: >"$out/stdout"
 /tmp/refidemd -addr 127.0.0.1:0 >"$out/stdout" 2>"$out/stderr" &
 pid=$!
 
@@ -66,11 +70,15 @@ grep -q '"op": "label"' "$out/tracez.json"
 grep -q '"outcome": "ok"' "$out/tracez.json"
 echo "smoke: tracez shows the label spans"
 
-# Simulate fig2 at capacities 16, 4096 and 2^30: each must verify. The
-# sequential run and every saturated speculative run are kept on the
+# Simulate fig2 at capacities 16, 4096, 2^20 and 2^30: each must verify.
+# The sequential run and every saturated speculative run are kept on the
 # program's entry, so later capacities reuse rows, and speculative storage
-# is sized by occupancy, so 2^30 entries cost no more than 16.
-for cap in 16 4096 1073741824; do
+# is sized by occupancy, so 2^30 entries cost no more than 16. fig2
+# saturates at 16, so the three later simulates are answered from its
+# kept rows without queueing. The second finds the program by fingerprint
+# and gives the example name an alias; the last two find it by their
+# selector digest (no parse).
+for cap in 16 4096 1048576 1073741824; do
   curl -sfS -X POST -H 'Content-Type: application/json' \
     -d "{\"example\": \"fig2\", \"capacity\": $cap}" \
     "$url/v1/simulate" >"$out/simulate_$cap.json"
@@ -80,7 +88,11 @@ done
 curl -sfS "$url/metricz" >"$out/metricz"
 grep -q '^sim_rows_reused [1-9]' "$out/metricz" ||
   { echo "no simulate row was reused" >&2; cat "$out/metricz" >&2; exit 1; }
-echo "smoke: fig2 simulates verify at capacities 16, 4096 and 2^30, rows reused"
+grep -Eq '^sim_source_hits ([2-9]|[1-9][0-9]+)$' "$out/metricz" ||
+  { echo "fewer than 2 simulates resolved by selector digest" >&2; cat "$out/metricz" >&2; exit 1; }
+grep -q '^sim_answered_kept [1-9]' "$out/metricz" ||
+  { echo "no simulate was answered from kept rows" >&2; cat "$out/metricz" >&2; exit 1; }
+echo "smoke: fig2 simulates verify at capacities 16, 4096, 2^20 and 2^30, rows reused, repeats answered from kept rows"
 
 # A processor count above the documented maximum (1024) is a bad request.
 code="$(curl -sS -o "$out/procs_body" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
