@@ -28,9 +28,8 @@ import (
 	"refidem/internal/benchfmt"
 )
 
-// Result and Document are the shared BENCH_results.json shapes (see
-// internal/benchfmt; cmd/loadbench merges its rows into the same
-// document).
+// Result and Document are the BENCH_results.json shapes (see
+// internal/benchfmt).
 type (
 	Result   = benchfmt.Result
 	Document = benchfmt.Document

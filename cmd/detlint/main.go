@@ -24,9 +24,9 @@
 // Suppressions: a `//detlint:allow <rule>` comment on the offending
 // line (or the line above) silences one rule for that line. The baked-in
 // allowlist below carries the repository's sanctioned uses — the serving
-// layer's request-latency clock and the load harness's wall-clock
-// measurements — so new uses need either a review-visible annotation or
-// an entry here.
+// layer's request-latency clock and the program generator's seeded
+// randomness — so new uses need either a review-visible annotation or an
+// entry here.
 //
 // Usage:
 //
@@ -70,9 +70,6 @@ var allowlist = map[string][]string{
 	// The serving layer measures request latency for /metricz; the
 	// wall clock never reaches a response document.
 	"internal/service/service.go": {"time-now"},
-	// The load harness exists to measure wall-clock served latency, and
-	// jitters its submitters.
-	"cmd/loadbench": {"time-now", "math-rand"},
 	// The program generator is the sanctioned randomness: a seeded,
 	// versioned PRNG whose whole point is reproducible pseudo-random
 	// programs.

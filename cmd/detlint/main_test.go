@@ -64,7 +64,7 @@ func TestAllowlistScoping(t *testing.T) {
 		{"internal/gen/gen.go", "math-rand", true},
 		{"internal/gen/sub/x.go", "math-rand", true},
 		{"internal/gently/x.go", "math-rand", false}, // prefix must be path-segment exact
-		{"cmd/loadbench/main.go", "time-now", true},
+		{"cmd/loadbench/main.go", "time-now", false},
 	}
 	for _, c := range cases {
 		if got := ruleAllowed(c.rel, c.rule); got != c.want {

@@ -139,7 +139,6 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		respCache = fs.Int("resp-cache", 0, "response byte cache entries (0 = 4x -cache, negative disables)")
 		workers   = fs.Int("workers", 0, "compute worker pool size (0 = all cores)")
 		queue     = fs.Int("queue", 1024, "admission queue depth (full queue answers 503)")
-		batch     = fs.Int("batch", 64, "max tasks per dispatch batch")
 		coalesce  = fs.Bool("coalesce", true, "deduplicate identical in-flight requests")
 		storeDir  = fs.String("store", "", "persistent result store directory (empty = memory-only)")
 		storeQ    = fs.Int("store-queue", 256, "write-behind persistence queue depth")
@@ -163,7 +162,6 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	cfg.ResponseCache = *respCache
 	cfg.Workers = *workers
 	cfg.QueueDepth = *queue
-	cfg.MaxBatch = *batch
 	cfg.Coalesce = *coalesce
 	cfg.StoreQueueDepth = *storeQ
 	cfg.RequestTimeout = *reqTO

@@ -5,7 +5,7 @@
 // The package exists so that every program speaking the protocol —
 // internal/service (the server), internal/api/client (the typed client),
 // cmd/refidemd, cmd/refidem-router (which is a client of the replicas
-// and a server of the same API) and cmd/loadbench — imports one
+// and a server of the same API) and the perfbench driver — imports one
 // definition. Documents are byte-deterministic: encoding/json emits
 // struct fields in declaration order, so the bytes of a marshaled
 // response are a pure function of its values, and moving a type between
@@ -45,8 +45,9 @@ const (
 )
 
 // VersionHeader names the response header in which a server states its
-// analysis version (internal/service.AnalysisVersion) on every /v1/label
-// and /v1/simulate answer. Response bytes are a pure function of the
+// analysis version (internal/service.AnalysisVersion, suffixed on a server
+// whose engine runs the trace JIT) on every /v1/label and /v1/simulate
+// answer. Response bytes are a pure function of the
 // request only within one version, so the router serves cached bytes only
 // while every live replica answers with the version that produced them.
 const VersionHeader = "X-Refidem-Analysis-Version"

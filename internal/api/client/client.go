@@ -1,12 +1,11 @@
 // Package client is the typed Go client of the analysis service's /v1
-// API (internal/api): request marshaling, status-to-error mapping back
-// onto the api taxonomy, and the jittered overload-backoff policy every
-// driver in the repository previously hand-rolled.
+// API (internal/api): request marshaling and status-to-error mapping
+// back onto the api taxonomy.
 //
 // Errors returned for non-200 responses are *api.RemoteError values:
 // errors.Is(err, api.ErrOverloaded) and friends branch identically to
 // the in-process service API, and the server's Retry-After hint rides
-// along for the backoff schedule. The client adds nothing to response
+// along in RetryAfterSeconds. The client adds nothing to response
 // bytes — a Label call returns exactly the document the server wrote, so
 // byte-identity oracles can compare responses across transports and
 // replicas.
@@ -16,7 +15,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,8 +39,8 @@ type Client struct {
 
 // New returns a client for the server at base (scheme://host:port, no
 // trailing slash required). The default transport keeps enough idle
-// connections per host for heavily concurrent callers (load drivers, the
-// router) to reuse connections instead of churning handshakes —
+// connections per host for heavily concurrent callers (the benchmark
+// driver, the router) to reuse connections instead of churning handshakes —
 // net/http's default of 2 serializes exactly the workloads this client
 // exists for.
 func New(base string) *Client {
@@ -143,55 +141,4 @@ func (c *Client) post(ctx context.Context, path string, req any) ([]byte, error)
 		return nil, api.ErrorFromStatus(resp.StatusCode, resp.Header.Get("Retry-After"), errBody)
 	}
 	return io.ReadAll(resp.Body)
-}
-
-// Backoff is the overload-retry schedule: jittered exponential, starting
-// at Base, doubling per consecutive rejection, capped at Cap — or at the
-// server's Retry-After hint when it sends one (the hint is the server's
-// own estimate of when capacity returns, so the schedule never sleeps
-// past it). A caller should give up once it has spent Budget asleep: a
-// target answering 503 forever (shut down, or a proxy in front of a dead
-// daemon) must fail the run instead of spinning indefinitely.
-type Backoff struct {
-	Base   time.Duration
-	Cap    time.Duration
-	Budget time.Duration
-}
-
-// DefaultBackoff is the schedule the load harness ships: 200 µs doubling
-// to a 100 ms cap, giving up after 10 s of cumulative sleep.
-func DefaultBackoff() Backoff {
-	return Backoff{Base: 200 * time.Microsecond, Cap: 100 * time.Millisecond, Budget: 10 * time.Second}
-}
-
-// SleepFor computes the jittered sleep for the attempt-th consecutive
-// overload (attempt 0 = first rejection). The jitter func returns a
-// uniform value in [0, n) — pass a seeded rand's Int63n; the jitter
-// spreads sleeps over [d/2, 3d/2) so retried clients don't re-collide in
-// lockstep.
-func (b Backoff) SleepFor(attempt int, hint time.Duration, jitter func(int64) int64) time.Duration {
-	if attempt > 16 {
-		attempt = 16 // the cap has long since taken over; avoid shift overflow
-	}
-	d := b.Base << attempt
-	limit := b.Cap
-	if hint > 0 {
-		limit = hint
-	}
-	if d > limit {
-		d = limit
-	}
-	return d/2 + time.Duration(jitter(int64(d)))
-}
-
-// RetryAfterHint extracts the server's Retry-After hint from an error
-// chain (0 when the error carries none). Works on *api.RemoteError from
-// this client and on anything else exposing RetryAfterSeconds the same
-// way.
-func RetryAfterHint(err error) time.Duration {
-	var re *api.RemoteError
-	if errors.As(err, &re) && re.RetryAfterSeconds > 0 {
-		return time.Duration(re.RetryAfterSeconds) * time.Second
-	}
-	return 0
 }

@@ -76,11 +76,11 @@ func TestClientStatusToErrorMapping(t *testing.T) {
 		retryAfter string
 		body       string
 		sentinel   error
-		hint       time.Duration
+		hint       int
 	}{
 		{http.StatusBadRequest, "", `{"error":"bad request: boom"}`, api.ErrBadRequest, 0},
 		{http.StatusNotFound, "", `{"error":"unknown base fingerprint: ab"}`, api.ErrUnknownBase, 0},
-		{http.StatusServiceUnavailable, "2", `{"error":"overloaded: admission queue full"}`, api.ErrOverloaded, 2 * time.Second},
+		{http.StatusServiceUnavailable, "2", `{"error":"overloaded: admission queue full"}`, api.ErrOverloaded, 2},
 		{http.StatusServiceUnavailable, "", `{"error":"server closed"}`, api.ErrClosed, 0},
 		{http.StatusGatewayTimeout, "", `{"error":"request deadline exceeded"}`, api.ErrTimeout, 0},
 	}
@@ -100,8 +100,8 @@ func TestClientStatusToErrorMapping(t *testing.T) {
 			if re.Msg != doc.Error {
 				t.Fatalf("msg %q, want server's %q verbatim", re.Msg, doc.Error)
 			}
-			if got := RetryAfterHint(err); got != tc.hint {
-				t.Fatalf("RetryAfterHint = %v, want %v", got, tc.hint)
+			if re.RetryAfterSeconds != tc.hint {
+				t.Fatalf("RetryAfterSeconds = %d, want %d", re.RetryAfterSeconds, tc.hint)
 			}
 		})
 	}
@@ -163,46 +163,5 @@ func TestNewTrimsTrailingSlashes(t *testing.T) {
 	c := New("http://x//")
 	if c.Base != "http://x" {
 		t.Fatalf("Base = %q", c.Base)
-	}
-}
-
-// The backoff schedule: exponential doubling, capped, hint-limited, with
-// the jitter spreading sleeps over [d/2, 3d/2).
-func TestBackoffSleepFor(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Cap: 8 * time.Millisecond, Budget: time.Second}
-	noJitter := func(int64) int64 { return 0 }
-
-	if got := b.SleepFor(0, 0, noJitter); got != 500*time.Microsecond {
-		t.Fatalf("attempt 0 = %v, want 0.5ms", got)
-	}
-	if got := b.SleepFor(2, 0, noJitter); got != 2*time.Millisecond {
-		t.Fatalf("attempt 2 = %v, want 2ms (half of 4ms)", got)
-	}
-	// Attempt 10 would be 1024ms; the cap holds it at 8ms → sleep 4ms.
-	if got := b.SleepFor(10, 0, noJitter); got != 4*time.Millisecond {
-		t.Fatalf("attempt 10 = %v, want 4ms (capped)", got)
-	}
-	// A server hint below the cap becomes the limit.
-	if got := b.SleepFor(10, 2*time.Millisecond, noJitter); got != time.Millisecond {
-		t.Fatalf("hinted attempt = %v, want 1ms", got)
-	}
-	// Giant attempts must not overflow the shift.
-	if got := b.SleepFor(1000, 0, noJitter); got != 4*time.Millisecond {
-		t.Fatalf("attempt 1000 = %v, want 4ms", got)
-	}
-	// Full jitter lands at the top of [d/2, 3d/2).
-	fullJitter := func(n int64) int64 { return n - 1 }
-	d := 4 * time.Millisecond
-	if got := b.SleepFor(2, 0, fullJitter); got != d/2+d-1 {
-		t.Fatalf("jittered attempt = %v, want %v", got, d/2+d-1)
-	}
-}
-
-func TestRetryAfterHintNonRemote(t *testing.T) {
-	if got := RetryAfterHint(errors.New("plain")); got != 0 {
-		t.Fatalf("hint for plain error = %v", got)
-	}
-	if got := RetryAfterHint(nil); got != 0 {
-		t.Fatalf("hint for nil = %v", got)
 	}
 }

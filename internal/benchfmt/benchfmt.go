@@ -1,8 +1,5 @@
-// Package benchfmt defines the BENCH_results.json document shape shared
-// by cmd/benchjson (which writes and gates it from `go test -bench`
-// output) and cmd/loadbench (which merges served-throughput rows into
-// it). One definition means the two tools cannot silently drift and
-// drop each other's fields on a read-modify-write.
+// Package benchfmt defines the BENCH_results.json document shape that
+// cmd/benchjson writes and gates from `go test -bench` output.
 package benchfmt
 
 // Result holds one benchmark's parsed measurements.

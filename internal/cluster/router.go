@@ -488,7 +488,7 @@ func (rt *Router) forward(ctx context.Context, path, place string, sticky bool, 
 		if errors.As(err, &re) {
 			// The replica is up and answered: its verdict stands. A bad
 			// request is bad everywhere; an overload is backpressure the
-			// client's backoff handles.
+			// client sees as 503 with Retry-After.
 			return nil, "", err
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -838,38 +838,59 @@ func statesVersion(version string, h http.Handler) http.Handler {
 
 // Cached bytes belong to one analysis version: once a live replica
 // answers with another, the router stops serving hits, and resumes when
-// that replica is no longer alive.
+// that replica is no longer alive. A replica whose engine runs the trace
+// JIT answers with other cycle counts, so it states another version than
+// an untraced one and the two never share a cached answer.
 func TestRouterVersionMismatchStopsHits(t *testing.T) {
-	var forwarded atomic.Int64
-	count := countV1(&forwarded)
-	rt, _ := testReplicaSetWith(t, 2, 0, replicaConfig(), func(i int, h http.Handler) http.Handler {
-		if i == 1 {
-			h = statesVersion("refidem-analysis/other", h)
-		}
-		return count(i, h)
-	})
-	via := routerClient(t, rt)
-	ctx := context.Background()
+	traced := replicaConfig()
+	traced.Engine.Traced = true
+	for _, c := range []struct {
+		name  string
+		other func(h http.Handler) http.Handler
+	}{
+		{"stated", func(h http.Handler) http.Handler { return statesVersion("refidem-analysis/other", h) }},
+		{"traced", func(http.Handler) http.Handler {
+			svc := service.New(traced)
+			t.Cleanup(svc.Close)
+			return svc.Handler()
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var forwarded atomic.Int64
+			count := countV1(&forwarded)
+			rt, _ := testReplicaSetWith(t, 2, 0, replicaConfig(), func(i int, h http.Handler) http.Handler {
+				if i == 1 {
+					h = c.other(h)
+				}
+				return count(i, h)
+			})
+			via := routerClient(t, rt)
+			ctx := context.Background()
 
-	x := ownedBy(t, rt, "rep-0", "x")
-	y := ownedBy(t, rt, "rep-1", "y")
-	send := func(req api.Request) int64 {
-		t.Helper()
-		before := forwarded.Load()
-		if _, err := via.Label(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-		return forwarded.Load() - before
-	}
-	if send(x) != 1 || send(x) != 0 {
-		t.Fatal("a repeat before any version disagreement was not answered at the router")
-	}
-	send(y) // rep-1 answers with the other version
-	if sent := send(x); sent != 1 {
-		t.Fatalf("a repeat while rep-1 states another version reached %d replica requests, want 1", sent)
-	}
-	rt.byName["rep-1"].alive.Store(false)
-	if sent := send(x); sent != 0 {
-		t.Fatalf("a repeat with only agreeing replicas alive reached %d replica requests, want 0", sent)
+			x := ownedBy(t, rt, "rep-0", "x")
+			y := ownedBy(t, rt, "rep-1", "y")
+			send := func(req api.Request) int64 {
+				t.Helper()
+				before := forwarded.Load()
+				if _, err := via.Label(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+				return forwarded.Load() - before
+			}
+			if send(x) != 1 || send(x) != 0 {
+				t.Fatal("a repeat before any version disagreement was not answered at the router")
+			}
+			send(y) // rep-1 answers with the other version
+			if sent := send(x); sent != 1 {
+				t.Fatalf("a repeat while rep-1 states another version reached %d replica requests, want 1", sent)
+			}
+			if sent := send(y); sent != 1 {
+				t.Fatalf("a repeat of rep-1's answer reached %d replica requests, want 1", sent)
+			}
+			rt.byName["rep-1"].alive.Store(false)
+			if sent := send(x); sent != 0 {
+				t.Fatalf("a repeat with only agreeing replicas alive reached %d replica requests, want 0", sent)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"refidem/internal/engine"
+	"refidem/internal/idem"
 	"refidem/internal/workloads"
 )
 
@@ -83,5 +84,78 @@ func TestCacheSharedAcrossWorkers(t *testing.T) {
 	_, misses := LabelCacheStats()
 	if misses != 1 {
 		t.Errorf("parallel sweep computed the labeling %d times, want exactly 1", misses)
+	}
+}
+
+// TestLabelMemoHitReturnsCanonical: a structurally identical program hits
+// and gets the first program back with its shared labeling.
+func TestLabelMemoHitReturnsCanonical(t *testing.T) {
+	spec, ok := workloads.FindLoop("TOMCATV", "MAIN_DO80")
+	if !ok {
+		t.Fatal("TOMCATV MAIN_DO80 not found")
+	}
+	ResetLabelCache()
+	p1, labs1, err := labelCache.labeled(spec.Program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, labs2, err := labelCache.labeled(spec.Program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 {
+		t.Error("hit did not return the canonical program")
+	}
+	for _, r := range p2.Regions {
+		if labs2[r] != labs1[r] {
+			t.Errorf("region %s: hit did not share the labeling", r.Name)
+		}
+	}
+	if hits, misses := LabelCacheStats(); hits != 1 || misses != 1 {
+		t.Errorf("stats = (%d hits, %d misses), want (1, 1)", hits, misses)
+	}
+}
+
+// TestLabelMemoLabelsMatchDirectPipeline: every label the memo serves
+// equals the one the direct pipeline computes for the same program.
+func TestLabelMemoLabelsMatchDirectPipeline(t *testing.T) {
+	spec, ok := workloads.FindLoop("TOMCATV", "MAIN_DO80")
+	if !ok {
+		t.Fatal("TOMCATV MAIN_DO80 not found")
+	}
+	ResetLabelCache()
+	p, labs, err := labelCache.labeled(spec.Program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := spec.Program()
+	direct := idem.LabelProgram(dp)
+	for i, r := range p.Regions {
+		dr := dp.Regions[i]
+		for j, ref := range r.Refs {
+			if got, want := labs[r].Label(ref), direct[dr].Label(dr.Refs[j]); got != want {
+				t.Errorf("region %s ref %d: memoized label %v, direct label %v", r.Name, j, got, want)
+			}
+		}
+	}
+}
+
+// TestLabelMemoReportsValidationErrors: an invalid program fails with an
+// error and is not memoized, so its repeat misses again.
+func TestLabelMemoReportsValidationErrors(t *testing.T) {
+	spec, ok := workloads.FindLoop("TOMCATV", "MAIN_DO80")
+	if !ok {
+		t.Fatal("TOMCATV MAIN_DO80 not found")
+	}
+	ResetLabelCache()
+	for i := 0; i < 2; i++ {
+		p := spec.Program()
+		p.Regions[0].Step = 0 // invalid: zero step
+		if _, _, err := labelCache.labeled(p); err == nil {
+			t.Fatal("invalid program labeled without error")
+		}
+	}
+	if hits, misses := LabelCacheStats(); hits != 0 || misses != 2 {
+		t.Errorf("stats = (%d hits, %d misses), want (0, 2)", hits, misses)
 	}
 }

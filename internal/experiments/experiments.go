@@ -8,10 +8,12 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"refidem/internal/engine"
 	"refidem/internal/idem"
 	"refidem/internal/ir"
+	"refidem/internal/lru"
 	"refidem/internal/parallel"
 	"refidem/internal/workloads"
 )
@@ -37,20 +39,73 @@ type LoopResult struct {
 	CaseStats engine.Stats
 }
 
-// labelCache memoizes program labelings by content fingerprint across
+// labelMemo memoizes program labelings by content fingerprint across
 // every experiment and sweep in the process. Sweeps rebuild the same
-// program per point; the cache runs dataflow+deps+RFW+Algorithm 2 (and
-// the theorem cross-check) once per distinct program and shares the
-// canonical labeled program with all workers — parallel.Map fan-outs
-// included, since the cache is concurrency-safe.
-var labelCache = idem.NewProgramCache(128)
+// program per point; the memo runs dataflow+deps+RFW+Algorithm 2 (and the
+// theorem cross-check) once per distinct program and shares the canonical
+// labeled program with all workers. Its one lock is held while labeling,
+// so the workers of a parallel.Map fan-out wait for the first labeling of
+// their program instead of repeating it; experiments label a few dozen
+// programs per process.
+type labelMemo struct {
+	mu           sync.Mutex
+	progs        *lru.Cache[ir.Fingerprint, labeledProgram]
+	hits, misses int64
+}
 
-// LabelCacheStats exposes the shared labeling cache's hit/miss counters
+type labeledProgram struct {
+	p    *ir.Program
+	labs map[*ir.Region]*idem.Result
+}
+
+// labelMemoCap bounds the memo in programs.
+const labelMemoCap = 128
+
+var labelCache = labelMemo{progs: lru.New[ir.Fingerprint, labeledProgram](labelMemoCap)}
+
+// labeled returns the canonical program for p's content with its
+// labeling: p itself on a miss and the earlier structurally identical
+// program on a hit. Callers run the returned program (the labeling is
+// keyed by its ref identities) and must not mutate the labeling. A
+// program that fails validation or the theorem check is returned with
+// the error and not memoized.
+func (m *labelMemo) labeled(p *ir.Program) (*ir.Program, map[*ir.Region]*idem.Result, error) {
+	fp := ir.FingerprintOf(p)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.progs.Get(fp); ok {
+		m.hits++
+		return e.p, e.labs, nil
+	}
+	m.misses++
+	if err := p.Validate(); err != nil {
+		return p, nil, err
+	}
+	labs := idem.LabelProgram(p)
+	for _, r := range p.Regions {
+		if errs := labs[r].CheckTheorems(); len(errs) > 0 {
+			return p, nil, fmt.Errorf("region %s: theorem check failed: %v", r.Name, errs[0])
+		}
+	}
+	m.progs.Put(fp, labeledProgram{p: p, labs: labs})
+	return p, labs, nil
+}
+
+// LabelCacheStats exposes the shared labeling memo's hit/miss counters
 // (tests assert sweeps label each program exactly once).
-func LabelCacheStats() (hits, misses int64) { return labelCache.Stats() }
+func LabelCacheStats() (hits, misses int64) {
+	labelCache.mu.Lock()
+	defer labelCache.mu.Unlock()
+	return labelCache.hits, labelCache.misses
+}
 
-// ResetLabelCache clears the shared labeling cache and its counters.
-func ResetLabelCache() { labelCache.Purge() }
+// ResetLabelCache clears the shared labeling memo and its counters.
+func ResetLabelCache() {
+	labelCache.mu.Lock()
+	defer labelCache.mu.Unlock()
+	labelCache.progs = lru.New[ir.Fingerprint, labeledProgram](labelMemoCap)
+	labelCache.hits, labelCache.misses = 0, 0
+}
 
 // RunLoop executes one named loop under all three models and cross-checks
 // correctness (any mismatch is an error: the experiments refuse to report
@@ -61,7 +116,7 @@ func RunLoop(spec workloads.LoopSpec, cfg engine.Config) (LoopResult, error) {
 }
 
 func runProgram(p *ir.Program, cfg engine.Config, out LoopResult) (LoopResult, error) {
-	p, labs, err := labelCache.Labeled(p)
+	p, labs, err := labelCache.labeled(p)
 	if err != nil {
 		return out, fmt.Errorf("%s: %w", p.Name, err)
 	}

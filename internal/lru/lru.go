@@ -1,9 +1,9 @@
 // Package lru is the one bounded cache of the serving layer: a
 // fixed-capacity map that evicts its least recently used entry, safe for
 // concurrent use under a single lock. The response, program, delta-base
-// and fragment tiers of internal/service, the labeled-program cache of
-// internal/idem and the router's response cache and delta-recovery set
-// are all instances.
+// and fragment tiers of internal/service, the labeling memo of
+// internal/experiments and the router's response cache and
+// delta-recovery set are all instances.
 package lru
 
 import (

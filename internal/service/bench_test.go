@@ -26,7 +26,7 @@ func benchSources(n int) []string {
 // BenchmarkServiceLabelThroughput measures end-to-end label request
 // throughput under full parallelism — parse, fingerprint, queue, region
 // analysis, fragment assembly — over a rotation of 8 distinct programs,
-// with the coalescing/batching queue on and off. ns/op is the
+// with the coalescing queue on and off. ns/op is the
 // per-request wall cost at saturation; the CI gate holds both modes.
 func BenchmarkServiceLabelThroughput(b *testing.B) {
 	for _, coalesce := range []bool{true, false} {

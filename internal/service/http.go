@@ -23,17 +23,18 @@ import (
 // Responses for identical programs are byte-identical. Overload maps to
 // 503 with Retry-After; malformed requests to 400; requests exceeding
 // the configured per-request deadline to 504. Every /v1/label and
-// /v1/simulate answer, error or not, states AnalysisVersion in the
+// /v1/simulate answer, error or not, states the server's analysis version
+// (AnalysisVersion, suffixed on a traced server) in the
 // api.VersionHeader header; when the flight recorder is on, it also
 // carries X-Refidem-Trace-Id.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/label", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(api.VersionHeader, AnalysisVersion)
+		w.Header().Set(api.VersionHeader, s.version)
 		s.handleOp(w, r, OpLabel)
 	})
 	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(api.VersionHeader, AnalysisVersion)
+		w.Header().Set(api.VersionHeader, s.version)
 		if r.URL.Query().Get("timeline") == "1" {
 			s.handleTimeline(w, r)
 			return

@@ -76,11 +76,6 @@ type Metrics struct {
 	storeRecoveries     atomic.Int64
 	storeProbeFailures  atomic.Int64
 
-	// Dispatch counters: batches admitted to the worker pool and the
-	// tasks they carried (their ratio is the realized batching factor).
-	batches    atomic.Int64
-	batchTasks atomic.Int64
-
 	// Trace-JIT counters, aggregated over computed simulate requests
 	// (all zero when Config.Engine.Traced is off). traceCompiled counts
 	// superblocks compiled, traceBailouts counts guard failures and
@@ -132,12 +127,12 @@ func (m *Metrics) observeLatency(d time.Duration) {
 }
 
 // Snapshot is a point-in-time copy of every counter, for tests and the
-// load harness.
+// benchmark driver.
 type Snapshot struct {
 	LabelRequests, SimulateRequests, BatchCalls int64
 	TimelineRequests                            int64
 	BadRequests, Overloaded, Coalesced          int64
-	Computed, RespHits, Batches, BatchTasks     int64
+	Computed, RespHits                          int64
 	LatencyCount, LatencySumNs                  int64
 	Timeouts                                    int64
 	DeltaRequests, DeltaUnknownBase             int64
@@ -165,8 +160,6 @@ func (m *Metrics) SnapshotNow() Snapshot {
 		Coalesced:           m.coalesced.Load(),
 		Computed:            m.computed.Load(),
 		RespHits:            m.respHits.Load(),
-		Batches:             m.batches.Load(),
-		BatchTasks:          m.batchTasks.Load(),
 		LatencySumNs:        m.latencySumNs.Load(),
 		Timeouts:            m.timeouts.Load(),
 		DeltaRequests:       m.deltaRequests.Load(),
@@ -229,8 +222,6 @@ func (s *Server) RenderMetricz() string {
 	} else {
 		w("delta_fragment_entries", 0)
 	}
-	w("dispatch_batches", m.batches.Load())
-	w("dispatch_batch_tasks", m.batchTasks.Load())
 	w("trace_compiled", m.traceCompiled.Load())
 	w("trace_bailouts", m.traceBailouts.Load())
 	w("guard_elided", m.guardElided.Load())

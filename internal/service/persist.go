@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"refidem/internal/engine"
 	"refidem/internal/store"
 )
 
@@ -15,6 +16,18 @@ import (
 // whenever labeling semantics, engine semantics or response rendering
 // change in any byte-visible way.
 const AnalysisVersion = "refidem-analysis/6"
+
+// versionOf is the analysis version a server on the engine configuration
+// cfg states, stores under and warm-loads. The trace JIT changes simulate
+// cycle counts, so a traced server's answers are another version's:
+// neither its store records nor, through the router, its cached bytes may
+// answer for an untraced server, or the reverse.
+func versionOf(cfg engine.Config) string {
+	if cfg.Traced {
+		return AnalysisVersion + "+traced"
+	}
+	return AnalysisVersion
+}
 
 // StoreState is the serving layer's view of its persistent store.
 type StoreState int32
@@ -48,13 +61,14 @@ type persistWrite struct {
 }
 
 // storeKeyOf maps a coalescing task key onto the persistent store's
-// address space: fingerprint + op + canonical params + analysis version.
-func storeKeyOf(k taskKey) store.Key {
+// address space: fingerprint + op + canonical params + the server's
+// analysis version.
+func (s *Server) storeKeyOf(k taskKey) store.Key {
 	return store.Key{
 		Fingerprint: k.fp,
 		Op:          k.op,
 		Params:      fmt.Sprintf("deps=%t;procs=%d;cap=%d", k.deps, k.procs, k.capacity),
-		Version:     AnalysisVersion,
+		Version:     s.version,
 	}
 }
 
@@ -71,11 +85,11 @@ func (s *Server) initStore() {
 	s.probeStop = make(chan struct{})
 	s.warm = make(map[store.Key][]byte)
 
-	// Warm start: every valid record of the current analysis version
+	// Warm start: every valid record of the server's analysis version
 	// becomes an in-memory answer. Records from other versions are left
 	// in place (a rollback finds them again) but never loaded.
 	err := s.cfg.Store.Scan(func(k store.Key, data []byte) error {
-		if k.Version != AnalysisVersion {
+		if k.Version != s.version {
 			return nil
 		}
 		if k.Op != OpLabel && k.Op != OpSimulate {
@@ -115,7 +129,7 @@ func (s *Server) storeLookup(key taskKey) []byte {
 	if StoreState(s.storeState.Load()) == StoreDisabled {
 		return nil
 	}
-	sk := storeKeyOf(key)
+	sk := s.storeKeyOf(key)
 	s.warmMu.Lock()
 	if data, ok := s.warm[sk]; ok {
 		// The entry graduates to the response cache (the caller publishes
@@ -159,7 +173,7 @@ func (s *Server) persistAsync(key taskKey, resp []byte) {
 		return
 	}
 	select {
-	case s.persistQ <- persistWrite{key: storeKeyOf(key), data: resp}:
+	case s.persistQ <- persistWrite{key: s.storeKeyOf(key), data: resp}:
 	default:
 		s.metrics.storeDroppedWrites.Add(1)
 	}

@@ -102,6 +102,67 @@ func TestWarmStartServesPersistedBytes(t *testing.T) {
 	}
 }
 
+// TestTracedRecordsStayTraced: the trace JIT changes simulate cycle
+// counts, so a server answers only from records of its own engine mode.
+// An untraced server on a store a traced one wrote computes afresh, and a
+// traced server reopened on it warm-loads only the traced record.
+func TestTracedRecordsStayTraced(t *testing.T) {
+	spec, ok := workloads.FindLoop("TOMCATV", "MAIN_DO80")
+	if !ok {
+		t.Fatal("TOMCATV MAIN_DO80 missing")
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+	req := Request{Op: OpSimulate, Program: spec.Src}
+	serve := func(traced bool) ([]byte, Snapshot) {
+		t.Helper()
+		st, _, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		cfg := storeTestConfig(t, st)
+		cfg.Engine.Traced = traced
+		s := New(cfg)
+		resp, err := s.Do(ctx, req)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, s.Metrics().SnapshotNow()
+	}
+
+	fresh := New(testConfig())
+	want, err := fresh.Do(ctx, req)
+	fresh.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, snap := serve(true)
+	if bytes.Equal(traced, want) {
+		t.Fatal("traced and untraced answers agree; the test cannot tell the modes apart")
+	}
+	if snap.StoreWrites != 1 {
+		t.Fatalf("traced server wrote %d records, want 1", snap.StoreWrites)
+	}
+	got, snap := serve(false)
+	if !bytes.Equal(got, want) {
+		t.Error("an untraced server answered with the traced server's record")
+	}
+	if snap.StoreWarmEntries+snap.StoreWarmHits != 0 || snap.Computed != 1 {
+		t.Errorf("untraced server: warm entries %d, warm hits %d, computed %d; want 0, 0, 1",
+			snap.StoreWarmEntries, snap.StoreWarmHits, snap.Computed)
+	}
+	got, snap = serve(true)
+	if !bytes.Equal(got, traced) {
+		t.Error("a traced server's warm answer differs from its traced compute")
+	}
+	if snap.StoreWarmHits != 1 || snap.StoreWarmEntries != 0 || snap.Computed != 0 {
+		t.Errorf("traced restart: warm hits %d, warm entries left %d, computed %d; want 1, 0, 0",
+			snap.StoreWarmHits, snap.StoreWarmEntries, snap.Computed)
+	}
+}
+
 // TestRuntimeStoreHit: the warm-start index is a one-shot snapshot; later
 // identical tasks (with the response cache disabled so they re-enter the
 // queue) are answered by a backend read, still with zero computes.
@@ -422,7 +483,7 @@ func TestKeptRowAnswersPersist(t *testing.T) {
 	st3 := open()
 	defer st3.Close()
 	fp := ir.FingerprintOf(workloads.Figure2())
-	data, err := st3.Get(storeKeyOf(taskKey{op: OpSimulate, fp: fp, capacity: 16384}))
+	data, err := st3.Get(s2.storeKeyOf(taskKey{op: OpSimulate, fp: fp, capacity: 16384}))
 	if err != nil {
 		t.Fatalf("kept-row answer not persisted: %v", err)
 	}

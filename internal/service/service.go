@@ -8,13 +8,13 @@
 //
 //   - a response byte cache keyed by the request's pre-parse content
 //     hash, answering repeats without parsing or queueing;
-//   - a batching/coalescing admission queue: identical in-flight requests
-//     (same op, program fingerprint and parameters) deduplicate onto one
-//     computation — the server's one singleflight — and admitted tasks
-//     drain in bounded batches through an internal/parallel worker pool;
-//   - admission control and backpressure: the queue is bounded, a full
-//     queue rejects with ErrOverloaded, and Close drains every admitted
-//     request before returning;
+//   - a coalescing admission queue: identical in-flight requests (same
+//     op, program fingerprint and parameters) deduplicate onto one
+//     computation — the server's one singleflight — and a fixed pool of
+//     Workers goroutines drains admitted tasks one at a time;
+//   - admission control and backpressure: the queue bounds the tasks
+//     waiting for a worker, a full queue rejects with ErrOverloaded, and
+//     Close drains every admitted request before returning;
 //   - one label path: every label response, full or delta, is assembled
 //     from rendered region rows cached by region analysis fingerprint, so
 //     only regions never seen before are labeled and rendered (label.go);
@@ -51,7 +51,6 @@ import (
 	"refidem/internal/ir"
 	"refidem/internal/lru"
 	"refidem/internal/obs"
-	"refidem/internal/parallel"
 	"refidem/internal/store"
 )
 
@@ -69,14 +68,12 @@ type Config struct {
 	// the program was labeled takes one more alias entry under its
 	// selector digest.
 	CacheCapacity int
-	// Workers bounds the compute worker pool (<= 0 selects GOMAXPROCS).
+	// Workers is the size of the compute worker pool (<= 0 selects
+	// GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue; a full queue rejects with
-	// ErrOverloaded (<= 0 selects 1024).
+	// QueueDepth bounds the admitted tasks waiting for a worker; a full
+	// queue rejects with ErrOverloaded (<= 0 selects 1024).
 	QueueDepth int
-	// MaxBatch bounds how many queued tasks one dispatch admits to the
-	// worker pool at a time (<= 0 selects 64).
-	MaxBatch int
 	// Coalesce deduplicates identical in-flight requests onto a single
 	// computation. DefaultConfig enables it; the zero Config leaves it
 	// off so the field composes with struct literals.
@@ -138,13 +135,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the production defaults: a 512-program tier,
-// GOMAXPROCS workers, a 1024-deep admission queue drained in batches of
-// 64, coalescing on, the paper's default machine.
+// GOMAXPROCS workers, a 1024-deep admission queue, coalescing on, the
+// paper's default machine.
 func DefaultConfig() Config {
 	return Config{
 		CacheCapacity: 512,
 		QueueDepth:    1024,
-		MaxBatch:      64,
 		Coalesce:      true,
 		Engine:        engine.DefaultConfig(),
 	}
@@ -159,9 +155,6 @@ func (c Config) normalized() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.ResponseCache == 0 {
 		c.ResponseCache = 4 * c.CacheCapacity
@@ -189,6 +182,7 @@ func (c Config) normalized() Config {
 // for concurrent use.
 type Server struct {
 	cfg     Config
+	version string // versionOf(cfg.Engine)
 	metrics *Metrics
 	flight  *obs.FlightRecorder // nil when disabled
 
@@ -218,7 +212,9 @@ type Server struct {
 	// closing mirrors closed for lock-free reads on the fast path.
 	closing atomic.Bool
 
-	drained chan struct{}
+	// workers counts the running worker goroutines; each exits once Close
+	// has closed the queue and the queue is empty.
+	workers sync.WaitGroup
 
 	// Persistence tier (see persist.go). storeState holds a StoreState;
 	// warm is the boot-time snapshot of persisted responses, drained as
@@ -272,17 +268,17 @@ type task struct {
 	src            string
 }
 
-// New starts a Server: the admission queue is allocated and the
-// dispatcher goroutine begins draining it in bounded batches.
+// New starts a Server: the admission queue is allocated and Workers
+// goroutines begin draining it.
 func New(cfg Config) *Server {
 	cfg = cfg.normalized()
 	s := &Server{
 		cfg:      cfg,
+		version:  versionOf(cfg.Engine),
 		metrics:  newMetrics(),
 		programs: lru.New[progKey, programEntry](cfg.CacheCapacity),
 		inflight: make(map[taskKey]*task),
 		queue:    make(chan *task, cfg.QueueDepth),
-		drained:  make(chan struct{}),
 	}
 	if cfg.ResponseCache > 0 {
 		s.resp = lru.New[api.Key, respEntry](cfg.ResponseCache)
@@ -297,7 +293,15 @@ func New(cfg Config) *Server {
 		s.flight = obs.NewFlightRecorder(cfg.FlightSpans)
 	}
 	s.initStore()
-	go s.dispatch()
+	s.workers.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		go func() {
+			defer s.workers.Done()
+			for t := range s.queue {
+				s.run(t)
+			}
+		}()
+	}
 	return s
 }
 
@@ -314,7 +318,7 @@ func (s *Server) Close() {
 		close(s.queue)
 	}
 	s.mu.Unlock()
-	<-s.drained
+	s.workers.Wait()
 	// Every run() has returned, so nothing can enqueue persistence work
 	// anymore; the persister drains what is already queued and exits.
 	s.storeOnce.Do(s.closeStore)
@@ -613,62 +617,6 @@ func (s *Server) admit(key taskKey, e programEntry, delta bool) (*task, bool, er
 		s.inflight[key] = t
 	}
 	return t, false, nil
-}
-
-// dispatch drains the admission queue in bounded batches, handing each
-// batch to an internal/parallel worker pool. Up to Workers batches run
-// concurrently (each bounded by the shared worker-slot pool, so total
-// task concurrency never exceeds Workers); holding a batch slot *before*
-// receiving from the queue keeps backpressure honest — when every slot is
-// busy, admitted tasks accumulate in the bounded queue and overflow to
-// ErrOverloaded instead of piling into unbounded launched-but-waiting
-// batches. dispatch exits — signalling drained — once Close has closed
-// the queue and every admitted task has completed.
-func (s *Server) dispatch() {
-	defer close(s.drained)
-	batchSlots := make(chan struct{}, s.cfg.Workers)
-	workerSlots := make(chan struct{}, s.cfg.Workers)
-	var batches sync.WaitGroup
-	defer batches.Wait()
-	for {
-		batchSlots <- struct{}{}
-		t, ok := <-s.queue
-		if !ok {
-			<-batchSlots
-			return
-		}
-		batch := make([]*task, 1, s.cfg.MaxBatch)
-		batch[0] = t
-		closed := false
-		for len(batch) < s.cfg.MaxBatch && !closed {
-			select {
-			case t, ok := <-s.queue:
-				if !ok {
-					closed = true
-					break
-				}
-				batch = append(batch, t)
-			default:
-				closed = true // queue momentarily empty: dispatch what we have
-			}
-		}
-		s.metrics.batches.Add(1)
-		s.metrics.batchTasks.Add(int64(len(batch)))
-		batches.Add(1)
-		go func(batch []*task) {
-			defer batches.Done()
-			defer func() { <-batchSlots }()
-			// Worker panics are converted to task errors inside run, so
-			// the pool's own panic propagation never fires here; the
-			// background context keeps the pool draining even while Close
-			// waits.
-			parallel.ForEachCtx(context.Background(), len(batch), s.cfg.Workers, func(i int) {
-				workerSlots <- struct{}{}
-				defer func() { <-workerSlots }()
-				s.run(batch[i])
-			})
-		}(batch)
-	}
 }
 
 // run executes one task, publishes its response or error, and retires it

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -22,7 +23,6 @@ func testConfig() Config {
 	cfg.CacheCapacity = 8
 	cfg.Workers = 2
 	cfg.QueueDepth = 64
-	cfg.MaxBatch = 8
 	return cfg
 }
 
@@ -271,55 +271,61 @@ func TestCoalescingSingleCompute(t *testing.T) {
 	}
 }
 
-// TestOverloadBackpressure fills the one-deep admission queue behind a
-// blocked worker and verifies the typed rejection.
+// TestOverloadBackpressure blocks every worker, fills the admission
+// queue behind them with distinct requests and verifies the typed
+// rejection of the next one: the queue alone bounds the waiting tasks.
 func TestOverloadBackpressure(t *testing.T) {
-	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.QueueDepth = 1
-	cfg.MaxBatch = 1
-	cfg.Coalesce = false
-	s := New(cfg)
-	defer s.Close()
+	examples := []string{"fig1", "fig2", "fig3", "buts"}
+	for _, c := range []struct{ workers, depth int }{{1, 1}, {2, 3}} {
+		t.Run(fmt.Sprintf("workers=%d", c.workers), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Workers = c.workers
+			cfg.QueueDepth = c.depth
+			cfg.Coalesce = false
+			s := New(cfg)
+			defer s.Close()
 
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	s.computeHook = func(p *ir.Program) {
-		if p.Name == "svc_test" {
-			entered <- struct{}{}
-			<-release
-		}
-	}
+			entered := make(chan struct{}, c.workers)
+			release := make(chan struct{})
+			s.computeHook = func(p *ir.Program) {
+				if p.Name == "svc_test" {
+					entered <- struct{}{}
+					<-release
+				}
+			}
+			admitted := make(chan error, c.workers+c.depth)
+			submit := func(req Request) {
+				go func() {
+					_, err := s.Label(context.Background(), req)
+					admitted <- err
+				}()
+			}
+			// Each worker blocks on its own program; the queue is empty.
+			for i := 0; i < c.workers; i++ {
+				submit(Request{Program: strings.Replace(testProgramSrc, "+ 1", fmt.Sprintf("+ %d", i+1), 1)})
+				<-entered
+			}
+			// Exactly depth more distinct requests wait in the queue.
+			for _, ex := range examples[:c.depth] {
+				submit(Request{Example: ex})
+			}
+			for len(s.queue) < c.depth {
+				time.Sleep(time.Millisecond)
+			}
 
-	leader := make(chan error, 1)
-	go func() {
-		_, err := s.Label(context.Background(), Request{Program: testProgramSrc})
-		leader <- err
-	}()
-	<-entered // worker busy; queue empty
-
-	// Occupies the single queue slot behind the blocked worker.
-	queued := make(chan error, 1)
-	go func() {
-		_, err := s.Label(context.Background(), Request{Example: "fig1"})
-		queued <- err
-	}()
-	for len(s.queue) == 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	if _, err := s.Label(context.Background(), Request{Example: "fig2"}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	if got := s.Metrics().SnapshotNow().Overloaded; got != 1 {
-		t.Errorf("overloaded counter = %d, want 1", got)
-	}
-	close(release)
-	if err := <-leader; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-queued; err != nil {
-		t.Fatal(err)
+			if _, err := s.Label(context.Background(), Request{Example: examples[c.depth]}); !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("err = %v, want ErrOverloaded", err)
+			}
+			close(release)
+			for i := 0; i < c.workers+c.depth; i++ {
+				if err := <-admitted; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := s.Metrics().SnapshotNow().Overloaded; got != 1 {
+				t.Errorf("overloaded counter = %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -328,7 +334,6 @@ func TestOverloadBackpressure(t *testing.T) {
 func TestCloseDrainsInFlight(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.MaxBatch = 2
 	cfg.Coalesce = false // duplicate examples below must each occupy a queue slot
 	s := New(cfg)
 

@@ -13,21 +13,9 @@ cd "$(dirname "$0")/.."
 BENCH="${BENCH:-BenchmarkEngineHOSE|BenchmarkEngineCASE|BenchmarkAnalysisPipeline|BenchmarkDepsQuery|BenchmarkSequentialBaseline|BenchmarkService|BenchmarkStore|BenchmarkRouterRoute}"
 BENCHTIME="${BENCHTIME:-2s}"
 OUT="${OUT:-BENCH_results.json}"
-# LOADBENCH=0 skips the service load-harness rows (cmd/loadbench).
-LOADBENCH="${LOADBENCH:-1}"
 
 go build -o /tmp/benchjson ./cmd/benchjson
 go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" . ./internal/service ./internal/store ./internal/cluster |
   tee /dev/stderr |
   /tmp/benchjson -o "$OUT" -baseline scripts/seed_baseline.json -go "$(go version | awk '{print $3}')"
-if [ "$LOADBENCH" != "0" ]; then
-  # Merge served-throughput/latency rows (BenchmarkLoad*) into the same
-  # document: in-process, over-HTTP, and through the self-hosted cluster
-  # (router + replicas in one process) with a Zipf key mix and a delta
-  # phase. The cluster rows measure the full stack on this machine —
-  # aggregate scale-out across replicas needs as many cores as replicas.
-  go run ./cmd/loadbench -n 2000 -merge "$OUT"
-  go run ./cmd/loadbench -mode http -n 1000 -merge "$OUT"
-  go run ./cmd/loadbench -mode cluster -replicas 4 -zipf 1.3 -n 1000 -n-delta 500 -merge "$OUT"
-fi
 echo "wrote $OUT" >&2
