@@ -6,11 +6,14 @@
 // internal/service (the server), internal/api/client (the typed client),
 // cmd/refidemd, cmd/refidem-router (which is a client of the replicas
 // and a server of the same API) and the perfbench driver — imports one
-// definition. Documents are byte-deterministic: encoding/json emits
-// struct fields in declaration order, so the bytes of a marshaled
-// response are a pure function of its values, and moving a type between
-// packages cannot change them. The golden tests under cmd/refidemd pin
-// the /v1 encoding.
+// definition. Documents are byte-deterministic. The bytes of a label or
+// simulate document are defined as json.MarshalIndent(doc, "", "  ")
+// plus a newline, a pure function of its values, and are produced by
+// one appender (RenderLabel, RenderSimulate in render.go) that its tests
+// hold to MarshalIndent; the other documents are encoded by
+// encoding/json, which emits struct fields in declaration order. Moving a
+// type between packages cannot change the bytes. The golden tests under
+// cmd/refidemd pin the /v1 encoding.
 //
 // Versioning: these types are the v1 wire contract. Compatible
 // extension means adding optional (omitempty) request fields — the

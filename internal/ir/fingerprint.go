@@ -2,8 +2,7 @@ package ir
 
 import (
 	"crypto/sha256"
-	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Fingerprint is a content hash of a program: two programs with equal
@@ -27,8 +26,11 @@ func FingerprintOf(p *Program) Fingerprint {
 // keep the text as well, such as the service's delta-base registry, use
 // this to format a program once.
 func Canonical(p *Program) (string, Fingerprint) {
-	src := p.Format()
-	return src, sha256.Sum256([]byte(src))
+	bp := getTextBuf()
+	b := p.appendText((*bp)[:0])
+	src, fp := string(b), sha256.Sum256(b)
+	putTextBuf(bp, b)
+	return src, fp
 }
 
 // RegionFingerprintOf computes the analysis fingerprint of one region of
@@ -51,22 +53,23 @@ func Canonical(p *Program) (string, Fingerprint) {
 // identically. The service's delta re-labeling path keys its per-region
 // result cache on this.
 func RegionFingerprintOf(p *Program, r *Region, liveOut func(*Var) bool) Fingerprint {
-	var b strings.Builder
-	for _, pr := range p.Procs {
-		fmt.Fprintf(&b, "proc %s(%s) {\n", pr.Name, strings.Join(pr.Params, ", "))
-		writeStmts(&b, pr.Body, "  ")
-		b.WriteString("}\n")
-	}
-	b.WriteString(r.Format())
+	bp := getTextBuf()
+	b := appendProcs((*bp)[:0], p.Procs)
+	b = r.appendText(b)
 	for _, v := range r.DenseIndex().Vars {
-		fmt.Fprintf(&b, "var %s", v.Name)
+		b = append(b, "var "...)
+		b = append(b, v.Name...)
 		for _, d := range v.Dims {
-			fmt.Fprintf(&b, "[%d]", d)
+			b = append(b, '[')
+			b = strconv.AppendInt(b, int64(d), 10)
+			b = append(b, ']')
 		}
 		if liveOut != nil && liveOut(v) {
-			b.WriteString(" live")
+			b = append(b, " live"...)
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
-	return sha256.Sum256([]byte(b.String()))
+	fp := sha256.Sum256(b)
+	putTextBuf(bp, b)
+	return fp
 }

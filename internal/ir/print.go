@@ -1,135 +1,260 @@
 package ir
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
+	"sync"
 )
+
+// The program printer. Program.appendText and its helpers are the one
+// rendering of program text: Format, Region.Format, Canonical and
+// RegionFingerprintOf all append through them, so a fingerprint is a hash
+// of exactly the bytes Format returns. Expressions and references print
+// through appendExpr and Ref.appendText (expr.go, ir.go). The fmt printer
+// this replaced is the oracle in print_oracle_test.go.
+
+// textBufs pools the scratch buffers programs are printed into, so
+// formatting or fingerprinting a program allocates its result alone.
+var textBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// maxPooledText bounds the buffers returned to textBufs: one huge program
+// must not pin its buffer for the life of the process.
+const maxPooledText = 64 << 10
+
+func getTextBuf() *[]byte { return textBufs.Get().(*[]byte) }
+
+func putTextBuf(bp *[]byte, b []byte) {
+	if cap(b) > maxPooledText {
+		return
+	}
+	*bp = b[:0]
+	textBufs.Put(bp)
+}
 
 // Format renders the program as mini-language source text. The output is
 // accepted by the lang package parser, which is exercised by round-trip
 // tests.
 func (p *Program) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "program %s\n", p.Name)
-	for _, v := range p.Vars {
-		if v.IsScalar() {
-			fmt.Fprintf(&b, "var %s\n", v.Name)
-		} else {
-			dims := make([]string, len(v.Dims))
-			for i, d := range v.Dims {
-				dims[i] = fmt.Sprint(d)
-			}
-			fmt.Fprintf(&b, "var %s[%s]\n", v.Name, strings.Join(dims, ","))
-		}
-	}
-	for _, pr := range p.Procs {
-		fmt.Fprintf(&b, "proc %s(%s) {\n", pr.Name, strings.Join(pr.Params, ", "))
-		writeStmts(&b, pr.Body, "  ")
-		b.WriteString("}\n")
-	}
-	for _, r := range p.Regions {
-		b.WriteString(r.Format())
-	}
-	return b.String()
+	bp := getTextBuf()
+	b := p.appendText((*bp)[:0])
+	s := string(b)
+	putTextBuf(bp, b)
+	return s
 }
 
 // Format renders the region as mini-language source text.
 func (r *Region) Format() string {
-	var b strings.Builder
+	bp := getTextBuf()
+	b := r.appendText((*bp)[:0])
+	s := string(b)
+	putTextBuf(bp, b)
+	return s
+}
+
+// appendText appends the program's source text to b: its name, variable
+// declarations, procedures and regions, in declaration order.
+func (p *Program) appendText(b []byte) []byte {
+	b = append(b, "program "...)
+	b = append(b, p.Name...)
+	b = append(b, '\n')
+	for _, v := range p.Vars {
+		b = append(b, "var "...)
+		b = append(b, v.Name...)
+		if !v.IsScalar() {
+			b = append(b, '[')
+			for i, d := range v.Dims {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(b, int64(d), 10)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '\n')
+	}
+	b = appendProcs(b, p.Procs)
+	for _, r := range p.Regions {
+		b = r.appendText(b)
+	}
+	return b
+}
+
+// appendProcs appends the procedure table's source text.
+func appendProcs(b []byte, procs []*Proc) []byte {
+	for _, pr := range procs {
+		b = append(b, "proc "...)
+		b = append(b, pr.Name...)
+		b = append(b, '(')
+		for i, prm := range pr.Params {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, prm...)
+		}
+		b = append(b, ") {\n"...)
+		b = appendStmts(b, pr.Body, 1)
+		b = append(b, "}\n"...)
+	}
+	return b
+}
+
+// appendText appends the region's source text to b.
+func (r *Region) appendText(b []byte) []byte {
 	switch r.Kind {
 	case LoopRegion:
-		fmt.Fprintf(&b, "region %s loop %s = %s {\n", r.Name, r.Index, rangeStr(r.From, r.To, r.Step))
-		writeAnnotations(&b, r, "  ")
-		writeStmts(&b, r.Segments[0].Body, "  ")
-		b.WriteString("}\n")
+		b = append(b, "region "...)
+		b = append(b, r.Name...)
+		b = append(b, " loop "...)
+		b = append(b, r.Index...)
+		b = append(b, " = "...)
+		b = appendRange(b, r.From, r.To, r.Step)
+		b = append(b, " {\n"...)
+		b = appendAnnotations(b, r)
+		b = appendStmts(b, r.Segments[0].Body, 1)
+		b = append(b, "}\n"...)
 	case CFGRegion:
-		fmt.Fprintf(&b, "region %s cfg {\n", r.Name)
-		writeAnnotations(&b, r, "  ")
+		b = append(b, "region "...)
+		b = append(b, r.Name...)
+		b = append(b, " cfg {\n"...)
+		b = appendAnnotations(b, r)
 		for _, s := range r.Segments {
-			fmt.Fprintf(&b, "  segment %s {\n", s.Name)
-			writeStmts(&b, s.Body, "    ")
-			b.WriteString("  }")
+			b = append(b, "  segment "...)
+			b = append(b, s.Name...)
+			b = append(b, " {\n"...)
+			b = appendStmts(b, s.Body, 2)
+			b = append(b, "  }"...)
 			if len(s.Succs) > 0 {
-				names := make([]string, len(s.Succs))
-				for i, id := range s.Succs {
-					names[i] = r.Seg(id).Name
-				}
+				b = append(b, " goto "...)
+				b = append(b, r.Seg(s.Succs[0]).Name...)
 				if s.Branch != nil {
-					fmt.Fprintf(&b, " goto %s if %s else %s", names[0], s.Branch.String(), names[1])
-				} else {
-					fmt.Fprintf(&b, " goto %s", names[0])
+					b = append(b, " if "...)
+					b = appendExpr(b, s.Branch)
+					b = append(b, " else "...)
+					b = append(b, r.Seg(s.Succs[1]).Name...)
 				}
 			}
-			b.WriteString("\n")
+			b = append(b, '\n')
 		}
-		b.WriteString("}\n")
+		b = append(b, "}\n"...)
 	}
-	return b.String()
+	return b
 }
 
-func writeAnnotations(b *strings.Builder, r *Region, indent string) {
+// appendAnnotations appends a region's private and liveout lines, each
+// listing its set's names in sorted order. A line is printed whenever its
+// map is non-empty.
+func appendAnnotations(b []byte, r *Region) []byte {
 	if len(r.Ann.Private) > 0 {
-		fmt.Fprintf(b, "%sprivate %s\n", indent, strings.Join(sortedKeys(r.Ann.Private), ", "))
+		b = appendNameLine(b, "  private ", r.Ann.Private)
 	}
 	if len(r.Ann.LiveOut) > 0 {
-		fmt.Fprintf(b, "%sliveout %s\n", indent, strings.Join(sortedKeys(r.Ann.LiveOut), ", "))
+		b = appendNameLine(b, "  liveout ", r.Ann.LiveOut)
 	}
+	return b
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
+// appendNameLine appends head, the names set in m sorted and joined by
+// ", ", and a newline.
+func appendNameLine(b []byte, head string, m map[string]bool) []byte {
+	var scratch [16]string
+	names := scratch[:0]
 	for k, v := range m {
 		if v {
-			out = append(out, k)
+			names = append(names, k)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	for i := 1; i < len(names); i++ {
+		for j := i; j > 0 && names[j] < names[j-1]; j-- {
+			names[j], names[j-1] = names[j-1], names[j]
 		}
 	}
-	return out
+	b = append(b, head...)
+	for i, n := range names {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, n...)
+	}
+	return append(b, '\n')
 }
 
-func rangeStr(from, to, step int) string {
-	switch step {
-	case 1:
-		return fmt.Sprintf("%d to %d", from, to)
-	case -1:
-		return fmt.Sprintf("%d downto %d", from, to)
-	default:
-		if step > 0 {
-			return fmt.Sprintf("%d to %d step %d", from, to, step)
-		}
-		return fmt.Sprintf("%d downto %d step %d", from, to, -step)
+// appendRange appends a loop range, "0 to 7", "7 downto 0 step 2".
+func appendRange(b []byte, from, to, step int) []byte {
+	b = strconv.AppendInt(b, int64(from), 10)
+	if step > 0 {
+		b = append(b, " to "...)
+	} else {
+		b = append(b, " downto "...)
 	}
+	b = strconv.AppendInt(b, int64(to), 10)
+	if step != 1 && step != -1 {
+		if step < 0 {
+			step = -step
+		}
+		b = append(b, " step "...)
+		b = strconv.AppendInt(b, int64(step), 10)
+	}
+	return b
 }
 
-func writeStmts(b *strings.Builder, stmts []Stmt, indent string) {
+// appendIndent appends depth levels of two-space indentation.
+func appendIndent(b []byte, depth int) []byte {
+	for ; depth > 0; depth-- {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+// appendStmts appends statements at the given indentation depth.
+func appendStmts(b []byte, stmts []Stmt, depth int) []byte {
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *Assign:
-			fmt.Fprintf(b, "%s%s = %s\n", indent, s.LHS.appendText(nil), s.RHS.String())
+			b = appendIndent(b, depth)
+			b = s.LHS.appendText(b)
+			b = append(b, " = "...)
+			b = appendExpr(b, s.RHS)
+			b = append(b, '\n')
 		case *If:
-			fmt.Fprintf(b, "%sif %s {\n", indent, s.Cond.String())
-			writeStmts(b, s.Then, indent+"  ")
+			b = appendIndent(b, depth)
+			b = append(b, "if "...)
+			b = appendExpr(b, s.Cond)
+			b = append(b, " {\n"...)
+			b = appendStmts(b, s.Then, depth+1)
 			if len(s.Else) > 0 {
-				fmt.Fprintf(b, "%s} else {\n", indent)
-				writeStmts(b, s.Else, indent+"  ")
+				b = appendIndent(b, depth)
+				b = append(b, "} else {\n"...)
+				b = appendStmts(b, s.Else, depth+1)
 			}
-			fmt.Fprintf(b, "%s}\n", indent)
+			b = appendIndent(b, depth)
+			b = append(b, "}\n"...)
 		case *For:
-			fmt.Fprintf(b, "%sfor %s = %s {\n", indent, s.Index, rangeStr(s.From, s.To, s.Step))
-			writeStmts(b, s.Body, indent+"  ")
-			fmt.Fprintf(b, "%s}\n", indent)
+			b = appendIndent(b, depth)
+			b = append(b, "for "...)
+			b = append(b, s.Index...)
+			b = append(b, " = "...)
+			b = appendRange(b, s.From, s.To, s.Step)
+			b = append(b, " {\n"...)
+			b = appendStmts(b, s.Body, depth+1)
+			b = appendIndent(b, depth)
+			b = append(b, "}\n"...)
 		case *ExitRegion:
-			fmt.Fprintf(b, "%sexit if %s\n", indent, s.Cond.String())
+			b = appendIndent(b, depth)
+			b = append(b, "exit if "...)
+			b = appendExpr(b, s.Cond)
+			b = append(b, '\n')
 		case *Call:
-			args := make([]string, len(s.Args))
+			b = appendIndent(b, depth)
+			b = append(b, "call "...)
+			b = append(b, s.Callee...)
+			b = append(b, '(')
 			for i, a := range s.Args {
-				args[i] = a.String()
+				if i > 0 {
+					b = append(b, ", "...)
+				}
+				b = appendExpr(b, a)
 			}
-			fmt.Fprintf(b, "%scall %s(%s)\n", indent, s.Callee, strings.Join(args, ", "))
+			b = append(b, ")\n"...)
 		}
 	}
+	return b
 }

@@ -231,6 +231,62 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestNonASCIIErrors pins the errors for bytes outside ASCII. Identifiers
+// are ASCII, so such a byte is an unexpected character wherever it
+// appears, quoted as the UTF-8 character it starts or, when it starts
+// none, as the lone byte.
+func TestNonASCIIErrors(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"program \xe9", `1:9: unexpected character "\xe9"`},
+		{"program \u00e9", `1:9: unexpected character "é"`},
+		{"program p \xa9", `1:11: unexpected character "\xa9"`},
+		{"program p\nvar b\nregion r loop i = 0 to 1 {\n  private \xe9, b\n  b = 1\n}\n",
+			`4:11: unexpected character "\xe9"`},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) error = %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
+// TestLexerOperators checks that every operator lexes to its own text and
+// that lexing operators allocates nothing: their tokens slice the source.
+func TestLexerOperators(t *testing.T) {
+	ops := []string{"==", "!=", "<=", ">=", "&&", "||", "=", "+", "-", "*", "/", "%",
+		"<", ">", "(", ")", "{", "}", "[", "]", ","}
+	src := strings.Join(ops, " ") + " <== =="
+	want := append(ops, "<=", "=", "==")
+	lx := newLexer(src)
+	for i := 0; ; i++ {
+		tok, err := lx.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tok.kind == tokEOF {
+			if i != len(want) {
+				t.Fatalf("lexed %d tokens, want %d", i, len(want))
+			}
+			break
+		}
+		if i >= len(want) || tok.kind != tokPunct || tok.text != want[i] {
+			t.Fatalf("token %d = %v, want %q", i, tok, want[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		lx := newLexer(src)
+		for {
+			if tok, err := lx.next(); err != nil || tok.kind == tokEOF {
+				return
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("lexing operators allocated %.0f times, want 0", allocs)
+	}
+}
+
 func TestMustParsePanicsOnBadSource(t *testing.T) {
 	defer func() {
 		if recover() == nil {

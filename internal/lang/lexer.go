@@ -36,7 +36,7 @@ package lang
 
 import (
 	"fmt"
-	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind enumerates token kinds.
@@ -81,10 +81,6 @@ func newLexer(src string) *lexer {
 	return &lexer{src: src, line: 1, col: 1}
 }
 
-var twoCharOps = map[string]bool{
-	"==": true, "!=": true, "<=": true, ">=": true, "&&": true, "||": true,
-}
-
 // next returns the next token.
 func (lx *lexer) next() (token, error) {
 	lx.skipSpace()
@@ -95,7 +91,7 @@ func (lx *lexer) next() (token, error) {
 	}
 	c := lx.src[lx.pos]
 	switch {
-	case unicode.IsLetter(rune(c)) || c == '_':
+	case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
 		start := lx.pos
 		for lx.pos < len(lx.src) && (isIdentChar(lx.src[lx.pos])) {
 			lx.advance()
@@ -117,25 +113,40 @@ func (lx *lexer) next() (token, error) {
 		t.text = lx.src[start:lx.pos]
 		return t, nil
 	default:
-		if lx.pos+1 < len(lx.src) {
-			two := lx.src[lx.pos : lx.pos+2]
-			if twoCharOps[two] {
-				lx.advance()
-				lx.advance()
-				t.kind = tokPunct
-				t.text = two
-				return t, nil
+		// Operators are sliced from the source, so a token costs no
+		// allocation.
+		n := 0
+		if lx.pos+1 < len(lx.src) && isTwoCharOp(c, lx.src[lx.pos+1]) {
+			n = 2
+		} else {
+			switch c {
+			case '=', '+', '-', '*', '/', '%', '<', '>', '(', ')', '{', '}', '[', ']', ',':
+				n = 1
 			}
 		}
-		switch c {
-		case '=', '+', '-', '*', '/', '%', '<', '>', '(', ')', '{', '}', '[', ']', ',':
-			lx.advance()
-			t.kind = tokPunct
-			t.text = string(c)
-			return t, nil
+		if n == 0 {
+			_, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
+			return t, fmt.Errorf("%d:%d: unexpected character %q", lx.line, lx.col, lx.src[lx.pos:lx.pos+size])
 		}
-		return t, fmt.Errorf("%d:%d: unexpected character %q", lx.line, lx.col, string(c))
+		t.kind = tokPunct
+		t.text = lx.src[lx.pos : lx.pos+n]
+		for ; n > 0; n-- {
+			lx.advance()
+		}
+		return t, nil
 	}
+}
+
+// isTwoCharOp reports whether c1 c2 is a two-character operator: ==, !=,
+// <=, >=, && or ||.
+func isTwoCharOp(c1, c2 byte) bool {
+	switch c1 {
+	case '=', '!', '<', '>':
+		return c2 == '='
+	case '&', '|':
+		return c2 == c1
+	}
+	return false
 }
 
 func isIdentChar(c byte) bool {

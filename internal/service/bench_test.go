@@ -126,10 +126,13 @@ func BenchmarkServiceLabelTracedOff(b *testing.B) {
 // iteration parses, fingerprints, queues, analyzes, labels and renders
 // every region, so the exact allocs gate pins the cold path's allocation
 // count — among other things, that a label without "deps" renders no
-// dependence list. It runs on one processor: the request crosses three
-// goroutines, and with more processors the runtime's per-processor caches
-// add a fraction of an allocation per request that grows with the core
-// count, which an exact gate cannot absorb.
+// dependence list, that operator tokens, the canonical form and the
+// region fingerprints allocate nothing beyond the canonical text, and
+// that the document is appended in one pass into a pooled buffer and
+// copied out once. It runs on one processor: the request crosses three
+// goroutines, and with more processors the runtime's per-processor
+// caches add a fraction of an allocation per request that grows with the
+// core count, which an exact gate cannot absorb.
 func BenchmarkServiceLabelUncached(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := DefaultConfig()

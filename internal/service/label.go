@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"fmt"
 
+	"refidem/internal/api"
 	"refidem/internal/callgraph"
 	"refidem/internal/dataflow"
 	"refidem/internal/deps"
@@ -127,7 +128,7 @@ func (s *Server) label(t *task) ([]byte, error) {
 		}
 		doc.Regions = append(doc.Regions, row)
 	}
-	return marshalResponse(doc)
+	return api.RenderLabel(&doc)
 }
 
 // labeled returns the program tier's entry for a resolved program: e

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
@@ -63,18 +62,6 @@ func resolveProgram(req Request) (*ir.Program, error) {
 	default:
 		return nil, fmt.Errorf("empty request: pass program source, an example name, or a base fingerprint with patches")
 	}
-}
-
-// marshalResponse renders a response document: two-space indent, trailing
-// newline. encoding/json emits struct fields in declaration order and
-// formats floats with the shortest round-trip representation, so the
-// bytes are a pure function of the document.
-func marshalResponse(doc any) ([]byte, error) {
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // renderRegionLabeling builds one region's row of a label document from

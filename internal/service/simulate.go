@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"refidem/internal/api"
 	"refidem/internal/engine"
 	"refidem/internal/ir"
 )
@@ -204,7 +205,7 @@ func (s *Server) answerKept(key taskKey, e programEntry) ([]byte, bool) {
 // renderSimulate renders the simulate document of a program-tier entry's
 // model rows on machine cfg; both simulate paths answer through it.
 func renderSimulate(e programEntry, cfg engine.Config, models []ModelRow) ([]byte, error) {
-	return marshalResponse(SimulateResponse{
+	return api.RenderSimulate(&SimulateResponse{
 		Op:           OpSimulate,
 		Program:      e.prog.Name,
 		Fingerprint:  hex.EncodeToString(e.fp[:]),
