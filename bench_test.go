@@ -222,26 +222,16 @@ func benchDepsQuery(b *testing.B, ens *deps.Ensemble) {
 
 // BenchmarkEngineHOSE and BenchmarkEngineCASE measure the simulator alone
 // on the TOMCATV loop.
-func BenchmarkEngineHOSE(b *testing.B) { benchEngine(b, false, false) }
+func BenchmarkEngineHOSE(b *testing.B) { benchEngine(b, false) }
 
 // BenchmarkEngineCASE is the CASE-mode counterpart of BenchmarkEngineHOSE.
-func BenchmarkEngineCASE(b *testing.B) { benchEngine(b, true, false) }
-
-// BenchmarkEngineHOSETraced and BenchmarkEngineCASETraced run the same
-// loop with the trace JIT on: hot inner loops execute as guarded
-// superblocks instead of per-instruction dispatch. In CASE mode the
-// idempotency labels additionally elide guards (Definition 4 applied at
-// host time), so its margin over the untraced engine is the larger one.
-func BenchmarkEngineHOSETraced(b *testing.B) { benchEngine(b, false, true) }
-
-// BenchmarkEngineCASETraced is the CASE-mode traced benchmark.
-func BenchmarkEngineCASETraced(b *testing.B) { benchEngine(b, true, true) }
+func BenchmarkEngineCASE(b *testing.B) { benchEngine(b, true) }
 
 // BenchmarkEngineCASETimelineOff is BenchmarkEngineCASE with the default
 // nil speculation timeline made explicit: its alloc gate pins that the
 // timeline hooks cost the disabled event loop nothing but pointer checks
 // (engine.Config.Timeline documents the contract; this row enforces it).
-func BenchmarkEngineCASETimelineOff(b *testing.B) { benchEngine(b, true, false) }
+func BenchmarkEngineCASETimelineOff(b *testing.B) { benchEngine(b, true) }
 
 // BenchmarkEngineCapacitySweep runs HOSE on the TOMCATV loop with a
 // different speculative-storage capacity each iteration, cycling through
@@ -265,14 +255,13 @@ func BenchmarkEngineCapacitySweep(b *testing.B) {
 	}
 }
 
-func benchEngine(b *testing.B, useCase, traced bool) {
+func benchEngine(b *testing.B, useCase bool) {
 	spec, _ := workloads.FindLoop("TOMCATV", "MAIN_DO80")
 	p := spec.Program()
 	labs := LabelProgram(p)
 	cfg := engine.DefaultConfig()
-	cfg.Traced = traced
 	// Warm one run outside the timer so every measured iteration sees the
-	// compiled-region (and, when traced, superblock) caches hot.
+	// compiled-region cache hot.
 	run := func() (err error) {
 		if useCase {
 			_, err = RunCASE(p, labs, cfg)

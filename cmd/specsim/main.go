@@ -12,7 +12,7 @@
 //
 // With -timeline, the HOSE and CASE runs record their speculation
 // events (segment spawns, commits, squashes with causes, overflow
-// stalls, trace-JIT activity) and the file receives a Chrome
+// stalls) and the file receives a Chrome
 // trace-event JSON document — load it in Perfetto or chrome://tracing
 // to see the machine's speculation behaviour cycle by cycle. The report
 // gains a squash-attribution table naming the references that caused

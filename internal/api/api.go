@@ -48,9 +48,8 @@ const (
 )
 
 // VersionHeader names the response header in which a server states its
-// analysis version (internal/service.AnalysisVersion, suffixed on a server
-// whose engine runs the trace JIT) on every /v1/label and /v1/simulate
-// answer. Response bytes are a pure function of the
+// analysis version (internal/service.AnalysisVersion) on every /v1/label
+// and /v1/simulate answer. Response bytes are a pure function of the
 // request only within one version, so the router serves cached bytes only
 // while every live replica answers with the version that produced them.
 const VersionHeader = "X-Refidem-Analysis-Version"
@@ -190,11 +189,6 @@ type Health struct {
 	Status string `json:"status"`
 	// Store is "ok", "degraded" or "disabled".
 	Store string `json:"store"`
-	// Tracing reports whether the simulate engines run with the trace
-	// JIT enabled (Config.Engine.Traced). It changes simulate cycle
-	// counts, never results, so clients comparing documents across
-	// servers need to know.
-	Tracing bool `json:"tracing"`
 	// StoreQuarantined counts records the backend quarantined (recovery
 	// scan plus runtime detections). Always 0 when the store is disabled.
 	StoreQuarantined int64 `json:"store_quarantined"`

@@ -16,7 +16,7 @@ package deps
 //     its coefficient gcd divides every level gcd with congruent
 //     constants), so the member may short-circuit the whole pair with zero
 //     effect on the emitted dependence set. TestRangeMemberConsistency and
-//     fuzz stage 9 enforce that claim.
+//     fuzz stage 8 enforce that claim.
 //   - Exact (sound, confidence 1): the existing Banerjee+GCD per-level
 //     solver in deps.go. It decides which dependences exist; nothing
 //     below it may remove an edge.

@@ -9,79 +9,10 @@ import (
 
 // regionCode bundles the run-invariant artifacts of one region: compiled
 // segment bytecode and the loop index values. Both are immutable after
-// construction and safe to share across concurrent runs. traced holds the
-// lazily built superblock tables of the traced execution tier, one per
-// (mode, labeling) pair — the guard-elision decisions baked into a
-// superblock depend on both, so the key is the region's exact idempotency
-// bitset under that mode, not just the region identity.
+// construction and safe to share across concurrent runs.
 type regionCode struct {
 	codes map[int]*vm.Code
 	iters []int64
-
-	mu     sync.Mutex
-	traced map[tracedKey]*tracedRegion
-}
-
-// tracedKey identifies one superblock table: the execution mode plus the
-// byte-exact idempotent-reference bitset of the labeling (the region
-// fingerprint the issue calls for — regions are cached by pointer, so
-// identity plus the labeling bits pins the compiled trace exactly).
-type tracedKey struct {
-	mode   Mode
-	labels string
-}
-
-// tracedRegion is the shared per-(region, mode, labeling) superblock
-// table. done marks segments whose recording already ran, whether or not
-// it produced a superblock (segments without a hot inner loop never do).
-type tracedRegion struct {
-	mu   sync.Mutex
-	segs map[int]segTrace
-}
-
-type segTrace struct {
-	sb   *vm.Superblock
-	done bool
-}
-
-// tracedFor returns (creating on first use) the superblock table for one
-// mode+labeling of this region.
-func (rc *regionCode) tracedFor(key tracedKey) *tracedRegion {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.traced == nil {
-		rc.traced = make(map[tracedKey]*tracedRegion)
-	}
-	tr := rc.traced[key]
-	if tr == nil {
-		tr = &tracedRegion{segs: make(map[int]segTrace)}
-		rc.traced[key] = tr
-	}
-	return tr
-}
-
-// snapshot copies the table's current view into the caller's run-local
-// maps, so the per-event hot path never takes the shared lock.
-func (tr *tracedRegion) snapshot(segSB map[int]*vm.Superblock, segTried map[int]bool) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	for segID, st := range tr.segs {
-		if st.done {
-			segTried[segID] = true
-			if st.sb != nil {
-				segSB[segID] = st.sb
-			}
-		}
-	}
-}
-
-// store publishes one segment's recording outcome (sb may be nil: tried,
-// no trace). Concurrent runs may race to record the same segment; either
-// outcome is equivalent, so last write wins.
-func (tr *tracedRegion) store(segID int, sb *vm.Superblock) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.segs[segID] = segTrace{sb: sb, done: true}
 }
 
 // codeCache memoizes regionCode per *ir.Region, so HOSE, CASE and

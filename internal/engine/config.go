@@ -92,25 +92,14 @@ type Config struct {
 	Trace io.Writer
 	// Timeline, when non-nil, receives the run's speculation timeline:
 	// segment spawn/commit/squash events with their causes and the refs
-	// involved, overflow stalls, and trace-JIT compile/enter/bailout
-	// events, all stamped with simulated cycles (obs.WriteChromeTrace
-	// exports the log as Perfetto-loadable Chrome trace JSON). Purely
-	// observational: cycle counts, memory and statistics are identical
-	// with a timeline attached, and the nil default costs the event loop
-	// one pointer check. RunSequential ignores it — spawn, squash and
-	// commit are speculation concepts. A Timeline must not be shared by
-	// concurrent runs.
+	// involved, and overflow stalls, all stamped with simulated cycles
+	// (obs.WriteChromeTrace exports the log as Perfetto-loadable Chrome
+	// trace JSON). Purely observational: cycle counts, memory and
+	// statistics are identical with a timeline attached, and the nil
+	// default costs the event loop one pointer check. RunSequential
+	// ignores it — spawn, squash and commit are speculation concepts. A
+	// Timeline must not be shared by concurrent runs.
 	Timeline *obs.Timeline
-	// Traced enables the trace-JIT execution tier: hot loop paths inside
-	// segment bodies are recorded, compiled into guarded superblocks
-	// (package vm), and executed without per-event interpreter dispatch.
-	// References the labeling proved idempotent run guard-free inside
-	// traces. Live-out memory is identical to the untraced engines (the
-	// fuzz wall asserts it); simulated cycle counts may differ slightly
-	// because traced execution batches one loop iteration per scheduler
-	// event, so byte-deterministic consumers (goldens, the service cache)
-	// keep it off by default.
-	Traced bool
 	// SpecThreshold enables confidence-driven speculation under CASE: a
 	// reference whose ensemble-derived P(idempotent) (idem.Result.Prob)
 	// is at least the threshold bypasses speculative storage even when
@@ -188,23 +177,6 @@ type Stats struct {
 	// executing segment instances (including squashed work); dividing by
 	// Processors*Cycles gives machine utilization.
 	BusyCycles int64
-	// TracesCompiled counts superblocks compiled by this run (traces
-	// reused from the shared cache are not recounted).
-	TracesCompiled int64
-	// TraceIterations counts loop iterations that ran to the backedge
-	// inside a compiled trace.
-	TraceIterations int64
-	// TraceBailouts counts trace exits back to the interpreter: failed
-	// guards (including the designed loop-exit bail) and speculative
-	// storage overflows inside a trace.
-	TraceBailouts int64
-	// TraceGuardedOps counts traced memory operations that went through
-	// the speculative protocol (buffered, bail-capable); TraceElidedOps
-	// counts those the idempotency labels let run direct against
-	// non-speculative storage with no guard at all. Their ratio is the
-	// guard-elision win the labels bought.
-	TraceGuardedOps int64
-	TraceElidedOps  int64
 }
 
 // Result of a run.
@@ -223,14 +195,13 @@ type Result struct {
 // that lets one run answer many capacities — the one-pass-for-all-sizes
 // idea of Mattson et al.'s stack simulation of storage hierarchies.
 //
-// Capacity enters an untraced run only through the speculative buffers'
-// overflow check. A saturated run, one with zero overflows, passed every
-// check with no buffer ever holding more than peak entries, so it passes
-// each of them again at any capacity >= peak and cannot tell the
-// capacities apart; at peak-1 its busiest buffer overflows. The rule
-// needs a fully associative storage (SpecSets <= 1: with sets, capacity
-// also sets the ways per set) and the untraced engine (a traced run's
-// counters also depend on the process-wide superblock cache).
+// Capacity enters a run only through the speculative buffers' overflow
+// check. A saturated run, one with zero overflows, passed every check
+// with no buffer ever holding more than peak entries, so it passes each
+// of them again at any capacity >= peak and cannot tell the capacities
+// apart; at peak-1 its busiest buffer overflows. The rule needs a fully
+// associative storage (SpecSets <= 1: with sets, capacity also sets the
+// ways per set).
 func SameRunAtCapacity(cfg Config, overflows int64, peak, capacity int) bool {
-	return !cfg.Traced && cfg.SpecSets <= 1 && overflows == 0 && capacity >= peak
+	return cfg.SpecSets <= 1 && overflows == 0 && capacity >= peak
 }

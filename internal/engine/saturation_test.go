@@ -115,23 +115,18 @@ func TestSaturatedRunIsCapacityInvariant(t *testing.T) {
 	t.Logf("%d runs checked against their saturated reference", checked)
 }
 
-// TestSameRunAtCapacityScope: the rule holds only for saturated, untraced,
-// fully associative runs at or above their peak.
+// TestSameRunAtCapacityScope: the rule holds only for saturated, fully
+// associative runs at or above their peak.
 func TestSameRunAtCapacityScope(t *testing.T) {
 	cfg := DefaultConfig()
 	if !SameRunAtCapacity(cfg, 0, 10, 10) || !SameRunAtCapacity(cfg, 0, 0, 1) {
-		t.Error("saturated untraced fully associative run must cover capacities >= peak")
+		t.Error("saturated fully associative run must cover capacities >= peak")
 	}
 	if SameRunAtCapacity(cfg, 0, 10, 9) {
 		t.Error("capacity below the peak is covered")
 	}
 	if SameRunAtCapacity(cfg, 1, 10, 100) {
 		t.Error("a run that overflowed is covered")
-	}
-	traced := cfg
-	traced.Traced = true
-	if SameRunAtCapacity(traced, 0, 10, 100) {
-		t.Error("a traced run is covered")
 	}
 	sets := cfg
 	sets.SpecSets = 4

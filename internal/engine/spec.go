@@ -179,20 +179,6 @@ type specRunner struct {
 	free       []*instance
 	commit     []specmem.Entry
 
-	// Traced-tier state (see traced.go). jit mirrors cfg.Traced; segSB and
-	// segTried are the run-local superblock view (no shared locks on the
-	// event path); rec/recSeg/recOwner track the one in-flight recording;
-	// tsubs is the subscript scratch of the trace executor.
-	jit      bool
-	tr       *tracedRegion
-	segSB    map[int]*vm.Superblock
-	segTried map[int]bool
-	rec      *vm.Recorder
-	recSeg   int
-	recOwner *instance
-	direct   func(*ir.Ref) bool
-	tsubs    [8]int64
-
 	// refMeta holds the per-reference facts of the current region,
 	// indexed by the dense ref ID: the label, category, privatization and
 	// address-computation data the hot path would otherwise chase through
@@ -219,7 +205,6 @@ func acquireRunner(cfg *Config, mode Mode, layout *Layout, mem []int64, hier *sp
 	sr.layout, sr.mem, sr.hier, sr.stats, sr.events = layout, mem, hier, stats, events
 	sr.opCost, sr.specLat, sr.maxEvents = cfg.OpCost, cfg.SpecLatency, cfg.MaxEvents
 	sr.tracing = cfg.Trace != nil
-	sr.jit = cfg.Traced
 	sr.tl = cfg.Timeline
 	sr.sharedSize, sr.frameSize = layout.SharedSize, layout.FrameSize
 	if sr.specCap != cfg.SpecCapacity || sr.specSets != cfg.SpecSets {
@@ -258,8 +243,6 @@ func (sr *specRunner) release() {
 	sr.layout, sr.mem, sr.hier, sr.stats, sr.events = nil, nil, nil, nil, nil
 	sr.codes, sr.iters = nil, nil
 	sr.tl = nil
-	sr.tr, sr.recOwner, sr.direct = nil, nil, nil
-	sr.recSeg = -1
 	for i := range sr.procInst {
 		sr.procInst[i] = nil
 	}
@@ -356,10 +339,6 @@ func (sr *specRunner) setRegion(r *ir.Region, lab *idem.Result) {
 		}
 		md.dims = dims
 	}
-	if sr.jit {
-		// After refMeta is built: the elision predicate reads it.
-		sr.tracedSetRegion(rc)
-	}
 }
 
 func (sr *specRunner) run(start int64) (int64, error) {
@@ -402,11 +381,7 @@ outer:
 				return 0, fmt.Errorf("exceeded %d events (livelock?)", sr.maxEvents)
 			}
 			gen := sr.heapGen
-			if sr.jit {
-				sr.advanceTraced(inst)
-			} else {
-				sr.advance(inst)
-			}
+			sr.advance(inst)
 			if inst.state != stRunning || sr.heapGen != gen {
 				// The instance blocked, or the heap changed under it
 				// (squash, stall, spawn): restore its key and re-pick.

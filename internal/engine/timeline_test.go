@@ -28,31 +28,28 @@ func countKinds(tl *obs.Timeline) (kinds map[obs.EventKind]int64, causes map[obs
 // a timeline must change nothing about the simulation — not cycles, not
 // memory, not a single statistic.
 func TestTimelineDoesNotPerturbRun(t *testing.T) {
-	for _, traced := range []bool{false, true} {
-		for _, mode := range []Mode{HOSE, CASE} {
-			p := chain(32)
-			labs := idem.LabelProgram(p)
-			cfg := DefaultConfig()
-			cfg.Traced = traced
-			bare, err := RunSpeculative(p, labs, cfg, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Timeline = &obs.Timeline{}
-			timed, err := RunSpeculative(p, labs, cfg, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bare.Cycles != timed.Cycles {
-				t.Errorf("%v traced=%v: cycles %d != %d with timeline", mode, traced, bare.Cycles, timed.Cycles)
-			}
-			if bare.Stats != timed.Stats {
-				t.Errorf("%v traced=%v: stats diverge with timeline:\n%+v\n%+v", mode, traced, bare.Stats, timed.Stats)
-			}
-			for i := range bare.Memory {
-				if bare.Memory[i] != timed.Memory[i] {
-					t.Fatalf("%v traced=%v: memory[%d] %d != %d with timeline", mode, traced, i, bare.Memory[i], timed.Memory[i])
-				}
+	for _, mode := range []Mode{HOSE, CASE} {
+		p := chain(32)
+		labs := idem.LabelProgram(p)
+		cfg := DefaultConfig()
+		bare, err := RunSpeculative(p, labs, cfg, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Timeline = &obs.Timeline{}
+		timed, err := RunSpeculative(p, labs, cfg, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bare.Cycles != timed.Cycles {
+			t.Errorf("%v: cycles %d != %d with timeline", mode, bare.Cycles, timed.Cycles)
+		}
+		if bare.Stats != timed.Stats {
+			t.Errorf("%v: stats diverge with timeline:\n%+v\n%+v", mode, bare.Stats, timed.Stats)
+		}
+		for i := range bare.Memory {
+			if bare.Memory[i] != timed.Memory[i] {
+				t.Fatalf("%v: memory[%d] %d != %d with timeline", mode, i, bare.Memory[i], timed.Memory[i])
 			}
 		}
 	}
@@ -175,36 +172,5 @@ func TestTimelineControlAndRevokeSquashes(t *testing.T) {
 	}
 	if causes[obs.CauseControlViolation]+causes[obs.CauseEarlyExitRevoke] == 0 {
 		t.Fatalf("no control/revoke squash recorded: %v", causes)
-	}
-}
-
-// TestTimelineTraceJITEvents checks the trace tier reports its activity.
-func TestTimelineTraceJITEvents(t *testing.T) {
-	spec, ok := workloads.FindLoop("TOMCATV", "MAIN_DO80")
-	if !ok {
-		t.Fatal("workload TOMCATV/MAIN_DO80 missing")
-	}
-	p := spec.Program()
-	labs := idem.LabelProgram(p)
-	cfg := DefaultConfig()
-	cfg.Traced = true
-	tl := &obs.Timeline{}
-	cfg.Timeline = tl
-	res, err := RunSpeculative(p, labs, cfg, CASE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds, _ := countKinds(tl)
-	if kinds[obs.EvTraceCompile] != res.Stats.TracesCompiled {
-		t.Errorf("compile events = %d, want TracesCompiled = %d", kinds[obs.EvTraceCompile], res.Stats.TracesCompiled)
-	}
-	if res.Stats.TracesCompiled == 0 {
-		t.Fatal("trace tier never compiled on the tomcatv loop")
-	}
-	if kinds[obs.EvTraceEnter] == 0 {
-		t.Error("no trace-enter events")
-	}
-	if kinds[obs.EvTraceBailout] != res.Stats.TraceBailouts {
-		t.Errorf("bailout events = %d, want TraceBailouts = %d", kinds[obs.EvTraceBailout], res.Stats.TraceBailouts)
 	}
 }

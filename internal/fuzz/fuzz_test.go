@@ -75,7 +75,7 @@ func TestBrokenLabelingCaughtAndShrunk(t *testing.T) {
 	}
 }
 
-// TestBrokenEnsembleCaughtAndShrunk: the stage-9 self-test. Annotating
+// TestBrokenEnsembleCaughtAndShrunk: the stage-8 self-test. Annotating
 // real cross dependences "never aliases" must be caught by the threshold
 // live-out oracle with the ensemble kind, and the failures must shrink.
 func TestBrokenEnsembleCaughtAndShrunk(t *testing.T) {

@@ -3,9 +3,9 @@
 // validation, printer/parser round-trip, theorem conformance of the
 // labeling, sequential-vs-HOSE-vs-CASE final-memory equivalence under
 // both the default and the buffer-pressure machine, the CASE occupancy
-// bound, and traced-vs-untraced live-out identity with the trace JIT
-// enabled — then shrinks any failing program to a minimal
-// reproducer and records it in a seed corpus for byte-exact replay.
+// bound, and the dependence ensemble's conservativeness — then shrinks
+// any failing program to a minimal reproducer and records it in a seed
+// corpus for byte-exact replay.
 package fuzz
 
 import (
@@ -29,7 +29,6 @@ const (
 	KindLemma2    = "lemma2-case"
 	KindOccupancy = "occupancy"
 	KindPressure  = "pressure"
-	KindTraced    = "traced"
 	KindEnsemble  = "ensemble"
 	KindEngine    = "engine-error"
 )
@@ -57,7 +56,7 @@ type OracleOptions struct {
 	// it, and the shrinker must reduce the failure to a tiny reproducer.
 	BreakLabeling bool
 	// BreakEnsemble deliberately corrupts the dependence ensemble before
-	// the stage-9 checks: every read sinking a cross-iteration dependence
+	// the stage-8 checks: every read sinking a cross-iteration dependence
 	// has all its incoming edges annotated "never aliases" at confidence
 	// 0.99 (deps.Ensemble.BreakCrossReads), so the threshold engine run
 	// promotes past real dependences. The live-out oracle must catch the
@@ -82,10 +81,7 @@ func fail(kind, format string, args ...any) *Verdict {
 //  5. lemma2     — CASE final live-out memory equals sequential
 //  6. occupancy  — CASE peak speculative occupancy <= HOSE peak
 //  7. pressure   — lemmas 1-2 again under a tiny speculative storage
-//  8. traced     — both engines with the trace JIT on, under both the
-//     default and the pressure machine, still match sequential live-outs
-//     (superblock guards, elision and bailouts must be invisible)
-//  9. ensemble   — the collaborative dependence ensemble (range, exact,
+//  8. ensemble   — the collaborative dependence ensemble (range, exact,
 //     must-write-first, replay profile) is no less conservative than the
 //     exact solver: the dependence set is identical once speculative
 //     annotations are stripped, the annotations are well-formed
@@ -164,30 +160,13 @@ func CheckProgram(p *ir.Program, o OracleOptions) *Verdict {
 			return fail(KindPressure, "%v under pressure: %v", mode, err)
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  engine.Config
-		seq  *engine.Result
-	}{{"default", cfg, seq}, {"pressure", pc, pseq}} {
-		tcfg := tc.cfg
-		tcfg.Traced = true
-		for _, mode := range []engine.Mode{engine.HOSE, engine.CASE} {
-			res, err := engine.RunSpeculative(p, labs, tcfg, mode)
-			if err != nil {
-				return fail(KindEngine, "traced %v (%s): %v", mode, tc.name, err)
-			}
-			if err := engine.LiveOutMismatch(p, labs, tc.seq, res); err != nil {
-				return fail(KindTraced, "%v traced (%s machine): %v", mode, tc.name, err)
-			}
-		}
-	}
 	if v := checkEnsemble(p, labs, cfg, seq, o); v != nil {
 		return v
 	}
 	return nil
 }
 
-// checkEnsemble is stage 9 of the wall. labs is the (possibly
+// checkEnsemble is stage 8 of the wall. labs is the (possibly
 // BreakLabeling-corrupted) base labeling; the label-identity check
 // recomputes a clean baseline when it was corrupted.
 func checkEnsemble(p *ir.Program, labs map[*ir.Region]*idem.Result,

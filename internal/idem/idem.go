@@ -126,22 +126,6 @@ func (res *Result) Category(ref *ir.Ref) Category { return res.cats[ref.ID] }
 // forced-mislabeling mode use this.
 func (res *Result) SetLabel(ref *ir.Ref, l Label) { res.labels[ref.ID] = l }
 
-// IdempotentBits returns the region's per-reference idempotency as a
-// dense bitset indexed by ir.Ref.ID: a set bit means Algorithm 2 proved
-// the reference idempotent. This is the form the VM's superblock
-// machinery consumes — the engine derives its guard-elision predicate and
-// its trace-cache key from these bits, so a labeling override via
-// SetLabel is picked up by the next traced run.
-func (res *Result) IdempotentBits() ir.Bits {
-	bits := ir.MakeBits(len(res.labels))
-	for i, l := range res.labels {
-		if l == Idempotent {
-			bits.Set(int32(i))
-		}
-	}
-	return bits
-}
-
 // LabelRegion runs the full pipeline (dataflow, dependences, RFW,
 // Algorithm 2) on one region. liveOut overrides the live-out set; pass nil
 // to use the region annotation or the conservative default.

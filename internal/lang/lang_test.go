@@ -251,6 +251,34 @@ func TestNonASCIIErrors(t *testing.T) {
 	}
 }
 
+// TestIntegerLiteralRange pins the error for an integer literal above
+// MaxInt64, positioned at its first digit, and checks that MaxInt64
+// itself still parses and prints back unchanged.
+func TestIntegerLiteralRange(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"program p\nvar x\nregion r loop i = 0 to 1 {\n  x = 99999999999999999999\n}\n",
+			`4:7: integer literal 99999999999999999999 out of range`},
+		{"program p\nvar x\nregion r loop k = 0 to 18446744073709551617 {\n  x = k\n}\n",
+			`3:24: integer literal 18446744073709551617 out of range`},
+		{"program p\nvar x\nregion r loop i = 0 to 1 {\n  x = -9223372036854775808\n}\n",
+			`4:8: integer literal 9223372036854775808 out of range`},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) error = %v, want %s", c.src, err, c.want)
+		}
+	}
+	src := "program p\nvar x\nregion r loop i = 0 to 1 {\n  x = 9223372036854775807\n}\n"
+	p, err := Parse(src)
+	if err != nil {
+		t.Fatalf("Parse(MaxInt64): %v", err)
+	}
+	if text := p.Format(); !strings.Contains(text, "x = 9223372036854775807\n") {
+		t.Errorf("MaxInt64 did not print back unchanged:\n%s", text)
+	}
+}
+
 // TestLexerOperators checks that every operator lexes to its own text and
 // that lexing operators allocates nothing: their tokens slice the source.
 func TestLexerOperators(t *testing.T) {

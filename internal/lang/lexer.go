@@ -36,6 +36,7 @@ package lang
 
 import (
 	"fmt"
+	"math"
 	"unicode/utf8"
 )
 
@@ -105,12 +106,18 @@ func (lx *lexer) next() (token, error) {
 			lx.advance()
 		}
 		t.kind = tokInt
+		t.text = lx.src[start:lx.pos]
 		var v int64
-		for _, d := range lx.src[start:lx.pos] {
-			v = v*10 + int64(d-'0')
+		for _, d := range t.text {
+			n := int64(d - '0')
+			if v > (math.MaxInt64-n)/10 {
+				// Unary minus applies after lexing, so the magnitude must
+				// fit in an int64 on its own.
+				return t, fmt.Errorf("%d:%d: integer literal %s out of range", t.line, t.col, t.text)
+			}
+			v = v*10 + n
 		}
 		t.val = v
-		t.text = lx.src[start:lx.pos]
 		return t, nil
 	default:
 		// Operators are sliced from the source, so a token costs no

@@ -170,9 +170,6 @@ func buildTestTimeline() *Timeline {
 	tl.Add(Event{Kind: EvSpawn, Time: 4, Proc: 1, Age: 1, Seg: 0, Ref: -1})
 	tl.Add(Event{Kind: EvStall, Time: 9, Proc: 2, Age: 2, Seg: 0, Ref: -1, Aux: 3, Cause: CauseOverflow})
 	tl.Add(Event{Kind: EvSquash, Time: 20, Dur: 16, Proc: 1, Age: 1, Seg: 0, Ref: 0, Cause: CauseFlowViolation})
-	tl.Add(Event{Kind: EvTraceCompile, Time: 25, Proc: 0, Age: 0, Seg: 0, Ref: -1, Aux: 2})
-	tl.Add(Event{Kind: EvTraceEnter, Time: 26, Proc: 0, Age: 0, Seg: 0, Ref: -1})
-	tl.Add(Event{Kind: EvTraceBailout, Time: 30, Proc: 0, Age: 0, Seg: 0, Ref: -1, Aux: 7})
 	tl.Add(Event{Kind: EvCommit, Time: 40, Dur: 36, Proc: 0, Age: 0, Seg: 0, Ref: -1, Aux: 5})
 	tl.EndRegion(40)
 	return tl
@@ -219,7 +216,7 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 	if byPh["X"] != 3 {
 		t.Fatalf("want 3 complete slices, got %d: %v", byPh["X"], byPh)
 	}
-	for _, cat := range []string{"region", "retired", "squashed", "stall", "trace-jit", "dispatch"} {
+	for _, cat := range []string{"region", "retired", "squashed", "stall", "dispatch"} {
 		if cats[cat] == 0 {
 			t.Errorf("no event with cat %q: %v", cat, cats)
 		}

@@ -4,7 +4,7 @@ package obs
 // simulates (engine.Config.Timeline), exported as Chrome trace-event JSON
 // so Perfetto and chrome://tracing can render the machine's speculation
 // behaviour — which segments ran where, what got squashed and why, where
-// the trace JIT entered and bailed. Timestamps are simulated cycles (the
+// speculative storage overflowed. Timestamps are simulated cycles (the
 // export declares one trace microsecond per cycle); nothing here reads a
 // clock, so a timeline-carrying run is as deterministic as the engine.
 
@@ -26,12 +26,6 @@ const (
 	EvSquash
 	// EvStall: an instance parked on speculative-storage overflow.
 	EvStall
-	// EvTraceCompile: the trace JIT compiled a superblock.
-	EvTraceCompile
-	// EvTraceEnter: an instance entered a compiled superblock.
-	EvTraceEnter
-	// EvTraceBailout: a superblock exited back to the interpreter.
-	EvTraceBailout
 )
 
 // String names the kind as rendered in the Chrome trace.
@@ -45,12 +39,6 @@ func (k EventKind) String() string {
 		return "squash"
 	case EvStall:
 		return "overflow-stall"
-	case EvTraceCompile:
-		return "trace-compile"
-	case EvTraceEnter:
-		return "trace-enter"
-	case EvTraceBailout:
-		return "trace-bailout"
 	}
 	return "unknown"
 }
@@ -113,9 +101,8 @@ type Event struct {
 	Ref int32
 	// Region indexes Timeline.Regions (stamped by Add).
 	Region int32
-	// Aux carries a per-kind extra: committed entries (EvCommit), buffer
-	// occupancy (EvStall), elided ops (EvTraceCompile), bail PC
-	// (EvTraceBailout).
+	// Aux carries a per-kind extra: committed entries (EvCommit) or
+	// buffer occupancy (EvStall).
 	Aux   int64
 	Cause Cause
 }
@@ -215,8 +202,6 @@ type chromeArgs struct {
 	Category  string `json:"category,omitempty"`
 	Entries   int64  `json:"entries,omitempty"`
 	Occupancy int64  `json:"occupancy,omitempty"`
-	Elided    int64  `json:"elided,omitempty"`
-	BailPC    int64  `json:"bail_pc,omitempty"`
 	Dropped   int64  `json:"dropped,omitempty"`
 }
 
@@ -235,8 +220,8 @@ const regionsTid = 1 << 20
 // document: each timeline becomes a process (pid 1..n) whose threads are
 // the simulated processors, segment executions render as complete ("X")
 // slices — committed under cat "retired", discarded under "squashed" —
-// and stalls, violations and trace-JIT activity render as instants. One
-// trace microsecond equals one simulated cycle.
+// and spawns and stalls render as instants. One trace microsecond equals
+// one simulated cycle.
 func WriteChromeTrace(w io.Writer, timelines []NamedTimeline) error {
 	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	for i, nt := range timelines {
@@ -295,17 +280,6 @@ func WriteChromeTrace(w io.Writer, timelines []NamedTimeline) error {
 				ce.Cat = "stall"
 				args.Cause = e.Cause.String()
 				args.Occupancy = e.Aux
-			case EvTraceCompile, EvTraceEnter, EvTraceBailout:
-				ce.Ph, ce.S = "i", "t"
-				ce.Ts = e.Time
-				ce.Name = e.Kind.String()
-				ce.Cat = "trace-jit"
-				if e.Kind == EvTraceCompile {
-					args.Elided = e.Aux
-				}
-				if e.Kind == EvTraceBailout {
-					args.BailPC = e.Aux
-				}
 			default: // EvSpawn
 				ce.Ph, ce.S = "i", "t"
 				ce.Ts = e.Time

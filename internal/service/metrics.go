@@ -76,16 +76,6 @@ type Metrics struct {
 	storeRecoveries     atomic.Int64
 	storeProbeFailures  atomic.Int64
 
-	// Trace-JIT counters, aggregated over computed simulate requests
-	// (all zero when Config.Engine.Traced is off). traceCompiled counts
-	// superblocks compiled, traceBailouts counts guard failures and
-	// overflow bailouts back to the interpreter, guardElided counts
-	// memory references that ran direct inside traces because their
-	// idempotency label removed the guard.
-	traceCompiled atomic.Int64
-	traceBailouts atomic.Int64
-	guardElided   atomic.Int64
-
 	// Simulate model-row counters (simulate.go): simRowsComputed counts
 	// rows whose engine run a computation ran, simRowsReused rows served
 	// from the program-tier entry instead, sequential rows included in
@@ -143,7 +133,6 @@ type Snapshot struct {
 	StoreReadErrors                             int64
 	StoreDegradedEvents, StoreRecoveries        int64
 	StoreProbeFailures                          int64
-	TraceCompiled, TraceBailouts, GuardElided   int64
 	SimRowsComputed, SimRowsReused              int64
 	SimSourceHits, SimAnsweredKept              int64
 }
@@ -177,9 +166,6 @@ func (m *Metrics) SnapshotNow() Snapshot {
 		StoreDegradedEvents: m.storeDegradedEvents.Load(),
 		StoreRecoveries:     m.storeRecoveries.Load(),
 		StoreProbeFailures:  m.storeProbeFailures.Load(),
-		TraceCompiled:       m.traceCompiled.Load(),
-		TraceBailouts:       m.traceBailouts.Load(),
-		GuardElided:         m.guardElided.Load(),
 		SimRowsComputed:     m.simRowsComputed.Load(),
 		SimRowsReused:       m.simRowsReused.Load(),
 		SimSourceHits:       m.simSourceHits.Load(),
@@ -222,9 +208,6 @@ func (s *Server) RenderMetricz() string {
 	} else {
 		w("delta_fragment_entries", 0)
 	}
-	w("trace_compiled", m.traceCompiled.Load())
-	w("trace_bailouts", m.traceBailouts.Load())
-	w("guard_elided", m.guardElided.Load())
 	w("sim_rows_computed", m.simRowsComputed.Load())
 	w("sim_rows_reused", m.simRowsReused.Load())
 	w("sim_source_hits", m.simSourceHits.Load())

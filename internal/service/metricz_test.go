@@ -34,7 +34,6 @@ func TestRenderMetriczLineOrder(t *testing.T) {
 		"delta_requests", "delta_unknown_base",
 		"delta_regions_reused", "delta_regions_relabeled",
 		"delta_base_entries", "delta_fragment_entries",
-		"trace_compiled", "trace_bailouts", "guard_elided",
 		"sim_rows_computed", "sim_rows_reused",
 		"sim_source_hits", "sim_answered_kept",
 	}

@@ -102,64 +102,54 @@ func TestWarmStartServesPersistedBytes(t *testing.T) {
 	}
 }
 
-// TestTracedRecordsStayTraced: the trace JIT changes simulate cycle
-// counts, so a server answers only from records of its own engine mode.
-// An untraced server on a store a traced one wrote computes afresh, and a
-// traced server reopened on it warm-loads only the traced record.
-func TestTracedRecordsStayTraced(t *testing.T) {
-	spec, ok := workloads.FindLoop("TOMCATV", "MAIN_DO80")
-	if !ok {
-		t.Fatal("TOMCATV MAIN_DO80 missing")
-	}
-	dir := t.TempDir()
+// TestWarmStartSkipsOtherVersions: warm start loads only records of
+// AnalysisVersion. A record planted at a simulate request's exact store
+// key under another version is neither loaded nor served: the server
+// computes the answer afresh, and the record stays in the store for a
+// rollback to find.
+func TestWarmStartSkipsOtherVersions(t *testing.T) {
 	ctx := context.Background()
-	req := Request{Op: OpSimulate, Program: spec.Src}
-	serve := func(traced bool) ([]byte, Snapshot) {
-		t.Helper()
-		st, _, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		cfg := storeTestConfig(t, st)
-		cfg.Engine.Traced = traced
-		s := New(cfg)
-		resp, err := s.Do(ctx, req)
-		s.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, s.Metrics().SnapshotNow()
-	}
-
+	req := Request{Op: OpSimulate, Example: "fig2"}
 	fresh := New(testConfig())
 	want, err := fresh.Do(ctx, req)
 	fresh.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, snap := serve(true)
-	if bytes.Equal(traced, want) {
-		t.Fatal("traced and untraced answers agree; the test cannot tell the modes apart")
+
+	st, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap.StoreWrites != 1 {
-		t.Fatalf("traced server wrote %d records, want 1", snap.StoreWrites)
+	defer st.Close()
+	foreign := storeKeyOf(taskKey{op: OpSimulate, fp: ir.FingerprintOf(workloads.Figure2())})
+	foreign.Version = "refidem-analysis/5"
+	sentinel := []byte("sentinel: another version's answer\n")
+	if err := st.Put(foreign, sentinel); err != nil {
+		t.Fatal(err)
 	}
-	got, snap := serve(false)
+
+	s := New(storeTestConfig(t, st))
+	if n := s.Health().StoreWarmEntries; n != 0 {
+		t.Errorf("warm entries = %d, want 0 (the only record is another version's)", n)
+	}
+	got, err := s.Do(ctx, req)
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, want) {
-		t.Error("an untraced server answered with the traced server's record")
+		t.Errorf("answer differs from a fresh memory-only compute:\n%s", got)
 	}
-	if snap.StoreWarmEntries+snap.StoreWarmHits != 0 || snap.Computed != 1 {
-		t.Errorf("untraced server: warm entries %d, warm hits %d, computed %d; want 0, 0, 1",
-			snap.StoreWarmEntries, snap.StoreWarmHits, snap.Computed)
+	if n := s.Metrics().SnapshotNow().Computed; n != 1 {
+		t.Errorf("computed = %d, want 1", n)
 	}
-	got, snap = serve(true)
-	if !bytes.Equal(got, traced) {
-		t.Error("a traced server's warm answer differs from its traced compute")
+	data, err := st.Get(foreign)
+	if err != nil {
+		t.Fatalf("the other version's record is gone: %v", err)
 	}
-	if snap.StoreWarmHits != 1 || snap.StoreWarmEntries != 0 || snap.Computed != 0 {
-		t.Errorf("traced restart: warm hits %d, warm entries left %d, computed %d; want 1, 0, 0",
-			snap.StoreWarmHits, snap.StoreWarmEntries, snap.Computed)
+	if !bytes.Equal(data, sentinel) {
+		t.Error("the other version's record was overwritten")
 	}
 }
 
@@ -483,7 +473,7 @@ func TestKeptRowAnswersPersist(t *testing.T) {
 	st3 := open()
 	defer st3.Close()
 	fp := ir.FingerprintOf(workloads.Figure2())
-	data, err := st3.Get(s2.storeKeyOf(taskKey{op: OpSimulate, fp: fp, capacity: 16384}))
+	data, err := st3.Get(storeKeyOf(taskKey{op: OpSimulate, fp: fp, capacity: 16384}))
 	if err != nil {
 		t.Fatalf("kept-row answer not persisted: %v", err)
 	}

@@ -182,7 +182,6 @@ func (c Config) normalized() Config {
 // for concurrent use.
 type Server struct {
 	cfg     Config
-	version string // versionOf(cfg.Engine)
 	metrics *Metrics
 	flight  *obs.FlightRecorder // nil when disabled
 
@@ -274,7 +273,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.normalized()
 	s := &Server{
 		cfg:      cfg,
-		version:  versionOf(cfg.Engine),
 		metrics:  newMetrics(),
 		programs: lru.New[progKey, programEntry](cfg.CacheCapacity),
 		inflight: make(map[taskKey]*task),

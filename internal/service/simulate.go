@@ -168,9 +168,6 @@ func (s *Server) simulate(t *task) ([]byte, error) {
 		}
 		models[i+1] = modelRow(r, seq.Cycles, cfg.Processors)
 		e.sim.keep(cfg, r.Mode, models[i+1])
-		s.metrics.traceCompiled.Add(r.Stats.TracesCompiled)
-		s.metrics.traceBailouts.Add(r.Stats.TraceBailouts)
-		s.metrics.guardElided.Add(r.Stats.TraceElidedOps)
 	}
 	return renderSimulate(e, cfg, models)
 }

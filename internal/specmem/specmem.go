@@ -53,8 +53,7 @@ type slot struct {
 // Growth can move the store: an Entry pointer returned by Lookup or
 // PrematureRead stays valid only until the next insert (a NoteRead or
 // Write of a new location) into the same buffer. The engine uses each
-// pointer before then: spec.go in doLoad and checkViolation, and
-// traced.go in its load path.
+// pointer before then, in doLoad and checkViolation.
 type Buffer struct {
 	capacity int
 	sets     int

@@ -296,10 +296,6 @@ const (
 	EvStore
 	// EvDone: the segment finished.
 	EvDone
-	// EvTraceEntry: a machine stepped with StepTraced reached the
-	// superblock entry point. The machine state corresponds exactly to the
-	// interpreter paused at Entry; the caller runs the compiled trace.
-	EvTraceEntry
 )
 
 // Event is what Machine.Step returns when it pauses. Subs aliases a

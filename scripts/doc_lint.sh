@@ -7,6 +7,11 @@
 # <name> ..." and commands "Command <name> ..." but the gate only
 # requires that the comment exists — godoc renders whatever it says.
 #
+# Every *.go path under internal/, cmd/ or examples/ that README.md,
+# docs/*.md or .claude/skills/verify/SKILL.md names must exist, so a
+# deleted or renamed file cannot leave a dangling reference in the docs.
+# Directory mentions are not checked.
+#
 # Usage: scripts/doc_lint.sh   (exit 1 and list offenders on failure)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,4 +43,25 @@ if [ "$bad" -ne 0 ]; then
   echo "doc_lint: FAIL — add a package comment (// Package <name> ... or // Command <name> ...) above the package clause" >&2
   exit 1
 fi
-echo "doc_lint: all $(go list ./... | wc -l) packages documented"
+
+paths=0
+for doc in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+  [ -e "$doc" ] || continue
+  # A path counts only where no path character precedes it, so the tail
+  # of an import path such as refidem/internal/... is not read as rooted
+  # here, and only when no word character follows its .go, so a .golden
+  # file is not read as a .go one.
+  for path in $(grep -oE '(^|[^A-Za-z0-9_./-])(internal|cmd|examples)/[A-Za-z0-9_./-]*\.go([^A-Za-z0-9_]|$)' "$doc" |
+    grep -oE '(internal|cmd|examples)/[A-Za-z0-9_./-]*\.go' | sort -u); do
+    paths=$((paths + 1))
+    if [ ! -e "$path" ]; then
+      echo "doc_lint: $doc names $path, which does not exist" >&2
+      bad=1
+    fi
+  done
+done
+if [ "$bad" -ne 0 ]; then
+  echo "doc_lint: FAIL — point the docs at the file that holds the code now, or drop the path" >&2
+  exit 1
+fi
+echo "doc_lint: all $(go list ./... | wc -l) packages documented; $paths source paths in the docs resolve"
