@@ -225,13 +225,10 @@ func benchDepsQuery(b *testing.B, ens *deps.Ensemble) {
 func BenchmarkEngineHOSE(b *testing.B) { benchEngine(b, false) }
 
 // BenchmarkEngineCASE is the CASE-mode counterpart of BenchmarkEngineHOSE.
+// It runs with the default nil speculation timeline, so its alloc gate
+// also pins that the timeline hooks cost the disabled event loop nothing
+// but pointer checks (engine.Config.Timeline documents the contract).
 func BenchmarkEngineCASE(b *testing.B) { benchEngine(b, true) }
-
-// BenchmarkEngineCASETimelineOff is BenchmarkEngineCASE with the default
-// nil speculation timeline made explicit: its alloc gate pins that the
-// timeline hooks cost the disabled event loop nothing but pointer checks
-// (engine.Config.Timeline documents the contract; this row enforces it).
-func BenchmarkEngineCASETimelineOff(b *testing.B) { benchEngine(b, true) }
 
 // BenchmarkEngineCapacitySweep runs HOSE on the TOMCATV loop with a
 // different speculative-storage capacity each iteration, cycling through

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -79,6 +81,17 @@ func TestRunStable(t *testing.T) {
 
 // TestRunErrors covers the error paths main maps to exit code 1.
 func TestRunErrors(t *testing.T) {
+	// Nine inner loops fail validation instead of crashing the solver.
+	var deep strings.Builder
+	deep.WriteString("program deep\nvar a[4]\nregion main loop k = 0 to 1 {\n")
+	for i := 0; i < 9; i++ {
+		fmt.Fprintf(&deep, "for j%d = 0 to 1 {\n", i)
+	}
+	deep.WriteString("a[j0] = a[j0] + 1\n" + strings.Repeat("}\n", 10))
+	deepPath := filepath.Join(t.TempDir(), "deep.ril")
+	if err := os.WriteFile(deepPath, []byte(deep.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name          string
 		example, file string
@@ -89,6 +102,7 @@ func TestRunErrors(t *testing.T) {
 		{"unknown example", "nope", "", ""},
 		{"missing file", "", filepath.Join(t.TempDir(), "missing.ril"), ""},
 		{"bad dot kind", "fig2", "", "nope"},
+		{"nest too deep", "", deepPath, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,7 @@
 package deps
 
 // Differential test keeping the dense alias solver (deps.go) and the
-// map-based fallback solver (slow.go) in lockstep: for every reference
+// map-based oracle (slow_test.go) in lockstep: for every reference
 // pair of a population of generated programs, each level test must agree
 // between the two implementations.
 
@@ -25,6 +25,28 @@ func TestDenseSolverMatchesSlow(t *testing.T) {
 				comparePairTests(t, r, prof.Name, seed)
 			}
 		}
+	}
+	// No profile nests deeper than 6, so deep nests compare the last
+	// positional slots of the dense forms up to ir.MaxAffDepth.
+	deep := gen.Config{MaxDepth: ir.MaxAffDepth, LoopPct: 70, MaxInnerTrip: 2}
+	var atDepth [ir.MaxAffDepth + 1]int
+	for seed := int64(1); seed <= 60; seed++ {
+		p := gen.Generate(seed, deep).Program
+		if err := p.Validate(); err != nil {
+			t.Fatalf("deep seed %d: %v", seed, err)
+		}
+		for _, r := range p.Regions {
+			d := 0
+			for _, ref := range r.Refs {
+				d = max(d, len(ref.Ctx.Loops))
+			}
+			atDepth[d]++
+			comparePairTests(t, r, "deep", seed)
+		}
+	}
+	if atDepth[ir.MaxAffDepth-1] == 0 || atDepth[ir.MaxAffDepth] == 0 {
+		t.Errorf("regions per nest depth %v: want depths %d and %d covered",
+			atDepth, ir.MaxAffDepth-1, ir.MaxAffDepth)
 	}
 }
 

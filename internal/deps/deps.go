@@ -14,10 +14,9 @@
 // The pair tests run on the dense affine forms precomputed in the region
 // index (ir.RegionIndex): each test accumulates the interval and GCD
 // refutations directly from positional loop coefficients, with no
-// per-pair allocation. References whose subscripts the dense forms cannot
-// represent (only possible in unvalidated programs or nests deeper than
-// ir.MaxAffDepth) fall back to the equivalent map-based solver in
-// slow.go.
+// per-pair allocation. Validation caps every nest at ir.MaxAffDepth, so
+// the dense forms represent every affine subscript of a validated
+// program; this is the only solver.
 package deps
 
 import (
@@ -448,7 +447,7 @@ func loopRange(l ir.LoopInfo) (int64, int64) {
 // addSideLoops introduces the reference's own enclosing loops from depth
 // `skip` on as independent solver variables with the given sign.
 func (a *acc) addSideLoops(ref *ir.Ref, f ir.AffForm, sign int64, skip int) {
-	for k := skip; k < len(ref.Ctx.Loops) && k < ir.MaxAffDepth; k++ {
+	for k := skip; k < len(ref.Ctx.Loops); k++ {
 		lo, hi := loopRange(ref.Ctx.Loops[k])
 		a.add(sign*f.Depth[k], lo, hi)
 	}
@@ -459,9 +458,6 @@ func (a *acc) addSideLoops(ref *ir.Ref, f ir.AffForm, sign int64, skip int) {
 // location. Iterations are numbered t = 0..n-1 in execution order, with
 // index value From + Step*t; the younger side is shifted by d >= 1.
 func mayAliasRegionLevel(r *ir.Region, src, dst *ir.Ref, idx *ir.RegionIndex) bool {
-	if idx.SlowAff[src.ID] || idx.SlowAff[dst.ID] {
-		return slowRegionLevel(r, src, dst)
-	}
 	n := int64(r.InstanceCount())
 	if n < 2 {
 		return false
@@ -494,9 +490,6 @@ func mayAliasInnerLevel(r *ir.Region, r1, r2 *ir.Ref, nCommon, level int, srcEar
 	src, dst := r1, r2
 	if !srcEarlier {
 		src, dst = r2, r1
-	}
-	if idx.SlowAff[src.ID] || idx.SlowAff[dst.ID] {
-		return slowInnerLevel(r, src, dst, r1.Ctx.Loops[:nCommon], level)
 	}
 	l := r1.Ctx.Loops[level]
 	trips := int64(l.Trips())
@@ -534,9 +527,6 @@ func mayAliasInnerLevel(r *ir.Region, r1, r2 *ir.Ref, nCommon, level int, srcEar
 // mayAliasSameIteration tests equality with all common loops at the same
 // iteration and remaining loops independent.
 func mayAliasSameIteration(r *ir.Region, r1, r2 *ir.Ref, nCommon int, idx *ir.RegionIndex) bool {
-	if idx.SlowAff[r1.ID] || idx.SlowAff[r2.ID] {
-		return slowSameIteration(r, r1, r2, r1.Ctx.Loops[:nCommon])
-	}
 	sa, da := idx.Aff[r1.ID], idx.Aff[r2.ID]
 	for dim := 0; dim < len(r1.Subs); dim++ {
 		sf, df := sa[dim], da[dim]
@@ -562,9 +552,6 @@ func mayAliasSameIteration(r *ir.Region, r1, r2 *ir.Ref, nCommon int, idx *ir.Re
 // mayAliasIndependent tests equality with every loop variable independent
 // on each side (used for cross-segment pairs in CFG regions).
 func mayAliasIndependent(r *ir.Region, src, dst *ir.Ref, idx *ir.RegionIndex) bool {
-	if idx.SlowAff[src.ID] || idx.SlowAff[dst.ID] {
-		return slowIndependent(r, src, dst)
-	}
 	sa, da := idx.Aff[src.ID], idx.Aff[dst.ID]
 	for dim := 0; dim < len(src.Subs); dim++ {
 		sf, df := sa[dim], da[dim]

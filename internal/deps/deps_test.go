@@ -1,6 +1,7 @@
 package deps
 
 import (
+	"fmt"
 	"testing"
 
 	"refidem/internal/cfg"
@@ -31,6 +32,41 @@ func has(a *Analysis, src, dst *ir.Ref, kind Kind, cross bool) bool {
 		}
 	}
 	return false
+}
+
+// TestUnvalidatedFormsAreConservative: a program that skipped Validate
+// may nest a reference deeper than ir.MaxAffDepth or name an index no loop
+// binds. Such subscripts have no affine form, so the solver assumes the
+// dependences instead of indexing past the dense forms.
+func TestUnvalidatedFormsAreConservative(t *testing.T) {
+	p := ir.NewProgram("t")
+	a := p.AddVar("a", 4)
+	for _, c := range []struct {
+		name  string
+		depth int
+		sub   string
+	}{
+		{"nest deeper than the cap", ir.MaxAffDepth + 1, "j0"},
+		{"unbound index", 1, "z"},
+	} {
+		body := []ir.Stmt{&ir.Assign{LHS: ir.Wr(a, ir.Idx(c.sub)), RHS: ir.AddE(ir.Rd(a, ir.Idx(c.sub)), ir.C(1))}}
+		for d := c.depth - 1; d >= 0; d-- {
+			body = []ir.Stmt{&ir.For{Index: fmt.Sprintf("j%d", d), From: 0, To: 1, Step: 1, Body: body}}
+		}
+		r := &ir.Region{
+			Name: "r", Kind: ir.LoopRegion, Index: "k", From: 0, To: 1, Step: 1,
+			Segments: []*ir.Segment{{ID: 0, Body: body}},
+		}
+		r.Finalize()
+		an := Analyze(r, cfg.FromRegion(r))
+		rd, wr := r.Refs[0], r.Refs[1]
+		if r.DenseIndex().AddrCertain[rd.ID] || r.DenseIndex().AddrCertain[wr.ID] {
+			t.Errorf("%s: address certain without an affine form", c.name)
+		}
+		if !has(an, wr, rd, Flow, true) || !has(an, rd, wr, Anti, false) {
+			t.Errorf("%s: dependences not assumed: %v", c.name, an.All)
+		}
+	}
 }
 
 func TestScalarAccumulator(t *testing.T) {

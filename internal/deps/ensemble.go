@@ -79,32 +79,6 @@ func (m Member) String() string {
 // that iterate the dense per-member counters.
 func MemberNames() [NumMembers]string { return memberNames }
 
-// Verdict is one member's answer to a dependence query.
-type Verdict uint8
-
-const (
-	// MayDepend: the member cannot refute the dependence (or abstains).
-	MayDepend Verdict = iota
-	// NoDep: the member refutes the dependence.
-	NoDep
-)
-
-func (v Verdict) String() string {
-	if v == NoDep {
-		return "no-dep"
-	}
-	return "may-depend"
-}
-
-// Answer is one member's reply: the verdict, the member's confidence in
-// it (1 for the sound members; < 1 marks the answer speculative), and
-// which member produced it.
-type Answer struct {
-	Verdict Verdict
-	Conf    float64
-	Member  Member
-}
-
 // mwfConf is the MustWriteFirst member's fixed confidence. It is < 1 by
 // design: the fact is lifted across a call boundary under a syntactic
 // leading-call condition, so the member answers speculatively and only
@@ -252,9 +226,6 @@ func AnalyzeWith(r *ir.Region, g *cfg.Graph, ens *Ensemble) *Analysis {
 // every exact test's gcd with congruent constants, so a box refutation
 // transfers to all of them.
 func (a *Analysis) rangeRefutesPair(r1, r2 *ir.Ref, idx *ir.RegionIndex) bool {
-	if idx.SlowAff[r1.ID] || idx.SlowAff[r2.ID] {
-		return false // no dense form: abstain, let the exact solver decide
-	}
 	r := a.Region
 	var rlo, rhi int64
 	if r.Kind == ir.LoopRegion {
@@ -298,7 +269,7 @@ func extRange(from, step, trips int64) (int64, int64) {
 // addSideLoopsExt introduces the reference's own enclosing loops as
 // independent solver variables over their extended value ranges.
 func addSideLoopsExt(eq *acc, ref *ir.Ref, f ir.AffForm, sign int64) {
-	for k := 0; k < len(ref.Ctx.Loops) && k < ir.MaxAffDepth; k++ {
+	for k := 0; k < len(ref.Ctx.Loops); k++ {
 		l := ref.Ctx.Loops[k]
 		lo, hi := extRange(int64(l.From), int64(l.Step), int64(l.Trips()))
 		eq.add(sign*f.Depth[k], lo, hi)

@@ -1,11 +1,10 @@
 package deps
 
-// This file holds the map-based linear alias tests the dense solver in
-// deps.go falls back to when a reference's subscripts have no dense
-// affine form (an index name that is not an enclosing loop — only
-// possible in unvalidated programs — or a nest deeper than
-// ir.MaxAffDepth). The two solvers are semantically identical on shared
-// inputs; TestDenseSolverMatchesSlow keeps them in lockstep.
+// This file holds the map-based linear alias tests, the oracle of the
+// dense solver in deps.go: they lower subscripts through ir.AffineOf and
+// name-keyed maps with no depth limit, so they share no code with the
+// positional forms. TestDenseSolverMatchesSlow keeps the two in
+// lockstep.
 
 import (
 	"fmt"

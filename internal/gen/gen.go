@@ -188,6 +188,7 @@ type gen struct {
 	procs    []*ir.Proc
 	paramMax int // inclusive value bound callers guarantee per argument
 	depth    int
+	loops    int // enclosing inner loops, the nest Validate caps
 	sc       *Scenario
 }
 
@@ -330,15 +331,36 @@ func maxOf(a, b int) int {
 
 // call emits a call to a random generated procedure with arguments that
 // stay within [0, paramMax] for every in-scope index value, so callee
-// subscripts built from parameters remain in bounds.
+// subscripts built from parameters remain in bounds. A callee whose loops
+// would nest the expansion past ir.MaxAffDepth yields an assignment.
 func (g *gen) call(indices []idxInfo) ir.Stmt {
 	pr := g.procs[g.rng.Intn(len(g.procs))]
+	if g.loops+loopDepth(pr.Body) > ir.MaxAffDepth {
+		return g.assign(indices)
+	}
 	args := make([]ir.Expr, len(pr.Params))
 	for i := range args {
 		args[i] = g.boundedArg(indices)
 	}
 	g.sc.Calls = true
 	return &ir.Call{Callee: pr.Name, Args: args, Proc: pr}
+}
+
+// loopDepth returns the deepest loop nest of stmts with every call
+// expanded.
+func loopDepth(stmts []ir.Stmt) int {
+	d := 0
+	for _, st := range stmts {
+		switch s := st.(type) {
+		case *ir.For:
+			d = max(d, 1+loopDepth(s.Body))
+		case *ir.If:
+			d = max(d, loopDepth(s.Then), loopDepth(s.Else))
+		case *ir.Call:
+			d = max(d, loopDepth(s.Proc.Body))
+		}
+	}
+	return d
 }
 
 // boundedArg builds an affine argument expression with value range
@@ -443,6 +465,9 @@ func (g *gen) cfgRegion() *ir.Region {
 
 // stmts generates a statement list. indices are the in-scope loop
 // indices; allowExit permits early-exit statements (loop regions only).
+// A loop, burst or call that would nest past ir.MaxAffDepth becomes an
+// assignment, decided after the slot's roll so shallower programs keep
+// their random sequence.
 func (g *gen) stmts(n int, indices []idxInfo, allowExit bool) []ir.Stmt {
 	var out []ir.Stmt
 	for i := 0; i < n; i++ {
@@ -459,8 +484,13 @@ func (g *gen) stmts(n int, indices []idxInfo, allowExit bool) []ir.Stmt {
 			}
 			g.depth--
 			out = append(out, s)
+		case roll < g.cfg.CondPct+g.cfg.LoopPct+g.cfg.BurstPct && g.depth < g.cfg.MaxDepth &&
+			g.loops >= ir.MaxAffDepth:
+			// A loop or burst here would nest past the cap.
+			out = append(out, g.assign(indices))
 		case roll < g.cfg.CondPct+g.cfg.LoopPct && g.depth < g.cfg.MaxDepth:
 			g.depth++
+			g.loops++
 			trip := g.rng.Intn(g.cfg.MaxInnerTrip) + 1
 			idx := idxInfo{name: fmt.Sprintf("j%d", g.depth), max: trip}
 			inner := append(append([]idxInfo{}, indices...), idx)
@@ -468,6 +498,7 @@ func (g *gen) stmts(n int, indices []idxInfo, allowExit bool) []ir.Stmt {
 				Index: idx.name, From: 0, To: trip, Step: 1,
 				Body: g.stmts(1+g.rng.Intn(2), inner, false),
 			})
+			g.loops--
 			g.depth--
 		case roll < g.cfg.CondPct+g.cfg.LoopPct+g.cfg.BurstPct && g.depth < g.cfg.MaxDepth:
 			out = append(out, g.writeBurst(indices))

@@ -104,20 +104,32 @@ func TestAffineProfileIsRestricted(t *testing.T) {
 }
 
 // TestGenerateToleratesPartialConfig: zero-valued sizing knobs are
-// clamped, never panicking rand.Intn.
+// clamped, never panicking rand.Intn, and configurations that would nest
+// loops past ir.MaxAffDepth, directly or through calls, stop at the cap.
 func TestGenerateToleratesPartialConfig(t *testing.T) {
+	deepest := 0
 	for _, cfg := range []Config{
 		{},
 		{Regions: 2, CFGPct: 100},
 		{MaxScalars: 1, MaxArrays: 1, LoopPct: 100, MaxDepth: 2},
 		{MaxStmts: 3, CondPct: 100, MaxDepth: 1, BurstPct: 100},
+		{MaxDepth: 10, LoopPct: 100},
+		{Procs: 4, CallPct: 40, LoopPct: 60, MaxDepth: 3},
 	} {
 		for seed := int64(0); seed < 30; seed++ {
 			sc := Generate(seed, cfg)
 			if err := sc.Program.Validate(); err != nil {
 				t.Fatalf("cfg %+v seed %d: %v", cfg, seed, err)
 			}
+			for _, r := range sc.Program.Regions {
+				for _, ref := range r.Refs {
+					deepest = max(deepest, len(ref.Ctx.Loops))
+				}
+			}
 		}
+	}
+	if deepest != ir.MaxAffDepth {
+		t.Errorf("deepest generated nest is %d, want the cap %d", deepest, ir.MaxAffDepth)
 	}
 }
 

@@ -260,20 +260,6 @@ func AddrCertain(r *Ref) bool {
 	return true
 }
 
-// RefAffine returns the per-dimension affine forms of the reference's
-// subscripts, or nil if any dimension is not affine.
-func RefAffine(r *Ref) []Affine {
-	out := make([]Affine, 0, len(r.Subs))
-	for _, sub := range r.Subs {
-		a, ok := AffineOf(sub)
-		if !ok {
-			return nil
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
 // Convenience constructors, used heavily by workloads and tests.
 
 // C returns a constant expression.

@@ -8,8 +8,8 @@ package ir
 // allocation-free in steady state.
 
 // MaxAffDepth is the deepest loop nest the dense affine forms can
-// represent. References nested deeper fall back to the map-based affine
-// machinery (AffineOf), which has no depth limit.
+// represent. Validate rejects any reference nested deeper, so every
+// validated program is in reach of the one dependence solver.
 const MaxAffDepth = 8
 
 // AffForm is the dense affine decomposition of one subscript dimension:
@@ -17,21 +17,20 @@ const MaxAffDepth = 8
 //	Const + Reg*regionIndex + sum_k Depth[k]*Ctx.Loops[k].Index
 //
 // with coefficients attached to the loop *positions* of the enclosing
-// nest rather than to index names. OK mirrors AffineOf's second result.
-// Slow marks forms that are affine but not densely representable (an
-// index name that is not an enclosing loop or the region index — only
-// possible in unvalidated programs — or a nest deeper than MaxAffDepth);
-// consumers must route such references through the map-based path.
+// nest rather than to index names. OK mirrors AffineOf's second result
+// on validated programs. A program that skipped Validate may name an
+// index that is not an enclosing loop or the region index, or nest a
+// reference deeper than MaxAffDepth; such a form is not OK, which the
+// analyses treat conservatively, exactly like a subscript that reads
+// memory.
 type AffForm struct {
 	OK    bool
-	Slow  bool
 	Const int64
 	Reg   int64
 	Depth [MaxAffDepth]int64
 }
 
-// HasVars reports whether the form has any non-zero coefficient. Only
-// meaningful when !Slow.
+// HasVars reports whether the form has any non-zero coefficient.
 func (a AffForm) HasVars() bool {
 	if a.Reg != 0 {
 		return true
@@ -57,14 +56,12 @@ type RegionIndex struct {
 	// NumSegs is len(Region.Segments).
 	NumSegs int
 
-	// AddrCertain caches ir.AddrCertain per ref ID.
+	// AddrCertain reports per ref ID that every subscript form is OK:
+	// ir.AddrCertain on a validated program.
 	AddrCertain []bool
 	// Aff holds the dense affine forms of every subscript dimension, per
 	// ref ID (nil inner slice for scalar references).
 	Aff [][]AffForm
-	// SlowAff marks refs with at least one Slow affine dimension; pair
-	// tests involving them must use the map-based solver.
-	SlowAff []bool
 
 	localOf   map[*Var]int32
 	segPos    map[int]int32
@@ -119,7 +116,6 @@ func (r *Region) buildDenseIndex() {
 		NumSegs:     len(r.Segments),
 		AddrCertain: make([]bool, n),
 		Aff:         make([][]AffForm, n),
-		SlowAff:     make([]bool, n),
 		localOf:     make(map[*Var]int32),
 		segPos:      make(map[int]int32, len(r.Segments)),
 	}
@@ -147,17 +143,12 @@ func (r *Region) buildDenseIndex() {
 		var aff []AffForm
 		if len(ref.Subs) > 0 {
 			aff = make([]AffForm, len(ref.Subs))
+			deep := len(ref.Ctx.Loops) > MaxAffDepth // only unvalidated programs
 			for d, sub := range ref.Subs {
-				f := resolveAff(sub, ref.Ctx.Loops, regionIdx)
-				if f.Slow {
-					// The dense resolver could not decide; fall back to
-					// the exact map-based test for OK so AddrCertain
-					// stays byte-compatible with AffineOf.
-					_, f.OK = AffineOf(sub)
-					ix.SlowAff[ref.ID] = true
+				if !deep {
+					aff[d] = resolveAff(sub, ref.Ctx.Loops, regionIdx)
 				}
-				aff[d] = f
-				if !f.OK {
+				if !aff[d].OK {
 					certain = false
 				}
 			}
@@ -182,7 +173,8 @@ func (r *Region) buildDenseIndex() {
 }
 
 // resolveAff is the dense mirror of AffineOf: it decomposes e into an
-// affine form over the enclosing loop positions and the region index.
+// affine form over the enclosing loop positions (at most MaxAffDepth of
+// them) and the region index.
 func resolveAff(e Expr, loops []LoopInfo, regionIdx string) AffForm {
 	switch x := e.(type) {
 	case *Const:
@@ -190,9 +182,6 @@ func resolveAff(e Expr, loops []LoopInfo, regionIdx string) AffForm {
 	case *Index:
 		for k := range loops {
 			if loops[k].Index == x.Name {
-				if k >= MaxAffDepth {
-					return AffForm{OK: true, Slow: true}
-				}
 				f := AffForm{OK: true}
 				f.Depth[k] = 1
 				return f
@@ -201,9 +190,9 @@ func resolveAff(e Expr, loops []LoopInfo, regionIdx string) AffForm {
 		if regionIdx != "" && x.Name == regionIdx {
 			return AffForm{OK: true, Reg: 1}
 		}
-		// Not an enclosing index: unvalidated program. Affine per
-		// AffineOf, but the dense solver cannot bound the name.
-		return AffForm{OK: true, Slow: true}
+		// Not an enclosing index: an unvalidated program. The solver
+		// cannot bound the name, so the form is not affine.
+		return AffForm{}
 	case *Load:
 		return AffForm{}
 	case *Bin:
@@ -211,14 +200,6 @@ func resolveAff(e Expr, loops []LoopInfo, regionIdx string) AffForm {
 		r := resolveAff(x.R, loops, regionIdx)
 		if !l.OK || !r.OK {
 			return AffForm{}
-		}
-		if l.Slow || r.Slow {
-			switch x.Op {
-			case Add, Sub, Mul:
-				return AffForm{OK: true, Slow: true}
-			default:
-				return AffForm{}
-			}
 		}
 		switch x.Op {
 		case Add:

@@ -66,7 +66,7 @@ func TestCallExpansionRefsAndAffineBinding(t *testing.T) {
 			t.Fatalf("write %v not address-certain after affine binding", w)
 		}
 		aff := idx.Aff[w.ID][0]
-		if !aff.OK || aff.Slow || aff.Reg != 2 {
+		if !aff.OK || aff.Reg != 2 {
 			t.Fatalf("write %v: affine form %+v, want Reg=2", w, aff)
 		}
 		if _, ok := wantConst[aff.Const]; !ok {
@@ -133,7 +133,7 @@ func TestCallExpansionRenamesCapturedLoopIndex(t *testing.T) {
 		t.Fatalf("inner loop not renamed: both indices %q", w.Ctx.Loops[0].Index)
 	}
 	aff := r.DenseIndex().Aff[w.ID][0]
-	if !aff.OK || aff.Slow || aff.Depth[0] != 4 || aff.Depth[1] != 1 {
+	if !aff.OK || aff.Depth[0] != 4 || aff.Depth[1] != 1 {
 		t.Fatalf("affine form %+v, want Depth[0]=4 Depth[1]=1", aff)
 	}
 }
@@ -170,11 +170,11 @@ func TestSimultaneousParamSubstitution(t *testing.T) {
 		switch ref.Var {
 		case a:
 			// x := i (the caller's region index), untouched by i := 0.
-			if !aff.OK || aff.Slow || aff.Reg != 1 || aff.Const != 0 {
+			if !aff.OK || aff.Reg != 1 || aff.Const != 0 {
 				t.Fatalf("a's subscript captured: %+v (want the region index)", aff)
 			}
 		case b:
-			if !aff.OK || aff.Slow || aff.Reg != 0 || aff.Const != 0 {
+			if !aff.OK || aff.Reg != 0 || aff.Const != 0 {
 				t.Fatalf("b's subscript %+v, want constant 0", aff)
 			}
 		}

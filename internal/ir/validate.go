@@ -120,6 +120,11 @@ func (p *Program) validateRegion(r *Region) error {
 			return fmt.Errorf("ir: reference #%d: %d subscripts for %d-dimensional %q",
 				ref.ID, len(ref.Subs), len(ref.Var.Dims), ref.Var.Name)
 		}
+		// Ctx.Loops counts the loops reached through call expansion too.
+		if len(ref.Ctx.Loops) > MaxAffDepth {
+			return fmt.Errorf("ir: reference #%d: loop nest depth %d exceeds %d",
+				ref.ID, len(ref.Ctx.Loops), MaxAffDepth)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -206,6 +207,15 @@ region r loop k = 0 to 1 {
 	}
 }
 
+// loopNest wraps body in n inner loops with indices prefix0, prefix1, ...
+func loopNest(prefix string, n int, body string) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "for %s%d = 0 to 1 { ", prefix, i)
+	}
+	return b.String() + body + strings.Repeat(" }", n)
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -222,6 +232,11 @@ func TestParseErrors(t *testing.T) {
 		{"program p var x region r loop k = 1 to 2 { for k = 1 to 2 { x = 1 } }", "shadows"},
 		{"program p @", "unexpected character"},
 		{"program p var x region r loop k = 2 to 1 { x = 1 }", "zero iterations"},
+		{"program p var a[4] region r loop k = 0 to 1 { " + loopNest("j", 9, "a[j0] = a[j0] + 1") + " }",
+			"ir: reference #0: loop nest depth 9 exceeds 8"},
+		{"program p var a[4] proc f(q) { " + loopNest("i", 5, "a[q] = a[q] + 1") +
+			" } region r loop k = 0 to 1 { " + loopNest("j", 4, "call f(j0)") + " }",
+			"ir: reference #0: loop nest depth 9 exceeds 8"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

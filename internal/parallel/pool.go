@@ -12,51 +12,10 @@ import (
 
 // ForEach runs fn(i) for i in [0, n) on up to workers goroutines
 // (workers <= 0 selects GOMAXPROCS). It blocks until all calls complete.
-// The first panic, if any, is re-raised on the caller's goroutine.
+// The first panic, if any, stops further indices and is re-raised on the
+// caller's goroutine.
 func ForEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		next     int
-		mu       sync.Mutex
-		panicked any
-		once     sync.Once
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							once.Do(func() { panicked = r })
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+	ForEachCtx(context.Background(), n, workers, fn)
 }
 
 // Map applies fn to each index and returns the results in order.
@@ -129,17 +88,4 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		panic(panicked)
 	}
 	return ctx.Err()
-}
-
-// MapCtx applies fn to each index with ForEachCtx's cancellation
-// semantics. On early cancel the returned slice still has length n; slots
-// whose call never started (or was in flight when cancellation hit and
-// completed anyway) hold whatever fn stored — callers should treat the
-// whole slice as partial whenever the error is non-nil.
-func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachCtx(ctx, n, workers, func(i int) {
-		out[i] = fn(i)
-	})
-	return out, err
 }

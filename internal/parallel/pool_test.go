@@ -101,15 +101,3 @@ func TestForEachCtxPanicStopsAndPropagates(t *testing.T) {
 		panic("boom")
 	})
 }
-
-func TestMapCtxOrder(t *testing.T) {
-	out, err := MapCtx(context.Background(), 50, 8, func(i int) int { return i * i })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}

@@ -317,9 +317,6 @@ func coversRead(w, r *ir.Ref, idx *ir.RegionIndex) bool {
 			return false
 		}
 	}
-	if idx.SlowAff[w.ID] || idx.SlowAff[r.ID] {
-		return coversReadSlow(w, r)
-	}
 	// Positional affine equality: the common prefix shares loop IDs and
 	// the mirrored chains map depth-to-depth, so the dense forms must
 	// match coefficient by coefficient.
@@ -329,53 +326,6 @@ func coversRead(w, r *ir.Ref, idx *ir.RegionIndex) bool {
 		if wAff[dim].Const != rAff[dim].Const ||
 			wAff[dim].Reg != rAff[dim].Reg ||
 			wAff[dim].Depth != rAff[dim].Depth {
-			return false
-		}
-	}
-	return true
-}
-
-// coversReadSlow is the map-based affine comparison used when a reference
-// has no dense affine form.
-func coversReadSlow(w, r *ir.Ref) bool {
-	n := 0
-	for n < len(w.Ctx.Loops) && n < len(r.Ctx.Loops) && w.Ctx.Loops[n].ID == r.Ctx.Loops[n].ID {
-		n++
-	}
-	rename := make(map[string]string, len(w.Ctx.Loops)-n)
-	wRest := w.Ctx.Loops[n:]
-	rRest := r.Ctx.Loops[n:]
-	for i := range wRest {
-		rename[wRest[i].Index] = rRest[i].Index
-	}
-	wAff := ir.RefAffine(w)
-	rAff := ir.RefAffine(r)
-	for dim := range wAff {
-		if !affineEqualRenamed(wAff[dim], rAff[dim], rename) {
-			return false
-		}
-	}
-	return true
-}
-
-// affineEqualRenamed compares two affine forms after renaming a's
-// variables through the rename map (identity for unmapped names).
-func affineEqualRenamed(a, b ir.Affine, rename map[string]string) bool {
-	if a.Const != b.Const {
-		return false
-	}
-	mapped := make(map[string]int64, len(a.Coeff))
-	for v, c := range a.Coeff {
-		if nv, ok := rename[v]; ok {
-			v = nv
-		}
-		mapped[v] += c
-	}
-	if len(mapped) != len(b.Coeff) {
-		return false
-	}
-	for v, c := range b.Coeff {
-		if mapped[v] != c {
 			return false
 		}
 	}

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -24,46 +23,40 @@ func benchSources(n int) []string {
 }
 
 // BenchmarkServiceLabelThroughput measures end-to-end label request
-// throughput under full parallelism — parse, fingerprint, queue, region
-// analysis, fragment assembly — over a rotation of 8 distinct programs,
-// with the coalescing queue on and off. ns/op is the
-// per-request wall cost at saturation; the CI gate holds both modes.
+// throughput under full parallelism — parse, fingerprint, coalescing
+// queue, region analysis, fragment assembly — over a rotation of 8
+// distinct programs. ns/op is the per-request wall cost at saturation.
 func BenchmarkServiceLabelThroughput(b *testing.B) {
-	for _, coalesce := range []bool{true, false} {
-		b.Run(fmt.Sprintf("coalesce=%v", coalesce), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Coalesce = coalesce
-			cfg.QueueDepth = 1 << 16
-			cfg.ResponseCache = -1 // measure the queue path, not byte replay
-			s := New(cfg)
-			defer s.Close()
-			srcs := benchSources(8)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					req := Request{Program: srcs[i%len(srcs)]}
-					i++
-					for {
-						_, err := s.Label(ctx, req)
-						if err == nil {
-							break
-						}
-						if errors.Is(err, ErrOverloaded) {
-							continue // backpressure working as intended: retry
-						}
-						b.Fatal(err)
-					}
+	cfg := DefaultConfig()
+	cfg.QueueDepth = 1 << 16
+	cfg.ResponseCache = -1 // measure the queue path, not byte replay
+	s := New(cfg)
+	defer s.Close()
+	srcs := benchSources(8)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			req := Request{Program: srcs[i%len(srcs)]}
+			i++
+			for {
+				_, err := s.Label(ctx, req)
+				if err == nil {
+					break
 				}
-			})
-			b.StopTimer()
-			snap := s.Metrics().SnapshotNow()
-			if snap.LabelRequests > 0 {
-				b.ReportMetric(float64(snap.Coalesced)/float64(snap.LabelRequests), "coalesced/req")
+				if errors.Is(err, ErrOverloaded) {
+					continue // backpressure working as intended: retry
+				}
+				b.Fatal(err)
 			}
-		})
+		}
+	})
+	b.StopTimer()
+	snap := s.Metrics().SnapshotNow()
+	if snap.LabelRequests > 0 {
+		b.ReportMetric(float64(snap.Coalesced)/float64(snap.LabelRequests), "coalesced/req")
 	}
 }
 

@@ -74,10 +74,6 @@ type Config struct {
 	// QueueDepth bounds the admitted tasks waiting for a worker; a full
 	// queue rejects with ErrOverloaded (<= 0 selects 1024).
 	QueueDepth int
-	// Coalesce deduplicates identical in-flight requests onto a single
-	// computation. DefaultConfig enables it; the zero Config leaves it
-	// off so the field composes with struct literals.
-	Coalesce bool
 	// ResponseCache is the capacity of the response byte cache — the fast
 	// path answering repeat requests without touching the parser or the
 	// queue (0 selects 4× CacheCapacity, negative disables it). Responses
@@ -135,13 +131,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the production defaults: a 512-program tier,
-// GOMAXPROCS workers, a 1024-deep admission queue, coalescing on, the
-// paper's default machine.
+// GOMAXPROCS workers, a 1024-deep admission queue, the paper's default
+// machine.
 func DefaultConfig() Config {
 	return Config{
 		CacheCapacity: 512,
 		QueueDepth:    1024,
-		Coalesce:      true,
 		Engine:        engine.DefaultConfig(),
 	}
 }
@@ -358,7 +353,7 @@ func (s *Server) Batch(ctx context.Context, reqs []Request) ([][]byte, []error) 
 
 // Do validates and admits one request, waits for its computation and
 // returns the response bytes. Identical in-flight requests coalesce onto
-// one computation when the server was configured with Coalesce.
+// one computation.
 func (s *Server) Do(ctx context.Context, req Request) ([]byte, error) {
 	resp, _, err := s.DoTraced(ctx, req)
 	return resp, err
@@ -598,11 +593,9 @@ func (s *Server) admit(key taskKey, e programEntry, delta bool) (*task, bool, er
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	if s.cfg.Coalesce {
-		if t, ok := s.inflight[key]; ok {
-			s.metrics.coalesced.Add(1)
-			return t, true, nil
-		}
+	if t, ok := s.inflight[key]; ok {
+		s.metrics.coalesced.Add(1)
+		return t, true, nil
 	}
 	t := &task{key: key, entry: e, delta: delta, done: make(chan struct{})}
 	select {
@@ -611,9 +604,7 @@ func (s *Server) admit(key taskKey, e programEntry, delta bool) (*task, bool, er
 		s.metrics.overloaded.Add(1)
 		return nil, false, ErrOverloaded
 	}
-	if s.cfg.Coalesce {
-		s.inflight[key] = t
-	}
+	s.inflight[key] = t
 	return t, false, nil
 }
 

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -187,6 +190,71 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// deepNest returns a program whose one assignment sits under outer
+// region-body loops and, when inner > 0, a call to a procedure that opens
+// inner more loops around it.
+func deepNest(outer, inner int) string {
+	loops := func(prefix string, n int, body string) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "for %s%d = 0 to 1 {\n", prefix, i)
+		}
+		return b.String() + body + "\n" + strings.Repeat("}\n", n)
+	}
+	src := "program deep\nvar a[4]\n"
+	body := loops("j", outer, "a[j0] = a[j0] + 1")
+	if inner > 0 {
+		src += "proc f(p) {\n" + loops("q", inner, "a[p] = a[p] + 1") + "}\n"
+		body = loops("j", outer, "call f(j0)")
+	}
+	return src + "region main loop k = 0 to 1 {\n" + body + "}\n"
+}
+
+// TestNestDepthCap: a reference nested deeper than ir.MaxAffDepth,
+// directly or through a call, is a bad request on /v1/label and
+// /v1/simulate, refused before any task is admitted; a nest at the cap
+// still labels and simulates.
+func TestNestDepthCap(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const pinned = `region \"main\": ir: reference #0: loop nest depth 9 exceeds 8`
+	for _, c := range []struct {
+		name         string
+		outer, inner int
+		status       int
+		wantComputed int64
+	}{
+		{"9 loops", 9, 0, http.StatusBadRequest, 0},
+		{"4 loops calling 5", 4, 5, http.StatusBadRequest, 0},
+		{"8 loops", 8, 0, http.StatusOK, 2},
+		{"4 loops calling 4", 4, 4, http.StatusOK, 4},
+	} {
+		body, err := json.Marshal(Request{Program: deepNest(c.outer, c.inner)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{"/v1/label", "/v1/simulate"} {
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != c.status {
+				t.Fatalf("%s %s: status %d, want %d\n%s", c.name, path, resp.StatusCode, c.status, got)
+			}
+			if c.status == http.StatusBadRequest && string(got) != `{"error":"bad request: `+pinned+`"}`+"\n" {
+				t.Errorf("%s %s: body %s, want the pinned depth error", c.name, path, got)
+			}
+		}
+		if n := s.Metrics().SnapshotNow().Computed; n != c.wantComputed {
+			t.Errorf("after %s: %d tasks computed, want %d", c.name, n, c.wantComputed)
+		}
+	}
+}
+
 func TestBatchMixedOpsAndErrors(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
@@ -281,7 +349,6 @@ func TestOverloadBackpressure(t *testing.T) {
 			cfg := testConfig()
 			cfg.Workers = c.workers
 			cfg.QueueDepth = c.depth
-			cfg.Coalesce = false
 			s := New(cfg)
 			defer s.Close()
 
@@ -334,7 +401,6 @@ func TestOverloadBackpressure(t *testing.T) {
 func TestCloseDrainsInFlight(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.Coalesce = false // duplicate examples below must each occupy a queue slot
 	s := New(cfg)
 
 	entered := make(chan struct{}, 1)
@@ -356,13 +422,14 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	}()
 	<-entered
 
-	// Queue several distinct programs behind the blocked worker.
+	// Queue several distinct requests behind the blocked worker.
 	const queued = 5
-	examples := []string{"fig1", "fig2", "fig3", "buts", "fig1"}
+	reqs := []Request{{Example: "fig1"}, {Example: "fig2"}, {Example: "fig3"},
+		{Example: "buts"}, {Example: "fig1", Deps: true}}
 	results := make(chan error, queued)
 	for i := 0; i < queued; i++ {
 		go func(i int) {
-			_, err := s.Label(context.Background(), Request{Example: examples[i]})
+			_, err := s.Label(context.Background(), reqs[i])
 			results <- err
 		}(i)
 	}

@@ -185,10 +185,6 @@ func (b *Buffer) Size() int { return len(b.entries) }
 // Capacity returns the configured capacity.
 func (b *Buffer) Capacity() int { return b.capacity }
 
-// Sets returns the number of address-indexed sets (1 when fully
-// associative).
-func (b *Buffer) Sets() int { return b.sets }
-
 // Full reports whether total capacity is exhausted (set conflicts can
 // reject a specific address even when Full is false).
 func (b *Buffer) Full() bool { return len(b.entries) >= b.capacity }

@@ -307,7 +307,6 @@ type Event struct {
 	Ref   *ir.Ref
 	Subs  []int64
 	Value int64
-	dst   int
 }
 
 // Machine is a resumable interpreter over compiled code.
@@ -484,7 +483,7 @@ func (m *Machine) StepInto(ev *Event) int {
 			m.pendingLoad = true
 			m.pendingDst = in.Dst
 			m.PC = pc + 1
-			*ev = Event{Kind: EvLoad, Ref: in.Ref, Subs: subs, dst: in.Dst}
+			*ev = Event{Kind: EvLoad, Ref: in.Ref, Subs: subs}
 			return ops + 1
 		case OpStore:
 			subs := m.scratchSubs(len(in.Subs))

@@ -14,7 +14,7 @@
 # allocation-free query-path claim for both the exact solver and the
 # ensemble chain), BenchmarkSequentialBaseline (the uniprocessor
 # reference run) and the service benchmarks — BenchmarkServiceLabel*
-# (queue path with coalescing on/off plus the response-cache fast path)
+# (the coalescing queue path plus the response-cache fast path)
 # and BenchmarkServiceSimulateThroughput (the simulate path serving rows
 # kept on the program-tier entry) —
 # and the persistent-store benchmarks BenchmarkStore* (durable put,
