@@ -24,16 +24,24 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"refidem/internal/benchfmt"
 )
 
-// Result and Document are the BENCH_results.json shapes (see
-// internal/benchfmt).
-type (
-	Result   = benchfmt.Result
-	Document = benchfmt.Document
-)
+// Result holds one benchmark's parsed measurements.
+type Result struct {
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
+	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
+}
+
+// Document is the BENCH_results.json shape: current measurements plus
+// the embedded reference baseline.
+type Document struct {
+	Go         string            `json:"go,omitempty"`
+	Benchmarks map[string]Result `json:"benchmarks"`
+	Baseline   map[string]Result `json:"baseline,omitempty"`
+}
 
 func parse(line string) (string, Result, bool) {
 	fields := strings.Fields(line)

@@ -142,7 +142,6 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		storeDir  = fs.String("store", "", "persistent result store directory (empty = memory-only)")
 		storeQ    = fs.Int("store-queue", 256, "write-behind persistence queue depth")
 		reqTO     = fs.Duration("request-timeout", 5*time.Second, "per-request deadline (answers 504; 0 disables)")
-		ensemble  = fs.Bool("ensemble", false, "label through the collaborative dependence ensemble (responses identical, /metricz gains per-member counters)")
 		flight    = fs.Int("flight", 256, "flight-recorder span ring capacity for /debug/tracez (0 disables request tracing)")
 		logLevel  = fs.String("log-level", "off", "structured request logging level: off, debug, info, warn or error")
 		debugAddr = fs.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables; never served on -addr)")
@@ -162,7 +161,6 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	cfg.QueueDepth = *queue
 	cfg.StoreQueueDepth = *storeQ
 	cfg.RequestTimeout = *reqTO
-	cfg.Ensemble = *ensemble
 	cfg.FlightSpans = *flight
 	var backend *store.FS
 	if *storeDir != "" {

@@ -9,6 +9,7 @@
 //	specsim -file prog.ril                  # a mini-language source file
 //	specsim -procs 8 -capacity 64           # machine parameters
 //	specsim -timeline trace.json            # speculation timeline export
+//	specsim -trace                          # timeline events as text on stderr
 //
 // With -timeline, the HOSE and CASE runs record their speculation
 // events (segment spawns, commits, squashes with causes, overflow
@@ -16,8 +17,10 @@
 // trace-event JSON document — load it in Perfetto or chrome://tracing
 // to see the machine's speculation behaviour cycle by cycle. The report
 // gains a squash-attribution table naming the references that caused
-// the flow-violation squashes. Recording does not perturb the
-// simulation: cycles and statistics are identical with and without it.
+// the flow-violation squashes. With -trace, the same recorded events
+// are printed to stderr, one line each, and the report is unchanged.
+// Recording does not perturb the simulation: cycles and statistics are
+// identical with and without it.
 package main
 
 import (
@@ -44,7 +47,7 @@ func main() {
 	list := flag.Bool("list", false, "list the named loops and exit")
 	procs := flag.Int("procs", 4, "processor count")
 	capacity := flag.Int("capacity", 128, "speculative storage capacity (entries per segment)")
-	trace := flag.Bool("trace", false, "stream the engine event trace to stderr")
+	trace := flag.Bool("trace", false, "print the speculative runs' timeline events to stderr")
 	timeline := flag.String("timeline", "", "write a Chrome trace-event JSON speculation timeline to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -91,11 +94,12 @@ func main() {
 	cfg := engine.DefaultConfig()
 	cfg.Processors = *procs
 	cfg.SpecCapacity = *capacity
+	var traceW io.Writer
 	if *trace {
-		cfg.Trace = os.Stderr
+		traceW = os.Stderr
 	}
 
-	if err := run(os.Stdout, p, cfg, *timeline); err != nil {
+	if err := run(os.Stdout, p, cfg, *timeline, traceW); err != nil {
 		fmt.Fprintln(os.Stderr, "specsim:", err)
 		os.Exit(1)
 	}
@@ -127,10 +131,11 @@ func loadProgram(loop, file string) (*ir.Program, error) {
 }
 
 // run executes and reports one program on one machine configuration; the
-// CLI tests drive it directly. A non-empty timelinePath attaches a
-// speculation timeline to each speculative run and exports both as one
-// Chrome trace-event JSON document.
-func run(w io.Writer, p *ir.Program, cfg engine.Config, timelinePath string) error {
+// CLI tests drive it directly. A non-empty timelinePath or a non-nil
+// trace attaches a speculation timeline to each speculative run; the
+// path receives both as one Chrome trace-event JSON document, and trace
+// receives their events as text (writeTrace).
+func run(w io.Writer, p *ir.Program, cfg engine.Config, timelinePath string, trace io.Writer) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -141,7 +146,7 @@ func run(w io.Writer, p *ir.Program, cfg engine.Config, timelinePath string) err
 	}
 	hoseCfg, caseCfg := cfg, cfg
 	var timelines []obs.NamedTimeline
-	if timelinePath != "" {
+	if timelinePath != "" || trace != nil {
 		hoseCfg.Timeline = &obs.Timeline{}
 		caseCfg.Timeline = &obs.Timeline{}
 		timelines = []obs.NamedTimeline{
@@ -156,6 +161,9 @@ func run(w io.Writer, p *ir.Program, cfg engine.Config, timelinePath string) err
 	caseR, err := engine.RunSpeculative(p, labs, caseCfg, engine.CASE)
 	if err != nil {
 		return err
+	}
+	if trace != nil {
+		writeTrace(trace, timelines)
 	}
 	for _, r := range []*engine.Result{hose, caseR} {
 		if err := engine.LiveOutMismatch(p, labs, seq, r); err != nil {
@@ -196,4 +204,39 @@ func run(w io.Writer, p *ir.Program, cfg engine.Config, timelinePath string) err
 		fmt.Fprint(w, report.RenderSquashAttribution(timelines))
 	}
 	return nil
+}
+
+// writeTrace prints one line per recorded event, naming the run, region,
+// cycle, event kind, processor, segment age and segment ID, then the
+// kind's detail and the reference the event is attributed to, if any:
+//
+//	HOSE r t=75 commit proc 0 age 0 seg 0 entries 1
+//	HOSE r t=18 squash proc 2 age 2 seg 0 cause flow-violation ref write x[k]
+//	HOSE main_do80 t=185 overflow-stall proc 2 age 2 seg 0 occupancy 8
+//
+// A timeline that hit its bound ends with the count of events it dropped.
+func writeTrace(w io.Writer, timelines []obs.NamedTimeline) {
+	for _, nt := range timelines {
+		tl := nt.T
+		for i := range tl.Events {
+			e := &tl.Events[i]
+			fmt.Fprintf(w, "%s %s t=%d %s proc %d age %d seg %d",
+				nt.Name, tl.Regions[e.Region].Name, e.Time, e.Kind, e.Proc, e.Age, e.Seg)
+			switch e.Kind {
+			case obs.EvCommit:
+				fmt.Fprintf(w, " entries %d", e.Aux)
+			case obs.EvStall:
+				fmt.Fprintf(w, " occupancy %d", e.Aux)
+			case obs.EvSquash:
+				fmt.Fprintf(w, " cause %s", e.Cause)
+			}
+			if info, ok := tl.RefInfo(e); ok {
+				fmt.Fprintf(w, " ref %s", info.Text)
+			}
+			fmt.Fprintln(w)
+		}
+		if tl.Dropped > 0 {
+			fmt.Fprintf(w, "%s: %d events dropped past the timeline bound\n", nt.Name, tl.Dropped)
+		}
+	}
 }

@@ -6,9 +6,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"refidem/internal/engine"
+	"refidem/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files from current output")
@@ -57,7 +59,7 @@ func TestNamedLoopsGolden(t *testing.T) {
 			cfg.Processors = tc.procs
 			cfg.SpecCapacity = tc.capacity
 			var buf bytes.Buffer
-			if err := run(&buf, p, cfg, ""); err != nil {
+			if err := run(&buf, p, cfg, "", nil); err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, tc.golden, buf.Bytes())
@@ -104,7 +106,7 @@ region main loop k = 0 to 15 {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, p, engine.DefaultConfig(), ""); err != nil {
+	if err := run(&buf, p, engine.DefaultConfig(), "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("verified against the sequential memory state")) {
@@ -139,12 +141,12 @@ region r loop k = 1 to 31 {
 	cfg.SpecCapacity = 16
 
 	var plain bytes.Buffer
-	if err := run(&plain, p, cfg, ""); err != nil {
+	if err := run(&plain, p, cfg, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var buf bytes.Buffer
-	if err := run(&buf, p, cfg, path); err != nil {
+	if err := run(&buf, p, cfg, path, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf.Bytes(), plain.Bytes()) {
@@ -202,7 +204,7 @@ region r loop k = 1 to 31 {
 	// Byte-determinism of the export itself.
 	path2 := filepath.Join(t.TempDir(), "trace2.json")
 	var buf2 bytes.Buffer
-	if err := run(&buf2, p, cfg, path2); err != nil {
+	if err := run(&buf2, p, cfg, path2, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw2, err := os.ReadFile(path2)
@@ -222,7 +224,40 @@ func TestTimelineBadPath(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	bad := filepath.Join(t.TempDir(), "missing-dir", "trace.json")
-	if err := run(&buf, p, engine.DefaultConfig(), bad); err == nil {
+	if err := run(&buf, p, engine.DefaultConfig(), bad, nil); err == nil {
 		t.Fatal("expected error for unwritable timeline path")
+	}
+}
+
+// TestTraceOutput drives -trace on BUTS_DO1 with an 8-entry speculative
+// storage, which forces overflow traffic: stderr receives the recorded
+// commit and overflow-stall events of both speculative runs, one line
+// each, and the report on stdout is byte-identical to the untraced run.
+func TestTraceOutput(t *testing.T) {
+	p := workloads.ButsDO1(6)
+	cfg := engine.DefaultConfig()
+	cfg.SpecCapacity = 8
+	var plain, out, trace bytes.Buffer
+	if err := run(&plain, p, cfg, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&out, p, cfg, "", &trace); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), plain.Bytes()) {
+		t.Errorf("-trace changed the report:\n--- plain ---\n%s\n--- traced ---\n%s", plain.String(), out.String())
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[2], "t=") {
+			t.Fatalf("malformed trace line %q", line)
+		}
+		seen[f[0]+" "+f[3]] = true
+	}
+	for _, want := range []string{"HOSE commit", "HOSE overflow-stall", "CASE commit", "CASE overflow-stall"} {
+		if !seen[want] {
+			t.Errorf("trace has no %q line:\n%s", want, trace.String())
+		}
 	}
 }

@@ -12,7 +12,6 @@ package cfg
 
 import (
 	"fmt"
-	"sort"
 
 	"refidem/internal/ir"
 )
@@ -30,7 +29,6 @@ type Graph struct {
 
 	pos   map[int]int // node ID -> age position; Exit handled separately
 	succs [][]int     // by position (Exit row at len(Nodes))
-	preds [][]int
 	// reach[a*(n+1)+b] reports a path of length >= 1 from position a to
 	// position b, where position n is Exit.
 	reach     []bool
@@ -99,7 +97,6 @@ func newGraph(n int) *Graph {
 	return &Graph{
 		pos:   make(map[int]int, n),
 		succs: make([][]int, n+1),
-		preds: make([][]int, n+1),
 	}
 }
 
@@ -116,14 +113,13 @@ func (g *Graph) posOf(n int) int {
 }
 
 func (g *Graph) addEdge(from, to int) {
-	pf, pt := g.posOf(from), g.posOf(to)
+	pf := g.posOf(from)
 	for _, s := range g.succs[pf] {
 		if s == to {
 			return
 		}
 	}
 	g.succs[pf] = append(g.succs[pf], to)
-	g.preds[pt] = append(g.preds[pt], from)
 }
 
 // finalize computes the derived structures: the reachability closure, the
@@ -191,15 +187,6 @@ func (g *Graph) Succs(n int) []int {
 	return g.succs[p]
 }
 
-// Preds returns the predecessors of n.
-func (g *Graph) Preds(n int) []int {
-	p := g.posOf(n)
-	if p < 0 {
-		return nil
-	}
-	return g.preds[p]
-}
-
 // Age returns the age rank of a node: older segments have smaller ranks.
 // The exit node is younger than everything.
 func (g *Graph) Age(n int) int {
@@ -247,23 +234,6 @@ func (g *Graph) BFS(f func(n int)) {
 	}
 }
 
-// Descendants returns the set of nodes reachable from n by one or more
-// edges (Exit excluded).
-func (g *Graph) Descendants(n int) map[int]bool {
-	out := make(map[int]bool)
-	p := g.posOf(n)
-	if p < 0 {
-		return out
-	}
-	row := g.reach[p*(len(g.Nodes)+1):]
-	for i, id := range g.Nodes {
-		if row[i] {
-			out[id] = true
-		}
-	}
-	return out
-}
-
 // Paths enumerates every path from the node `from` to the exit node, as
 // slices of real node IDs (Exit omitted). It is exponential and intended
 // only for tests and the RFW property checker on small graphs; maxPaths
@@ -288,19 +258,6 @@ func (g *Graph) Paths(from int, maxPaths int) [][]int {
 		return false
 	}
 	rec(from)
-	return out
-}
-
-// NodesYoungerThan returns all real nodes with age strictly greater than
-// the age of n, sorted by age.
-func (g *Graph) NodesYoungerThan(n int) []int {
-	var out []int
-	for _, m := range g.Nodes {
-		if g.Age(m) > g.Age(n) {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return g.Age(out[i]) < g.Age(out[j]) })
 	return out
 }
 

@@ -73,21 +73,6 @@ func TestAgeAndYounger(t *testing.T) {
 	if g.Age(0) != 0 || g.Age(3) != 3 || g.Age(Exit) != 4 {
 		t.Errorf("ages: %d %d %d", g.Age(0), g.Age(3), g.Age(Exit))
 	}
-	y := g.NodesYoungerThan(1)
-	if len(y) != 2 || y[0] != 2 || y[1] != 3 {
-		t.Errorf("NodesYoungerThan(1) = %v", y)
-	}
-}
-
-func TestDescendants(t *testing.T) {
-	g := diamond(t)
-	d := g.Descendants(0)
-	if len(d) != 3 || !d[1] || !d[2] || !d[3] {
-		t.Errorf("Descendants(0) = %v", d)
-	}
-	if len(g.Descendants(3)) != 0 {
-		t.Errorf("Descendants(3) = %v", g.Descendants(3))
-	}
 }
 
 func TestHasBranch(t *testing.T) {

@@ -98,7 +98,6 @@ type Analysis struct {
 
 	// Ensemble state (nil/zero outside AnalyzeWith; see ensemble.go).
 	ens     *Ensemble
-	stats   MemberStats
 	mwfVars map[*ir.Var]bool
 	obs     []RefObs
 }
@@ -287,19 +286,10 @@ func (a *Analysis) emit(src, dst *ir.Ref, cross bool) {
 
 // pair tests one unordered reference pair in every direction and level.
 func (a *Analysis) pair(r1, r2 *ir.Ref, g *cfg.Graph, idx *ir.RegionIndex) {
-	if a.ens != nil {
-		if a.ens.Range {
-			a.stats.Queries[MemberRange]++
-			if a.rangeRefutesPair(r1, r2, idx) {
-				// Sound refutation of every level test at once: the whole
-				// pair short-circuits past the exact solver.
-				a.stats.Hits[MemberRange]++
-				a.stats.ShortCircuits[MemberRange]++
-				return
-			}
-		}
-		a.stats.Queries[MemberExact]++
-		a.stats.Hits[MemberExact]++
+	if a.ens != nil && a.ens.Range && a.rangeRefutesPair(r1, r2, idx) {
+		// Sound refutation of every level test at once: the whole pair
+		// short-circuits past the exact solver.
+		return
 	}
 	a.pairR1 = r1
 	a.emitted = [2][2]bool{}

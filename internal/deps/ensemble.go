@@ -41,8 +41,6 @@ package deps
 // Config.SpecThreshold speculation policy acts on that probability.
 
 import (
-	"sync/atomic"
-
 	"refidem/internal/callgraph"
 	"refidem/internal/cfg"
 	"refidem/internal/ir"
@@ -62,11 +60,9 @@ const (
 	// MemberProfile is the replay-derived observed-never-aliases member
 	// (speculative).
 	MemberProfile
-	// NumMembers is the member count (for dense per-member arrays).
-	NumMembers
 )
 
-var memberNames = [NumMembers]string{"range", "exact", "mwf", "profile"}
+var memberNames = [...]string{"range", "exact", "mwf", "profile"}
 
 func (m Member) String() string {
 	if int(m) < len(memberNames) {
@@ -74,10 +70,6 @@ func (m Member) String() string {
 	}
 	return "member?"
 }
-
-// MemberNames lists the ensemble members in chain order, for renderers
-// that iterate the dense per-member counters.
-func MemberNames() [NumMembers]string { return memberNames }
 
 // mwfConf is the MustWriteFirst member's fixed confidence. It is < 1 by
 // design: the fact is lifted across a call boundary under a syntactic
@@ -132,60 +124,6 @@ func (e *Ensemble) enabled() bool {
 	return e != nil && (e.Range || e.MustWriteFirst || e.Profile != nil || e.BreakCrossReads)
 }
 
-// MemberStats is a snapshot of the package-wide ensemble counters:
-// Queries counts chain consultations per member, Hits counts produced
-// answers (a refutation for Range, a resolved pair for Exact, a
-// speculative refutation for MustWriteFirst/Profile), ShortCircuits
-// counts answers that ended the chain early, skipping every more
-// expensive member. The service renders these on /metricz.
-type MemberStats struct {
-	Queries       [NumMembers]int64
-	Hits          [NumMembers]int64
-	ShortCircuits [NumMembers]int64
-}
-
-var (
-	memberQueries       [NumMembers]atomic.Int64
-	memberHits          [NumMembers]atomic.Int64
-	memberShortCircuits [NumMembers]atomic.Int64
-)
-
-// MemberStatsNow snapshots the package-wide ensemble counters.
-func MemberStatsNow() MemberStats {
-	var s MemberStats
-	for m := 0; m < int(NumMembers); m++ {
-		s.Queries[m] = memberQueries[m].Load()
-		s.Hits[m] = memberHits[m].Load()
-		s.ShortCircuits[m] = memberShortCircuits[m].Load()
-	}
-	return s
-}
-
-// ResetMemberStats zeroes the package-wide ensemble counters (tests).
-func ResetMemberStats() {
-	for m := 0; m < int(NumMembers); m++ {
-		memberQueries[m].Store(0)
-		memberHits[m].Store(0)
-		memberShortCircuits[m].Store(0)
-	}
-}
-
-// flushStats adds the analysis-local tallies to the package counters in
-// one batch, keeping atomics off the per-pair path.
-func (a *Analysis) flushStats() {
-	for m := 0; m < int(NumMembers); m++ {
-		if a.stats.Queries[m] != 0 {
-			memberQueries[m].Add(a.stats.Queries[m])
-		}
-		if a.stats.Hits[m] != 0 {
-			memberHits[m].Add(a.stats.Hits[m])
-		}
-		if a.stats.ShortCircuits[m] != 0 {
-			memberShortCircuits[m].Add(a.stats.ShortCircuits[m])
-		}
-	}
-}
-
 // AnalyzeWith computes the may-dependences of the region through the
 // member chain configured by ens. The emitted dependence set is always
 // exactly Analyze's (speculative members only annotate edges with
@@ -205,7 +143,6 @@ func AnalyzeWith(r *ir.Region, g *cfg.Graph, ens *Ensemble) *Analysis {
 	if ens.BreakCrossReads {
 		a.breakCrossReads()
 	}
-	a.flushStats()
 	a.ens, a.mwfVars, a.obs = nil, nil, nil
 	return a
 }
@@ -322,16 +259,13 @@ func mustWriteFirstVars(r *ir.Region, cg *callgraph.Analysis) map[*ir.Var]bool {
 func (a *Analysis) annotate(d *Dep) {
 	if a.mwfVars != nil && d.Cross && d.Kind == Flow &&
 		d.Dst.Access == ir.Read && len(d.Dst.Subs) == 0 {
-		a.stats.Queries[MemberMustWriteFirst]++
 		if a.mwfVars[d.Dst.Var] {
-			a.stats.Hits[MemberMustWriteFirst]++
 			d.SpecConf, d.SpecBy = mwfConf, MemberMustWriteFirst
 		}
 	}
 	if a.obs != nil && int(d.Src.ID) < len(a.obs) && int(d.Dst.ID) < len(a.obs) {
 		so, do := a.obs[d.Src.ID], a.obs[d.Dst.ID]
 		if so.Count > 0 && do.Count > 0 {
-			a.stats.Queries[MemberProfile]++
 			if so.Max < do.Min || do.Max < so.Min {
 				n := so.Count
 				if do.Count < n {
@@ -342,7 +276,6 @@ func (a *Analysis) annotate(d *Dep) {
 					conf = maxSpecConf
 				}
 				if conf > d.SpecConf {
-					a.stats.Hits[MemberProfile]++
 					d.SpecConf, d.SpecBy = conf, MemberProfile
 				}
 			}

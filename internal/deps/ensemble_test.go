@@ -49,38 +49,42 @@ func TestAnalyzeWithNilMatchesAnalyze(t *testing.T) {
 }
 
 // TestRangeMemberShortCircuit: constant-disjoint subscript ranges are
-// refuted by the range member before the exact solver runs, and the
-// short-circuit is counted.
+// refuted by the range member before the exact solver runs, while the
+// write's self-pair falls through to it.
 func TestRangeMemberShortCircuit(t *testing.T) {
-	ResetMemberStats()
 	p := ir.NewProgram("t")
 	av := p.AddVar("a", 256)
-	r := &ir.Region{
-		Name: "r", Kind: ir.LoopRegion, Index: "k", From: 1, To: 4, Step: 1,
-		Segments: []*ir.Segment{{ID: 0, Body: []ir.Stmt{
-			&ir.Assign{LHS: ir.Wr(av, ir.Idx("k")), RHS: ir.Rd(av, ir.AddE(ir.Idx("k"), ir.C(100)))},
-		}}},
-	}
-	r.Finalize()
-	p.AddRegion(r)
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	g := cfg.FromRegion(r)
-	exact := Analyze(r, g)
-	got := AnalyzeWith(r, g, &Ensemble{Range: true})
+	exact, r := loopRegion(t, p, 1, 4, 1,
+		&ir.Assign{LHS: ir.Wr(av, ir.Idx("k")), RHS: ir.Rd(av, ir.AddE(ir.Idx("k"), ir.C(100)))})
+	got := AnalyzeWith(r, cfg.FromRegion(r), &Ensemble{Range: true})
 	if len(got.All) != 0 || !sameDeps(got.All, exact.All) {
 		t.Fatalf("disjoint ranges: ensemble %v, exact %v, want both empty", got.All, exact.All)
 	}
-	// Pairs consulted: (read, write) refuted by range; (write, write)
-	// self-pair falls through to the exact solver.
-	s := MemberStatsNow()
-	if s.Queries[MemberRange] != 2 || s.Hits[MemberRange] != 1 || s.ShortCircuits[MemberRange] != 1 {
-		t.Errorf("range stats = %+v, want 2 queries / 1 hit / 1 short-circuit", s)
+	wr, rd := refsByAccess(t, r)
+	a, idx := &Analysis{Region: r}, r.DenseIndex()
+	if !a.rangeRefutesPair(rd, wr, idx) {
+		t.Error("range member did not refute a[k+100] against a[k]")
 	}
-	if s.Queries[MemberExact] != 1 || s.Hits[MemberExact] != 1 {
-		t.Errorf("exact stats = %+v, want 1 query / 1 hit", s)
+	if a.rangeRefutesPair(wr, wr, idx) {
+		t.Error("range member refuted the write's self-pair")
 	}
+}
+
+// refsByAccess returns the single write and single read of a
+// one-statement region.
+func refsByAccess(t *testing.T, r *ir.Region) (wr, rd *ir.Ref) {
+	t.Helper()
+	for _, ref := range r.Refs {
+		if ref.Access == ir.Write {
+			wr = ref
+		} else {
+			rd = ref
+		}
+	}
+	if wr == nil || rd == nil || len(r.Refs) != 2 {
+		t.Fatalf("want one write and one read, got %v", r.Refs)
+	}
+	return wr, rd
 }
 
 // TestRangeMemberGCD: interleaved strides (a[2k] vs a[2k+1]) are refuted
@@ -96,13 +100,13 @@ func TestRangeMemberGCD(t *testing.T) {
 	if len(a.All) != 0 {
 		t.Fatalf("exact solver should refute interleaved strides, got %v", a.All)
 	}
-	ResetMemberStats()
 	got := AnalyzeWith(r, cfg.FromRegion(r), &Ensemble{Range: true})
 	if len(got.All) != 0 {
 		t.Fatalf("range member should refute interleaved strides, got %v", got.All)
 	}
-	if s := MemberStatsNow(); s.ShortCircuits[MemberRange] == 0 {
-		t.Errorf("expected a range short-circuit, stats %+v", s)
+	wr, rd := refsByAccess(t, r)
+	if !(&Analysis{Region: r}).rangeRefutesPair(rd, wr, r.DenseIndex()) {
+		t.Error("range member did not refute a[2k+1] against a[2k]")
 	}
 }
 

@@ -18,8 +18,6 @@
 package engine
 
 import (
-	"io"
-
 	"refidem/internal/obs"
 	"refidem/internal/specmem"
 )
@@ -86,10 +84,6 @@ type Config struct {
 	Seed int64
 	// MaxEvents bounds the simulation as a livelock guard.
 	MaxEvents int64
-	// Trace, when non-nil, receives a line per engine event (spawn,
-	// violation, squash, stall, commit) — a debugging aid; it does not
-	// affect timing.
-	Trace io.Writer
 	// Timeline, when non-nil, receives the run's speculation timeline:
 	// segment spawn/commit/squash events with their causes and the refs
 	// involved, and overflow stalls, all stamped with simulated cycles

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"refidem/internal/idem"
@@ -211,35 +210,6 @@ func TestMemorySeedDeterminism(t *testing.T) {
 	for _, v := range m1 {
 		if v < -8 || v > 8 {
 			t.Errorf("seeded value %d out of [-8,8]", v)
-		}
-	}
-}
-
-// TestTraceOutput: the trace writer receives the engine's event log
-// without affecting the simulation.
-func TestTraceOutput(t *testing.T) {
-	p := workloads.ButsDO1(6)
-	labs := idem.LabelProgram(p)
-	var buf strings.Builder
-	cfg := DefaultConfig()
-	cfg.SpecCapacity = 8 // force overflow traffic
-	cfg.Trace = &buf
-	traced, err := RunSpeculative(p, labs, cfg, HOSE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Trace = nil
-	plain, err := RunSpeculative(p, labs, cfg, HOSE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traced.Cycles != plain.Cycles {
-		t.Errorf("tracing changed timing: %d vs %d", traced.Cycles, plain.Cycles)
-	}
-	out := buf.String()
-	for _, want := range []string{"retires", "stalls on overflow"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q", want)
 		}
 	}
 }

@@ -168,7 +168,6 @@ type specRunner struct {
 	opCost     int64
 	specLat    int64
 	maxEvents  int64
-	tracing    bool
 	sharedSize int64
 	frameSize  int64
 	// tl mirrors cfg.Timeline: nil (the default) keeps every emission
@@ -204,7 +203,6 @@ func acquireRunner(cfg *Config, mode Mode, layout *Layout, mem []int64, hier *sp
 	sr.cfg, sr.mode = cfg, mode
 	sr.layout, sr.mem, sr.hier, sr.stats, sr.events = layout, mem, hier, stats, events
 	sr.opCost, sr.specLat, sr.maxEvents = cfg.OpCost, cfg.SpecLatency, cfg.MaxEvents
-	sr.tracing = cfg.Trace != nil
 	sr.tl = cfg.Timeline
 	sr.sharedSize, sr.frameSize = layout.SharedSize, layout.FrameSize
 	if sr.specCap != cfg.SpecCapacity || sr.specSets != cfg.SpecSets {
@@ -839,10 +837,6 @@ func (sr *specRunner) doStore(inst *instance, ev *vm.Event) {
 // stall parks the instance until it becomes the oldest (speculative
 // storage overflow: "execution halts until speculation is resolved").
 func (sr *specRunner) stall(inst *instance, ev *vm.Event) {
-	if sr.tracing {
-		sr.trace("t=%d age %d stalls on overflow (buffer %d/%d)",
-			inst.clock, inst.age, inst.buf.Size(), inst.buf.Capacity())
-	}
 	inst.pendingEv = *ev
 	inst.hasPending = true
 	inst.state = stStalled
@@ -866,20 +860,9 @@ func (sr *specRunner) checkViolation(writer *instance, addr int64, refID int32) 
 		v := sr.window[wi]
 		if v.buf.PrematureRead(addr, writer.age) != nil {
 			sr.stats.FlowViolations++
-			if sr.tracing {
-				sr.trace("t=%d age %d write to addr %d violates premature read by age %d",
-					writer.clock, writer.age, addr, v.age)
-			}
 			sr.squashFrom(v.age, writer.clock, refID)
 			return
 		}
-	}
-}
-
-// trace writes one engine-event line when tracing is enabled.
-func (sr *specRunner) trace(format string, args ...any) {
-	if sr.cfg.Trace != nil {
-		fmt.Fprintf(sr.cfg.Trace, "[%s] "+format+"\n", append([]any{sr.r.Name}, args...)...)
 	}
 }
 
@@ -887,9 +870,6 @@ func (sr *specRunner) trace(format string, args ...any) {
 // reset, restart after the rollback penalty (HOSE Property 2). refID is
 // the violating writer's reference, attributed to every squash event.
 func (sr *specRunner) squashFrom(age int, t int64, refID int32) {
-	if sr.tracing {
-		sr.trace("t=%d squash ages %d..%d (flow violation)", t, age, sr.nextAge-1)
-	}
 	for wi := age - sr.baseAge; wi < len(sr.window); wi++ {
 		inst := sr.window[wi]
 		if inst.state == stStalled {
@@ -955,9 +935,6 @@ func (sr *specRunner) complete(inst *instance) {
 			// different from the speculatively chosen one (HOSE
 			// Property 5); roll back all younger segments.
 			sr.stats.ControlViolations++
-			if sr.tracing {
-				sr.trace("t=%d age %d control violation (actual next %d)", inst.doneTime, inst.age, inst.actualNext)
-			}
 			sr.truncateAfter(inst)
 		}
 	}
@@ -1042,9 +1019,6 @@ func (sr *specRunner) retireChain() {
 		}
 		sr.stats.CommittedEntries += int64(len(entries))
 		sr.commit = entries[:0]
-		if sr.tracing {
-			sr.trace("t=%d age %d retires (%d entries committed)", t, inst.age, len(entries))
-		}
 		if sr.tl != nil {
 			sr.tl.Add(obs.Event{Kind: obs.EvCommit, Time: t,
 				Dur:  sinceSpawn(t, inst.spawnTime),

@@ -82,15 +82,15 @@ func LabelProgramEnsemble(p *ir.Program, ens deps.Ensemble) map[*ir.Region]*Resu
 	infos := dataflow.AnalyzeProgram(p)
 	out := make(map[*ir.Region]*Result, len(p.Regions))
 	for _, r := range p.Regions {
-		out[r] = LabelRegionEnsembleWithInfo(r, infos[r], &ens)
+		out[r] = labelRegionEnsemble(r, infos[r], &ens)
 	}
 	return out
 }
 
-// LabelRegionEnsembleWithInfo is LabelRegionWithInfo with the ensemble
-// dependence pass and the probability overlay: the per-region body of
+// labelRegionEnsemble is LabelRegionWithInfo with the ensemble dependence
+// pass and the probability overlay: the per-region body of
 // LabelProgramEnsemble. A MustWriteFirst member needs ens.Summaries set.
-func LabelRegionEnsembleWithInfo(r *ir.Region, info *dataflow.RegionInfo, ens *deps.Ensemble) *Result {
+func labelRegionEnsemble(r *ir.Region, info *dataflow.RegionInfo, ens *deps.Ensemble) *Result {
 	g := cfg.FromRegion(r)
 	da := deps.AnalyzeWith(r, g, ens)
 	rf := rfw.Analyze(r, g, info, da)

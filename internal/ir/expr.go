@@ -250,7 +250,10 @@ func (a Affine) Coefficient(idx string) int64 {
 // AddrCertain reports whether every subscript of the reference is affine in
 // loop indices, so that the reference is guaranteed to access the same
 // location in a misspeculated and in the final execution. Scalar
-// references are always certain.
+// references are always certain. The analyses read the cached
+// RegionIndex.AddrCertain instead; this derivation from the expression
+// tree stays as the independent check that proptest's path oracle
+// (pathOracleRFW) and the generator tests hold them against.
 func AddrCertain(r *Ref) bool {
 	for _, sub := range r.Subs {
 		if _, ok := AffineOf(sub); !ok {

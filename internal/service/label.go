@@ -21,9 +21,7 @@ import (
 	"fmt"
 
 	"refidem/internal/api"
-	"refidem/internal/callgraph"
 	"refidem/internal/dataflow"
-	"refidem/internal/deps"
 	"refidem/internal/idem"
 	"refidem/internal/ir"
 )
@@ -50,22 +48,10 @@ type progKey struct {
 	alias bool
 }
 
-// regionLabeler returns the per-region labeling function Config.Ensemble
-// selects for p. Both tiers label through it.
-func (s *Server) regionLabeler(p *ir.Program) func(*ir.Region, *dataflow.RegionInfo) *idem.Result {
-	if !s.cfg.Ensemble {
-		return idem.LabelRegionWithInfo
-	}
-	ens := deps.Ensemble{Range: true, MustWriteFirst: true, Summaries: callgraph.Analyze(p)}
-	return func(r *ir.Region, info *dataflow.RegionInfo) *idem.Result {
-		return idem.LabelRegionEnsembleWithInfo(r, info, &ens)
-	}
-}
-
 // labelChecked labels one region and verifies the result against the
 // paper's theorems before anything caches it.
-func labelChecked(label func(*ir.Region, *dataflow.RegionInfo) *idem.Result, r *ir.Region, info *dataflow.RegionInfo) (*idem.Result, error) {
-	res := label(r, info)
+func labelChecked(r *ir.Region, info *dataflow.RegionInfo) (*idem.Result, error) {
+	res := idem.LabelRegionWithInfo(r, info)
 	if errs := res.CheckTheorems(); len(errs) > 0 {
 		return nil, fmt.Errorf("region %s: theorem check failed: %v", r.Name, errs[0])
 	}
@@ -88,7 +74,6 @@ func (s *Server) label(t *task) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	infos := dataflow.AnalyzeProgram(prog)
-	var labeler func(*ir.Region, *dataflow.RegionInfo) *idem.Result // built on the first miss
 	doc := LabelResponse{
 		Op:          OpLabel,
 		Program:     prog.Name,
@@ -107,10 +92,7 @@ func (s *Server) label(t *task) ([]byte, error) {
 			row, ok = s.frags.Get(fk)
 		}
 		if !ok {
-			if labeler == nil {
-				labeler = s.regionLabeler(prog)
-			}
-			res, err := labelChecked(labeler, r, info)
+			res, err := labelChecked(r, info)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 			}
@@ -149,10 +131,9 @@ func (s *Server) labeled(e programEntry) (programEntry, error) {
 		return programEntry{}, err
 	}
 	infos := dataflow.AnalyzeProgram(p)
-	labeler := s.regionLabeler(p)
 	e.labs = make(map[*ir.Region]*idem.Result, len(p.Regions))
 	for _, r := range p.Regions {
-		res, err := labelChecked(labeler, r, infos[r])
+		res, err := labelChecked(r, infos[r])
 		if err != nil {
 			return programEntry{}, err
 		}

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"refidem/internal/deps"
 )
 
 // latencyBuckets is the number of power-of-two latency histogram buckets:
@@ -212,18 +210,6 @@ func (s *Server) RenderMetricz() string {
 	w("sim_rows_reused", m.simRowsReused.Load())
 	w("sim_source_hits", m.simSourceHits.Load())
 	w("sim_answered_kept", m.simAnsweredKept.Load())
-
-	// Dependence-ensemble block: per-member query/answer/short-circuit
-	// counters, rendered in chain order. The counters are package-wide in
-	// internal/deps, so they aggregate every ensemble consultation in the
-	// process; all zero when Config.Ensemble is off.
-	ms := deps.MemberStatsNow()
-	names := deps.MemberNames()
-	for i, name := range names {
-		w("deps_member_"+name+"_queries", ms.Queries[i])
-		w("deps_member_"+name+"_hits", ms.Hits[i])
-		w("deps_member_"+name+"_short_circuits", ms.ShortCircuits[i])
-	}
 
 	w("response_cache_hits", m.respHits.Load())
 	if s.resp != nil {

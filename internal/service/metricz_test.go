@@ -3,8 +3,6 @@ package service
 import (
 	"strings"
 	"testing"
-
-	"refidem/internal/deps"
 )
 
 // metriczNames extracts the rendered counter names in order.
@@ -36,14 +34,6 @@ func TestRenderMetriczLineOrder(t *testing.T) {
 		"delta_base_entries", "delta_fragment_entries",
 		"sim_rows_computed", "sim_rows_reused",
 		"sim_source_hits", "sim_answered_kept",
-	}
-	for _, name := range deps.MemberNames() {
-		want = append(want,
-			"deps_member_"+name+"_queries",
-			"deps_member_"+name+"_hits",
-			"deps_member_"+name+"_short_circuits")
-	}
-	want = append(want,
 		"response_cache_hits", "response_cache_entries",
 		"store_enabled", "store_degraded",
 		"store_warm_hits", "store_warm_entries", "store_hits",
@@ -55,7 +45,7 @@ func TestRenderMetriczLineOrder(t *testing.T) {
 		"cache_entries", "cache_capacity",
 		"latency_count", "latency_mean_ns",
 		"latency_p50_us", "latency_p95_us", "latency_p99_us",
-	)
+	}
 	got := metriczNames(s.RenderMetricz())
 	// A fresh server has an empty histogram: no latency_le_us lines at
 	// all, so the fixed prefix is the whole document.

@@ -110,14 +110,6 @@ type Config struct {
 	// timings never reach response bytes, so responses are byte-identical
 	// either way.
 	FlightSpans int
-	// Ensemble labels every region — on the label, delta and program-tier
-	// paths alike — through the collaborative dependence ensemble
-	// (idem.LabelRegionEnsembleWithInfo) with the range pre-filter and
-	// must-write-first members enabled. Responses stay byte-identical to
-	// the plain labeler — speculative members only annotate confidences,
-	// never labels — while /metricz gains per-member query, hit and
-	// short-circuit counters.
-	Ensemble bool
 	// DeltaBases bounds the base registry: the canonical sources of the
 	// most recently analyzed programs, addressable as delta bases by
 	// fingerprint (0 selects 256, negative disables delta serving —

@@ -12,6 +12,11 @@
 # deleted or renamed file cannot leave a dangling reference in the docs.
 # Directory mentions are not checked.
 #
+# Every "<command> -<flag>" those docs write, for a command under cmd/
+# (bare or as cmd/<command>), must name a flag the command defines: each
+# command is built once into a temp dir and its flag names are read from
+# its -h listing.
+#
 # Usage: scripts/doc_lint.sh   (exit 1 and list offenders on failure)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,4 +69,31 @@ if [ "$bad" -ne 0 ]; then
   echo "doc_lint: FAIL — point the docs at the file that holds the code now, or drop the path" >&2
   exit 1
 fi
-echo "doc_lint: all $(go list ./... | wc -l) packages documented; $paths source paths in the docs resolve"
+
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/" ./cmd/...
+cmds=$(go list -f '{{.Dir}}' ./cmd/... | xargs -n1 basename | paste -sd'|')
+for cmd in ${cmds//|/ }; do
+  # -h prints the flag listing and exits non-zero for some commands.
+  { "$bin/$cmd" -h 2>&1 || true; } | sed -nE 's/^  -([^ ]+).*/\1/p' >"$bin/$cmd.flags"
+done
+# One doc:command:flag line per distinct mention.
+mentions=$(for doc in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+  [ -e "$doc" ] || continue
+  { grep -oE "(^|[^A-Za-z0-9_./-]|cmd/)($cmds) -[A-Za-z][A-Za-z0-9_-]*" "$doc" || true; } |
+    sed -E "s#^.*($cmds) -#$doc:\1:#"
+done | sort -u)
+for mention in $mentions; do
+  IFS=: read -r doc cmd flag <<<"$mention"
+  if ! grep -qxF -- "$flag" "$bin/$cmd.flags"; then
+    echo "doc_lint: $doc names $cmd -$flag, which $cmd does not define" >&2
+    bad=1
+  fi
+done
+if [ "$bad" -ne 0 ]; then
+  echo "doc_lint: FAIL — name a flag the command defines, or drop the mention" >&2
+  exit 1
+fi
+flags=$(printf '%s\n' $mentions | cut -d: -f2- | sort -u | wc -l)
+echo "doc_lint: all $(go list ./... | wc -l) packages documented; $paths source paths and $flags command flags in the docs resolve"
