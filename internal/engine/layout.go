@@ -15,7 +15,9 @@ import (
 // A variable that is private in some region uses its frame address while
 // that region executes and its shared address elsewhere; since private
 // variables are dead at region boundaries, the two copies never carry
-// values across.
+// values across. A load or store of element i (vm.Event.Index) of v has
+// address Base[v]+i, or SharedSize + slot*FrameSize + PrivOffset[v] + i
+// in processor slot's frame.
 type Layout struct {
 	Base       map[*ir.Var]int64
 	SharedSize int64
@@ -63,29 +65,6 @@ func NewLayout(p *ir.Program, labelings map[*ir.Region]*idem.Result, slots int) 
 	}
 	l.Total = l.SharedSize + l.FrameSize*int64(l.Slots)
 	return l
-}
-
-// Addr computes the flat address of a reference instance. subs are the
-// evaluated subscript values; each is wrapped modulo its dimension so
-// synthetic programs can never leave the variable's storage. privateHere
-// selects frame addressing (the variable is private in the executing
-// region), and slot picks the frame (the processor).
-func (l *Layout) Addr(v *ir.Var, subs []int64, privateHere bool, slot int) int64 {
-	var idx int64
-	for i, d := range v.Dims {
-		s := subs[i] % int64(d)
-		if s < 0 {
-			s += int64(d)
-		}
-		idx = idx*int64(d) + s
-	}
-	if privateHere {
-		if slot < 0 || slot >= l.Slots {
-			slot = 0
-		}
-		return l.SharedSize + int64(slot)*l.FrameSize + l.PrivOffset[v] + idx
-	}
-	return l.Base[v] + idx
 }
 
 // memTemplates caches seeded memory images by (size, seed), so repeated

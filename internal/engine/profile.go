@@ -67,7 +67,7 @@ func CollectProfile(p *ir.Program, cfg Config) (*deps.Profile, error) {
 				if ev.Kind == vm.EvDone {
 					break
 				}
-				addr := layout.Addr(ev.Ref.Var, ev.Subs, false, 0)
+				addr := layout.Base[ev.Ref.Var] + ev.Index
 				o := &obs[ev.Ref.ID]
 				if o.Count == 0 || addr < o.Min {
 					o.Min = addr

@@ -62,7 +62,7 @@ func RunSequential(p *ir.Program, cfg Config) (*Result, error) {
 				if ev.Kind == vm.EvDone {
 					break
 				}
-				addr := layout.Addr(ev.Ref.Var, ev.Subs, false, 0)
+				addr := layout.Base[ev.Ref.Var] + ev.Index
 				res.Cycles += hier.Access(0, addr)
 				res.Stats.DynRefs++
 				if ev.Kind == vm.EvLoad {

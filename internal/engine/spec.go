@@ -260,16 +260,10 @@ func (sr *specRunner) drainWindow() {
 	}
 }
 
-// dimSpec is one array dimension with its wrap mask (-1 when the size is
-// not a power of two and the wrap needs a modulo).
-type dimSpec struct {
-	size int64
-	mask int64
-}
-
 // refMeta is the flattened per-reference metadata of one region under one
 // labeling: what four map lookups per event (label, category, private
-// set, layout base) collapse into a single slice index.
+// set, layout base) collapse into a single slice index. The element
+// within the variable comes with the event (vm.Event.Index).
 type refMeta struct {
 	label   idem.Label
 	cat     uint8
@@ -287,7 +281,6 @@ type refMeta struct {
 	// base is the shared-storage base of the variable, or its offset
 	// inside the per-processor private frame when private is set.
 	base int64
-	dims []dimSpec
 }
 
 // setRegion points the runner at the next region of the run and rebuilds
@@ -301,7 +294,6 @@ func (sr *specRunner) setRegion(r *ir.Region, lab *idem.Result) {
 		sr.refMeta = make([]refMeta, len(r.Refs))
 	}
 	sr.refMeta = sr.refMeta[:len(r.Refs)]
-	varDims := make(map[*ir.Var][]dimSpec, 8)
 	for _, ref := range r.Refs {
 		md := &sr.refMeta[ref.ID]
 		md.label = lab.Label(ref)
@@ -324,18 +316,6 @@ func (sr *specRunner) setRegion(r *ir.Region, lab *idem.Result) {
 		} else {
 			md.base = sr.layout.Base[ref.Var]
 		}
-		dims, ok := varDims[ref.Var]
-		if !ok {
-			dims = make([]dimSpec, len(ref.Var.Dims))
-			for i, d := range ref.Var.Dims {
-				dims[i] = dimSpec{size: int64(d), mask: -1}
-				if d > 0 && d&(d-1) == 0 {
-					dims[i].mask = int64(d) - 1
-				}
-			}
-			varDims[ref.Var] = dims
-		}
-		md.dims = dims
 	}
 }
 
@@ -699,28 +679,10 @@ func (sr *specRunner) advance(inst *instance) {
 	}
 }
 
-// addrOf resolves a reference instance to a flat address, routing
-// privatized variables to the processor's private stack frame. It is the
-// map-free equivalent of Layout.Addr over the precomputed refMeta.
-func (sr *specRunner) addrOf(inst *instance, md *refMeta, subs []int64) int64 {
-	var idx int64
-	for i := range md.dims {
-		d := &md.dims[i]
-		s := subs[i]
-		// In-range subscripts (the overwhelmingly common case) skip the
-		// wrap entirely; the unsigned compare also catches negatives.
-		if uint64(s) >= uint64(d.size) {
-			if d.mask >= 0 {
-				s &= d.mask
-			} else {
-				s %= d.size
-				if s < 0 {
-					s += d.size
-				}
-			}
-		}
-		idx = idx*d.size + s
-	}
+// addrOf resolves the element idx of a reference's variable (the event's
+// Index) to a flat address, routing privatized variables to the
+// processor's private stack frame.
+func (sr *specRunner) addrOf(inst *instance, md *refMeta, idx int64) int64 {
 	if md.private {
 		return sr.sharedSize + int64(inst.proc)*sr.frameSize + md.base + idx
 	}
@@ -752,7 +714,7 @@ func (sr *specRunner) trackOccupancy(inst *instance) {
 // doLoad resolves a read reference.
 func (sr *specRunner) doLoad(inst *instance, ev *vm.Event) {
 	md := &sr.refMeta[ev.Ref.ID]
-	addr := sr.addrOf(inst, md, ev.Subs)
+	addr := sr.addrOf(inst, md, ev.Index)
 	if sr.isIdem(md) {
 		// Idempotent reads completely bypass the speculative storage and
 		// reference the non-speculative storage directly (Definition 4).
@@ -805,7 +767,7 @@ func (sr *specRunner) doLoad(inst *instance, ev *vm.Event) {
 // doStore resolves a write reference.
 func (sr *specRunner) doStore(inst *instance, ev *vm.Event) {
 	md := &sr.refMeta[ev.Ref.ID]
-	addr := sr.addrOf(inst, md, ev.Subs)
+	addr := sr.addrOf(inst, md, ev.Index)
 	// Both speculative and idempotent writes first check for prematurely
 	// executed speculative loads in younger segments (Definition 4 /
 	// HOSE Property 5).

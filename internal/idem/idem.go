@@ -99,7 +99,8 @@ type Result struct {
 	// therefore cannot be inline-expanded: only reads of variables the
 	// whole program (per callgraph summaries) never writes are labeled
 	// idempotent, and the analysis artifacts (Info, Deps, RFW, Graph) are
-	// nil.
+	// nil. Deps, RFW and Graph are nil on any result after
+	// DropArtifacts too.
 	Fallback bool
 
 	Info  *dataflow.RegionInfo
@@ -113,6 +114,17 @@ type Result struct {
 	// only by the ensemble entry points (prob.go); nil means the labels
 	// are the whole story and Prob degenerates to 1/0.
 	probs []float64
+}
+
+// DropArtifacts releases the analysis artifacts a labeling was derived
+// from (Deps, RFW and Graph) and keeps what running the labeled program
+// reads: the labels, the categories, the Prob overlay and Info, whose
+// private, read-only and live-out sets place, route and check every
+// reference. The artifacts are most of a result's memory. CheckTheorems
+// and anything that renders dependences or RFW flags read them, so run
+// those first; a non-Fallback result cannot be checked again afterwards.
+func (res *Result) DropArtifacts() {
+	res.Deps, res.RFW, res.Graph = nil, nil, nil
 }
 
 // Label returns the label of a reference of the region.

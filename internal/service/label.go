@@ -30,7 +30,10 @@ import (
 // and parse. A program-tier entry also carries the labeling, whose maps
 // are keyed by that program's refs — callers run this program, not their
 // own parse of it — and the simulation state (simulate.go); a program the
-// tier does not hold yet has neither, and labs and sim stay nil.
+// tier does not hold yet has neither, and labs and sim stay nil. The
+// labeling keeps only what the engine reads (idem.Result.DropArtifacts):
+// nothing renders an entry's dependences or RFW flags, since label
+// responses come from region rows.
 type programEntry struct {
 	fp        ir.Fingerprint
 	canonical string
@@ -137,6 +140,7 @@ func (s *Server) labeled(e programEntry) (programEntry, error) {
 		if err != nil {
 			return programEntry{}, err
 		}
+		res.DropArtifacts()
 		e.labs[r] = res
 	}
 	e.sim = &simMemo{}

@@ -20,11 +20,12 @@ const (
 	OpConst Op = iota
 	// OpBin applies BinOp to registers A and B, result in Dst.
 	OpBin
-	// OpLoad issues a memory read through Ref; subscript values are in
-	// the Subs registers. The machine pauses; the engine supplies the
-	// loaded value, which lands in Dst.
+	// OpLoad issues a memory read through Ref at the element its Subs
+	// select. The machine pauses; the engine supplies the loaded value,
+	// which lands in Dst.
 	OpLoad
-	// OpStore issues a memory write through Ref of register A's value.
+	// OpStore issues a memory write through Ref of register A's value, at
+	// the element its Subs select.
 	OpStore
 	// OpJump jumps to instruction A.
 	OpJump
@@ -39,19 +40,19 @@ const (
 	OpHalt
 	// OpFusedTest is the peephole fusion of the Const/Bin/Jz triple the
 	// compiler emits for loop headers and comparisons against constants:
-	// Regs[Subs[0]] = Val; Regs[Dst] = BinOp(Regs[A], Val); jump to B when
+	// Regs[C] = Val; Regs[Dst] = BinOp(Regs[A], Val); jump to B when
 	// zero, else skip the two shadowed instructions. Counts as 3 ops.
 	OpFusedTest
 	// OpFusedStep is the fusion of the Const/Bin(Add)/Jump loop-tail
-	// triple: Regs[Subs[0]] = Val; Regs[Dst] += Val; jump to A. Counts as
-	// 3 ops.
+	// triple: Regs[C] = Val; Regs[Dst] += Val; jump to A. Counts as 3
+	// ops.
 	OpFusedStep
 	// OpFusedImmR fuses Const/Bin with the constant as right operand:
-	// Regs[Subs[0]] = Val; Regs[Dst] = BinOp(Regs[A], Val). Counts as 2
-	// ops and skips the shadowed Bin.
+	// Regs[C] = Val; Regs[Dst] = BinOp(Regs[A], Val). Counts as 2 ops
+	// and skips the shadowed Bin.
 	OpFusedImmR
 	// OpFusedImmL is the left-operand variant:
-	// Regs[Subs[0]] = Val; Regs[Dst] = BinOp(Val, Regs[B]).
+	// Regs[C] = Val; Regs[Dst] = BinOp(Val, Regs[B]).
 	OpFusedImmL
 )
 
@@ -72,13 +73,52 @@ func (o Op) String() string {
 // Instr is one bytecode instruction.
 type Instr struct {
 	Op    Op
+	BinOp ir.BinOp
 	Dst   int
 	A     int
 	B     int
-	Val   int64
-	BinOp ir.BinOp
-	Ref   *ir.Ref
-	Subs  []int
+	// C is the register a fused instruction's shadowed Const writes.
+	C   int
+	Val int64
+	Ref *ir.Ref
+	// Subs are a load's or store's subscripts, one per dimension of
+	// Ref's variable.
+	Subs []Subscript
+}
+
+// Subscript is one subscript of a load or store: the register that holds
+// its value and the extent of the dimension it indexes. Mask is Size-1
+// when Size is a power of two and -1 otherwise.
+type Subscript struct {
+	Reg  int
+	Size int64
+	Mask int64
+}
+
+// flatIndex is the one address rule: each subscript wraps into its
+// dimension (a mask for a power-of-two extent, a modulo rounded toward
+// negative infinity otherwise), so no program can leave its variable's
+// storage, and the wrapped subscripts flatten row-major.
+func flatIndex(subs []Subscript, regs []int64) int64 {
+	var idx int64
+	for i := range subs {
+		d := &subs[i]
+		s := regs[d.Reg]
+		// In-range subscripts (the overwhelmingly common case) skip the
+		// wrap entirely; the unsigned compare also catches negatives.
+		if uint64(s) >= uint64(d.Size) {
+			if d.Mask >= 0 {
+				s &= d.Mask
+			} else {
+				s %= d.Size
+				if s < 0 {
+					s += d.Size
+				}
+			}
+		}
+		idx = idx*d.Size + s
+	}
+	return idx
 }
 
 // Code is a compiled segment body.
@@ -140,12 +180,12 @@ func fuse(code *Code) {
 		case j.Op == OpJz && b.B == c.Dst && b.A != c.Dst && j.A == b.Dst:
 			// Const bound; Bin cond = A <op> bound; Jz cond, target
 			ins[k] = Instr{Op: OpFusedTest, Dst: b.Dst, A: b.A, B: j.B,
-				Val: c.Val, BinOp: b.BinOp, Subs: []int{c.Dst}}
+				C: c.Dst, Val: c.Val, BinOp: b.BinOp}
 			k += 2
 		case j.Op == OpJump && b.BinOp == ir.Add && b.A == b.Dst && b.B == c.Dst && b.A != c.Dst:
 			// Const step; Bin idx = idx + step; Jump target
 			ins[k] = Instr{Op: OpFusedStep, Dst: b.Dst, A: j.A,
-				Val: c.Val, Subs: []int{c.Dst}}
+				C: c.Dst, Val: c.Val}
 			k += 2
 		}
 	}
@@ -160,11 +200,11 @@ func fuse(code *Code) {
 		switch {
 		case b.B == c.Dst:
 			ins[k] = Instr{Op: OpFusedImmR, Dst: b.Dst, A: b.A,
-				Val: c.Val, BinOp: b.BinOp, Subs: []int{c.Dst}}
+				C: c.Dst, Val: c.Val, BinOp: b.BinOp}
 			k++
 		case b.A == c.Dst:
 			ins[k] = Instr{Op: OpFusedImmL, Dst: b.Dst, B: b.B,
-				Val: c.Val, BinOp: b.BinOp, Subs: []int{c.Dst}}
+				C: c.Dst, Val: c.Val, BinOp: b.BinOp}
 			k++
 		}
 	}
@@ -189,10 +229,7 @@ func (c *compiler) stmts(stmts []ir.Stmt) {
 		switch s := st.(type) {
 		case *ir.Assign:
 			val := c.expr(s.RHS)
-			subs := make([]int, len(s.LHS.Subs))
-			for i, sub := range s.LHS.Subs {
-				subs[i] = c.expr(sub)
-			}
+			subs := c.subs(s.LHS)
 			c.emit(Instr{Op: OpStore, A: val, Ref: s.LHS, Subs: subs})
 		case *ir.If:
 			cond := c.expr(s.Cond)
@@ -267,10 +304,7 @@ func (c *compiler) expr(e ir.Expr) int {
 		}
 		return r
 	case *ir.Load:
-		subs := make([]int, len(x.Ref.Subs))
-		for i, sub := range x.Ref.Subs {
-			subs[i] = c.expr(sub)
-		}
+		subs := c.subs(x.Ref)
 		r := c.reg()
 		c.emit(Instr{Op: OpLoad, Dst: r, Ref: x.Ref, Subs: subs})
 		return r
@@ -284,28 +318,45 @@ func (c *compiler) expr(e ir.Expr) int {
 	panic(fmt.Sprintf("vm: unknown expression %T", e))
 }
 
+// subs compiles a reference's subscript expressions, in order, and pairs
+// each value register with the extent and wrap mask of its dimension.
+func (c *compiler) subs(ref *ir.Ref) []Subscript {
+	dims := ref.Var.Dims
+	if len(ref.Subs) != len(dims) {
+		panic(fmt.Sprintf("vm: %d subscripts for %d-dimensional %q", len(ref.Subs), len(dims), ref.Var.Name))
+	}
+	out := make([]Subscript, len(dims))
+	for i, e := range ref.Subs {
+		size := int64(dims[i])
+		out[i] = Subscript{Reg: c.expr(e), Size: size, Mask: -1}
+		if size > 0 && size&(size-1) == 0 {
+			out[i].Mask = size - 1
+		}
+	}
+	return out
+}
+
 // EventKind classifies what a machine paused for.
 type EventKind uint8
 
 const (
-	// EvLoad: the machine needs a value for Ref at Subs; resume with
-	// ResumeLoad.
+	// EvLoad: the machine needs the value of Ref's element Index; resume
+	// with ResumeLoad.
 	EvLoad EventKind = iota
-	// EvStore: the machine wrote Value through Ref at Subs; no resume
+	// EvStore: the machine wrote Value to Ref's element Index; no resume
 	// data needed.
 	EvStore
 	// EvDone: the segment finished.
 	EvDone
 )
 
-// Event is what Machine.Step returns when it pauses. Subs aliases a
-// per-machine scratch buffer: it is valid until the same machine's next
-// Step, Reset or Reinit (engines consume the subscripts immediately, or
-// park the whole event while the machine is frozen on a stall).
+// Event is what Machine.Step returns when it pauses. Index is the
+// element of Ref's variable a load or store touches, under flatIndex's
+// rule (0 for a scalar); an engine adds it to the variable's base.
 type Event struct {
 	Kind  EventKind
 	Ref   *ir.Ref
-	Subs  []int64
+	Index int64
 	Value int64
 }
 
@@ -323,10 +374,6 @@ type Machine struct {
 
 	pendingLoad bool
 	pendingDst  int
-
-	// subs is the scratch buffer memory events expose through Event.Subs;
-	// reusing it keeps the interpreter hot loop allocation-free.
-	subs []int64
 }
 
 // NewMachine creates a machine for the code with the region index value.
@@ -358,14 +405,6 @@ func (m *Machine) Reinit(code *Code, indexVal int64) {
 	m.Branched = false
 	m.done = false
 	m.pendingLoad = false
-}
-
-// scratchSubs returns the shared subscript buffer resized to n.
-func (m *Machine) scratchSubs(n int) []int64 {
-	if cap(m.subs) < n {
-		m.subs = make([]int64, n)
-	}
-	return m.subs[:n]
 }
 
 func maxInt(a, b int) int {
@@ -413,7 +452,7 @@ func (m *Machine) Step() (Event, int) {
 }
 
 // StepInto is Step writing the event into caller-owned storage, sparing
-// the hot engine loop a 56-byte struct copy per event.
+// the hot engine loop a 32-byte struct copy per event.
 func (m *Machine) StepInto(ev *Event) int {
 	if m.pendingLoad {
 		panic("vm: Step with unresolved load")
@@ -476,22 +515,14 @@ func (m *Machine) StepInto(ev *Event) int {
 			pc++
 			ops++
 		case OpLoad:
-			subs := m.scratchSubs(len(in.Subs))
-			for i, r := range in.Subs {
-				subs[i] = regs[r]
-			}
 			m.pendingLoad = true
 			m.pendingDst = in.Dst
 			m.PC = pc + 1
-			*ev = Event{Kind: EvLoad, Ref: in.Ref, Subs: subs}
+			*ev = Event{Kind: EvLoad, Ref: in.Ref, Index: flatIndex(in.Subs, regs)}
 			return ops + 1
 		case OpStore:
-			subs := m.scratchSubs(len(in.Subs))
-			for i, r := range in.Subs {
-				subs[i] = regs[r]
-			}
 			m.PC = pc + 1
-			*ev = Event{Kind: EvStore, Ref: in.Ref, Subs: subs, Value: regs[in.A]}
+			*ev = Event{Kind: EvStore, Ref: in.Ref, Index: flatIndex(in.Subs, regs), Value: regs[in.A]}
 			return ops + 1
 		case OpBranch:
 			m.BranchVal = regs[in.A]
@@ -506,7 +537,7 @@ func (m *Machine) StepInto(ev *Event) int {
 			*ev = Event{Kind: EvDone}
 			return ops + 1
 		case OpFusedTest:
-			regs[in.Subs[0]] = in.Val
+			regs[in.C] = in.Val
 			cond := in.BinOp.Apply(regs[in.A], in.Val)
 			regs[in.Dst] = cond
 			if cond == 0 {
@@ -516,12 +547,12 @@ func (m *Machine) StepInto(ev *Event) int {
 			}
 			ops += 3
 		case OpFusedStep:
-			regs[in.Subs[0]] = in.Val
+			regs[in.C] = in.Val
 			regs[in.Dst] += in.Val
 			pc = in.A
 			ops += 3
 		case OpFusedImmR:
-			regs[in.Subs[0]] = in.Val
+			regs[in.C] = in.Val
 			a := regs[in.A]
 			var v int64
 			switch in.BinOp {
@@ -538,7 +569,7 @@ func (m *Machine) StepInto(ev *Event) int {
 			pc += 2
 			ops += 2
 		case OpFusedImmL:
-			regs[in.Subs[0]] = in.Val
+			regs[in.C] = in.Val
 			b := regs[in.B]
 			var v int64
 			switch in.BinOp {

@@ -1,22 +1,22 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"refidem/internal/ir"
 )
 
 // runAll drives a machine to completion against a flat scalar memory
-// keyed by variable name (arrays keyed name+linear index), returning the
-// memory and total op count.
+// keyed by variable name (array elements keyed name,index by the event's
+// flat element index), returning the memory and total op count.
 func runAll(t *testing.T, m *Machine, mem map[string]int64) int {
 	t.Helper()
-	key := func(ref *ir.Ref, subs []int64) string {
-		k := ref.Var.Name
-		for _, s := range subs {
-			k += "," + string(rune('0'+(s%10)))
+	key := func(ev Event) string {
+		if len(ev.Ref.Var.Dims) == 0 {
+			return ev.Ref.Var.Name
 		}
-		return k
+		return fmt.Sprintf("%s,%d", ev.Ref.Var.Name, ev.Index)
 	}
 	ops := 0
 	for i := 0; i < 100000; i++ {
@@ -26,9 +26,9 @@ func runAll(t *testing.T, m *Machine, mem map[string]int64) int {
 		case EvDone:
 			return ops
 		case EvLoad:
-			m.ResumeLoad(mem[key(ev.Ref, ev.Subs)])
+			m.ResumeLoad(mem[key(ev)])
 		case EvStore:
-			mem[key(ev.Ref, ev.Subs)] = ev.Value
+			mem[key(ev)] = ev.Value
 		}
 	}
 	t.Fatal("machine did not halt")
