@@ -41,7 +41,7 @@ func runSpecAllocs(t *testing.T, iters int) float64 {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the runner pool, code cache and memory template
+	run() // warm the runner pool, the region code and the memory template
 	return testing.AllocsPerRun(20, run)
 }
 

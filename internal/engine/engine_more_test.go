@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"refidem/internal/idem"
@@ -212,4 +213,31 @@ func TestMemorySeedDeterminism(t *testing.T) {
 			t.Errorf("seeded value %d out of [-8,8]", v)
 		}
 	}
+}
+
+// TestLargeMemoryKeepsNoImage: a memory image above memTemplateMaxWords
+// is filled afresh and never kept, so a run over a 2M-word layout leaves
+// no 16 MB template alive for the life of the process.
+func TestLargeMemoryKeepsNoImage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const words, seed = 1 << 21, 0x5eed
+	before := liveHeap()
+	if got, want := NewMemory(&Layout{Total: words}, seed)[words-1], seededValue(seed, words-1); got != want {
+		t.Fatalf("last word = %d, want %d", got, want)
+	}
+	if grown := int64(liveHeap()) - int64(before); grown > 1<<20 {
+		t.Errorf("a %d-word memory image left %d bytes of heap alive", words, grown)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects once two collections
+// have emptied the sync.Pools.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

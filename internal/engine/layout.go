@@ -68,13 +68,21 @@ func NewLayout(p *ir.Program, labelings map[*ir.Region]*idem.Result, slots int) 
 }
 
 // memTemplates caches seeded memory images by (size, seed), so repeated
-// runs (sweeps, benchmarks) fill fresh memories with one copy instead of
-// re-hashing every word. Bounded to keep pathological seed churn from
-// pinning memory.
+// runs (sweeps, benchmarks, simulates of one program on many machines)
+// fill fresh memories with one copy instead of re-hashing every word,
+// which takes about two and a half times as long. It keeps at most
+// memTemplateLimit images of at most memTemplateMaxWords words each, so
+// it never holds more than 8 MB for the life of the process; a larger
+// image is filled afresh by every run that needs it. The paper's loops
+// need under 6,000 words.
+const (
+	memTemplateLimit    = 64
+	memTemplateMaxWords = 1 << 14
+)
+
 var (
 	memTemplates     sync.Map // [2]int64{total, seed} -> []int64
 	memTemplateCount atomic.Int64
-	memTemplateLimit = int64(64)
 )
 
 // NewMemory allocates and deterministically fills the flat memory image.
@@ -90,7 +98,7 @@ func NewMemory(l *Layout, seed int64) []int64 {
 	for i := range mem {
 		mem[i] = seededValue(seed, int64(i))
 	}
-	if memTemplateCount.Load() < memTemplateLimit {
+	if l.Total <= memTemplateMaxWords && memTemplateCount.Load() < memTemplateLimit {
 		t := make([]int64, len(mem))
 		copy(t, mem)
 		if _, loaded := memTemplates.LoadOrStore(key, t); !loaded {

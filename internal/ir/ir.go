@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync/atomic"
 )
 
 // AccessType distinguishes read references from write references.
@@ -271,6 +272,9 @@ type Region struct {
 
 	// dense is the region's dense analysis index, rebuilt by Finalize.
 	dense *RegionIndex
+	// code is the compiled form an execution backend published for the
+	// region's current body (PublishCode), cleared by Finalize.
+	code atomic.Pointer[any]
 }
 
 // Annotations carries optional front-end declarations attached to a region.
@@ -382,8 +386,9 @@ func (r *Region) Seg(id int) *Segment {
 // place of the call, so every downstream analysis sees through procedure
 // boundaries. Calls inside a recursive cycle are left unexpanded
 // (Validate rejects such programs). It must be called once after the
-// region body is complete and before any analysis runs. Finalize is
-// idempotent.
+// region body is complete and before any analysis runs, and again after
+// the body changes: it rebuilds the dense index and discards the
+// published compiled form (PublishCode). Finalize is idempotent.
 func (r *Region) Finalize() {
 	r.Refs = r.Refs[:0]
 	id := 0
@@ -454,6 +459,34 @@ func (r *Region) Finalize() {
 	}
 	sort.Slice(r.Refs, func(i, j int) bool { return r.Refs[i].ID < r.Refs[j].ID })
 	r.buildDenseIndex()
+	r.code.Store(nil)
+}
+
+// Code returns the compiled form a backend published for the region's
+// current body with PublishCode, or nil when none has been published
+// since the last Finalize.
+func (r *Region) Code() any {
+	if c := r.code.Load(); c != nil {
+		return *c
+	}
+	return nil
+}
+
+// PublishCode stores c as the compiled form of the region's current body
+// unless one is stored already, and returns the stored form: concurrent
+// publishers all get the first one. The form is opaque to this package.
+// It lives as long as the region does, and Finalize discards it with the
+// dense index, so a re-finalized body is compiled afresh.
+func (r *Region) PublishCode(c any) any {
+	box := &c
+	for {
+		if r.code.CompareAndSwap(nil, box) {
+			return c
+		}
+		if old := r.code.Load(); old != nil {
+			return *old
+		}
+	}
 }
 
 func (r *Region) number(ref *Ref, segID int, id, pos *int, loops []LoopInfo, cond bool) {

@@ -156,9 +156,9 @@ func BenchmarkServiceLabelUncached(b *testing.B) {
 
 // BenchmarkServiceSimulateThroughput measures simulate request throughput
 // over four programs at the server's base machine, with the response
-// cache off. Each program's first request labels it and runs the engine,
-// and its second finds the program by fingerprint and gives the text an
-// alias. Every later one finds the program by its selector digest (no
+// cache off. Each program's first request labels it into probation and
+// runs the engine, and its second promotes the program into the program
+// tier and gives the text an alias. Every later one finds the program by its selector digest (no
 // parse or canonicalization) and, its sequential run and saturated
 // speculative rows being kept, is answered in the calling goroutine
 // without a queue or worker hop. So the steady state measures the request

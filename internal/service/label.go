@@ -9,12 +9,16 @@ package service
 // deps-less label renders no dependences. Simulate and timeline requests
 // drive the engine with the whole program's labeling; they read the
 // program tier, an LRU of labeled programs by content fingerprint, whose
-// entries also carry the program's simulation state (simulate.go). The
-// same LRU holds alias entries: a program or example simulate that found
-// its program by fingerprint stores the entry under its request's
+// entries also carry the program's simulation state (simulate.go). A
+// program is admitted on its second lookup: the first labels it into
+// probation, a small LRU in front of the tier, and a later lookup that
+// finds it there promotes it, so the many programs of mixed traffic that
+// are simulated once never displace the repeated ones. The tier also
+// holds alias entries: a program or example simulate that found its
+// program in the tier or promoted it stores the entry under its request's
 // selector digest too, so a later repeat of the same text finds the
-// program without parsing it. Neither tier single-flights:
-// identical requests already coalesce at admission.
+// program without parsing it. Neither tier single-flights: identical
+// requests already coalesce at admission.
 
 import (
 	"encoding/hex"
@@ -27,13 +31,13 @@ import (
 )
 
 // programEntry is a resolved program: its fingerprint, canonical source
-// and parse. A program-tier entry also carries the labeling, whose maps
-// are keyed by that program's refs — callers run this program, not their
-// own parse of it — and the simulation state (simulate.go); a program the
-// tier does not hold yet has neither, and labs and sim stay nil. The
-// labeling keeps only what the engine reads (idem.Result.DropArtifacts):
-// nothing renders an entry's dependences or RFW flags, since label
-// responses come from region rows.
+// and parse. A program-tier or probation entry also carries the labeling,
+// whose maps are keyed by that program's refs — callers run this
+// program, not their own parse of it — and the simulation state
+// (simulate.go); a program neither holds yet has neither, and labs and
+// sim stay nil. The labeling keeps only what the engine reads
+// (idem.Result.DropArtifacts): nothing renders an entry's dependences or
+// RFW flags, since label responses come from region rows.
 type programEntry struct {
 	fp        ir.Fingerprint
 	canonical string
@@ -44,8 +48,9 @@ type programEntry struct {
 
 // progKey is a program-tier key: a program fingerprint, or with alias set
 // the selector digest (api.Key.Selector) of a program or example request
-// whose simulate found the entry by fingerprint (Server.remember). Both
-// kinds count toward Config.CacheCapacity and are evicted independently.
+// whose simulate found the entry in the tier or promoted it
+// (Server.remember). Both kinds count toward Config.CacheCapacity and are
+// evicted independently.
 type progKey struct {
 	sum   [32]byte
 	alias bool
@@ -116,17 +121,22 @@ func (s *Server) label(t *task) ([]byte, error) {
 	return api.RenderLabel(&doc)
 }
 
-// labeled returns the program tier's entry for a resolved program: e
-// itself when resolution found it in the tier, otherwise the entry a
-// concurrent request has stored since, or e labeled and stored.
-// Concurrent misses on one fingerprint all get the entry stored first, so
-// they share its simulation state.
+// labeled returns the labeled entry of a resolved program: e itself when
+// resolution found it in the program tier or promoted it there, otherwise
+// the entry the tier or probation holds by now, or e labeled and stored in
+// probation. Concurrent misses on one fingerprint all get the entry
+// stored first, so they share its simulation state; a resolution that
+// promotes that entry meanwhile stores it in the tier, which the last
+// lookup finds.
 func (s *Server) labeled(e programEntry) (programEntry, error) {
 	if e.sim != nil {
 		return e, nil
 	}
 	key := progKey{sum: e.fp}
 	if stored, ok := s.programs.Get(key); ok {
+		return stored, nil
+	}
+	if stored, ok := s.probation.Get(e.fp); ok {
 		return stored, nil
 	}
 	p := e.prog
@@ -144,5 +154,24 @@ func (s *Server) labeled(e programEntry) (programEntry, error) {
 		e.labs[r] = res
 	}
 	e.sim = &simMemo{}
-	return s.programs.GetOrPut(key, e), nil
+	e = s.probation.GetOrPut(e.fp, e)
+	if stored, ok := s.programs.Get(key); ok {
+		return stored, nil
+	}
+	return e, nil
+}
+
+// promote moves the probation entry of fp into the program tier, where
+// only programs looked up a second time live, and returns the tier's
+// entry for fp; it reports false when probation does not hold fp.
+func (s *Server) promote(fp ir.Fingerprint) (programEntry, bool) {
+	e, ok := s.probation.Get(fp)
+	if !ok {
+		return programEntry{}, false
+	}
+	stored := s.programs.GetOrPut(progKey{sum: fp}, e)
+	if s.probation.Remove(fp) {
+		s.promotions.Add(1)
+	}
+	return stored, true
 }

@@ -246,6 +246,7 @@ func (s *Server) RenderMetricz() string {
 	w("cache_evictions", cs.Evictions)
 	w("cache_entries", int64(cs.Entries))
 	w("cache_capacity", int64(cs.Capacity))
+	w("cache_promotions", cs.Promotions)
 
 	var buckets [latencyBuckets + 1]int64
 	var count, cum int64

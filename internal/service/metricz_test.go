@@ -42,7 +42,7 @@ func TestRenderMetriczLineOrder(t *testing.T) {
 		"store_degraded_events", "store_recoveries", "store_probe_failures",
 		"store_quarantined",
 		"cache_hits", "cache_misses", "cache_evictions",
-		"cache_entries", "cache_capacity",
+		"cache_entries", "cache_capacity", "cache_promotions",
 		"latency_count", "latency_mean_ns",
 		"latency_p50_us", "latency_p95_us", "latency_p99_us",
 	}

@@ -1,8 +1,9 @@
 // Package service is the serving layer of the reproduction: a
 // long-running, concurrency-safe Server wrapping the full parse → label →
 // simulate pipeline behind a request API, so the ~22 µs dense labeling
-// core and the engine's compiled-region caches are amortized across
-// requests instead of being rebuilt per CLI invocation.
+// core and the engine's compiled region code, which lives on each region
+// and is collected with its program, are amortized across requests
+// instead of being rebuilt per CLI invocation.
 //
 // The architecture, socket to core:
 //
@@ -20,15 +21,18 @@
 //     only regions never seen before are labeled and rendered (label.go);
 //   - a program tier of labeled programs keyed by ir.FingerprintOf, read
 //     by simulate and timeline requests, which need whole-program labels;
-//     each entry also keeps the program's sequential run and the rows of
-//     its saturated speculative runs, so a simulate runs only the engine
-//     work its machine changes, and a simulate whose rows are all kept is
-//     answered in the request goroutine without queueing (simulate.go);
-//     alias entries under the selector digest of texts simulated more
-//     than once resolve a repeated text without parsing it;
-//   - metrics: per-endpoint counters, program-tier hit/miss/eviction
-//     statistics and a request latency histogram, rendered by
-//     RenderMetricz.
+//     a program enters it on its second lookup, the first having labeled
+//     it into a small probation LRU in front of the tier, so programs
+//     simulated once never take a tier slot (label.go); each entry also
+//     keeps the program's sequential run and the rows of its saturated
+//     speculative runs, so a simulate runs only the engine work its
+//     machine changes, and a simulate whose rows are all kept is answered
+//     in the request goroutine without queueing (simulate.go); alias
+//     entries under the selector digest of promoted programs' texts
+//     resolve a repeated text without parsing it;
+//   - metrics: per-endpoint counters, program-tier hit, miss, eviction
+//     and promotion statistics and a request latency histogram, rendered
+//     by RenderMetricz.
 //
 // Every bounded tier is one internal/lru cache under one lock.
 //
@@ -63,10 +67,12 @@ import (
 // defaults documented per field; DefaultConfig spells them out.
 type Config struct {
 	// CacheCapacity is the program tier's capacity in entries (<= 0
-	// selects 512). A labeled program takes one entry under its
-	// fingerprint, and each program or example text simulated again after
-	// the program was labeled takes one more alias entry under its
-	// selector digest.
+	// selects 512). A program takes one entry under its fingerprint once
+	// a second simulate or timeline lookup promotes it out of probation,
+	// the LRU of max(16, CacheCapacity/8) programs that the first lookup
+	// labels it into; each program or example text simulated again after
+	// the program was promoted takes one more alias entry under its
+	// selector digest. Probation is not counted in the capacity.
 	CacheCapacity int
 	// Workers is the size of the compute worker pool (<= 0 selects
 	// GOMAXPROCS).
@@ -175,17 +181,22 @@ type Server struct {
 	// The memory tiers; resp, bases and frags are nil when disabled. resp
 	// holds response bytes by request (respcache.go); programs holds the
 	// labeled programs simulate and timeline requests run, by fingerprint
-	// and by the selector digests of repeatedly simulated texts (label.go);
-	// bases resolves delta requests (delta.go); frags holds the rendered
-	// region rows every label response is assembled from, a row with a
-	// dependence list only for "deps" requests (label.go).
-	resp     *lru.Cache[api.Key, respEntry]
-	programs *lru.Cache[progKey, programEntry]
-	bases    *lru.Cache[ir.Fingerprint, string]
-	frags    *lru.Cache[fragKey, RegionLabeling]
+	// and by the selector digests of repeatedly simulated texts, and
+	// probation the programs labeled once, until their second lookup
+	// promotes them into programs (label.go); bases resolves delta
+	// requests (delta.go); frags holds the rendered region rows every
+	// label response is assembled from, a row with a dependence list only
+	// for "deps" requests (label.go).
+	resp      *lru.Cache[api.Key, respEntry]
+	programs  *lru.Cache[progKey, programEntry]
+	probation *lru.Cache[ir.Fingerprint, programEntry]
+	bases     *lru.Cache[ir.Fingerprint, string]
+	frags     *lru.Cache[fragKey, RegionLabeling]
 	// progHits and progMisses count program-tier resolutions: one per
-	// simulate or timeline request, by alias or fingerprint.
-	progHits, progMisses atomic.Int64
+	// simulate or timeline request, by alias or fingerprint, a promotion
+	// out of probation counting as a hit. promotions counts the programs
+	// moved from probation into the tier.
+	progHits, progMisses, promotions atomic.Int64
 
 	// computeHook, when a test sets it before the first request, runs at
 	// the start of every computation.
@@ -259,11 +270,12 @@ type task struct {
 func New(cfg Config) *Server {
 	cfg = cfg.normalized()
 	s := &Server{
-		cfg:      cfg,
-		metrics:  newMetrics(),
-		programs: lru.New[progKey, programEntry](cfg.CacheCapacity),
-		inflight: make(map[taskKey]*task),
-		queue:    make(chan *task, cfg.QueueDepth),
+		cfg:       cfg,
+		metrics:   newMetrics(),
+		programs:  lru.New[progKey, programEntry](cfg.CacheCapacity),
+		probation: lru.New[ir.Fingerprint, programEntry](max(16, cfg.CacheCapacity/8)),
+		inflight:  make(map[taskKey]*task),
+		queue:     make(chan *task, cfg.QueueDepth),
 	}
 	if cfg.ResponseCache > 0 {
 		s.resp = lru.New[api.Key, respEntry](cfg.ResponseCache)
@@ -532,10 +544,11 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 // program tier holds is found by its selector digest sel, with no parse
 // and no canonicalization. Any other request resolves its program
 // (resolveRequest) and formats it once for the fingerprint, and a
-// simulate then looks the fingerprint up; known reports that the tier
-// held it, so the text names a program already labeled there. A simulate's
-// entry is the tier's, labeled, when the tier held it. Each simulate
-// resolution counts as one program-tier hit or miss.
+// simulate then looks the fingerprint up in the tier and, failing that,
+// promotes it out of probation (promote); known reports either, so the
+// text names a program already labeled. A simulate's entry is the
+// tier's, labeled, when known. Each simulate resolution counts as one
+// program-tier hit or miss.
 func (s *Server) resolve(req Request, sel [32]byte) (e programEntry, known bool, err error) {
 	simulate := req.Op == OpSimulate
 	if simulate && req.Base == "" {
@@ -552,7 +565,11 @@ func (s *Server) resolve(req Request, sel [32]byte) (e programEntry, known bool,
 	e.canonical, e.fp = ir.Canonical(p)
 	e.prog = p
 	if simulate {
-		if stored, ok := s.programs.Get(progKey{sum: e.fp}); ok {
+		stored, ok := s.programs.Get(progKey{sum: e.fp})
+		if !ok {
+			stored, ok = s.promote(e.fp)
+		}
+		if ok {
 			s.progHits.Add(1)
 			return stored, true, nil
 		}
@@ -563,10 +580,10 @@ func (s *Server) resolve(req Request, sel [32]byte) (e programEntry, known bool,
 
 // remember records a successful answer to req, whose program resolved to
 // e: the response cache stores its bytes, and a simulate of a program or
-// example selector that found its program by fingerprint (known) stores
-// e under the selector digest, so the text's next repeat needs no parse.
-// A text simulated once thus takes no alias slot, and one that failed to
-// parse never gains one.
+// example selector that found its program in the tier or promoted it
+// (known) stores e under the selector digest, so the text's next repeat
+// needs no parse. Only promoted programs thus take alias slots, and a
+// text that failed to parse never gains one.
 func (s *Server) remember(req Request, rk api.Key, e programEntry, known bool, resp []byte) {
 	if known && req.Op == OpSimulate && req.Base == "" {
 		s.programs.Put(progKey{sum: rk.Selector(), alias: true}, e)
@@ -673,21 +690,26 @@ func (s *Server) compute(t *task) {
 	t.resp, t.err = s.simulate(t)
 }
 
-// CacheStats is a snapshot of the program tier: Hits and Misses count the
-// lookups of simulate and timeline requests.
+// CacheStats is a snapshot of the program tier. Hits and Misses count the
+// lookups of simulate and timeline requests: a hit found the program in
+// the tier, by alias or fingerprint, or promoted it out of probation, and
+// a miss left it to be labeled into probation. Promotions counts the
+// programs moved from probation into the tier. Evictions, Entries and
+// Capacity are the tier's own; probation is not counted in them.
 type CacheStats struct {
-	Hits, Misses, Evictions int64
-	Entries, Capacity       int
+	Hits, Misses, Evictions, Promotions int64
+	Entries, Capacity                   int
 }
 
 // CacheStats snapshots the program tier.
 func (s *Server) CacheStats() CacheStats {
 	return CacheStats{
-		Hits:      s.progHits.Load(),
-		Misses:    s.progMisses.Load(),
-		Evictions: s.programs.Evictions(),
-		Entries:   s.programs.Len(),
-		Capacity:  s.cfg.CacheCapacity,
+		Hits:       s.progHits.Load(),
+		Misses:     s.progMisses.Load(),
+		Evictions:  s.programs.Evictions(),
+		Promotions: s.promotions.Load(),
+		Entries:    s.programs.Len(),
+		Capacity:   s.cfg.CacheCapacity,
 	}
 }
 

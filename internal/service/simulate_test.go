@@ -470,9 +470,11 @@ func TestSimulateWhitespaceVariantSharesEntry(t *testing.T) {
 // With a two-entry program tier and three programs, aliases and
 // fingerprint entries are evicted independently: an alias outlives its
 // program's fingerprint entry and a fingerprint entry outlives its
-// program's alias. Timelines label other programs into the tier without
-// storing aliases. Every answer stays the fresh runs', and each timeline
-// a fresh server's.
+// program's alias. A program's first lookup labels it into probation and
+// its second promotes it into the tier; timelines promote other programs
+// that way without storing aliases, and a program evicted from the tier
+// goes through probation again. Every answer stays the fresh runs', and
+// each timeline a fresh server's.
 func TestSimulateAliasAndFingerprintEvictIndependently(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheCapacity = 2
@@ -491,17 +493,19 @@ func TestSimulateAliasAndFingerprintEvictIndependently(t *testing.T) {
 		want     simCounters
 	}
 	// The comments give the tier after each step, least recently used
-	// first.
+	// first, and what enters probation.
 	for i, st := range []step{
-		{srcA, pA, capA, false, simCounters{misses: 1}},                       // fpA
-		{srcA, pA, capB, false, simCounters{hits: 1, kept: 1}},                // fpA aliasA
-		{srcB, pB, 0, true, simCounters{misses: 1}},                           // aliasA fpB
+		{srcA, pA, capA, false, simCounters{misses: 1}},                       // empty; A in probation
+		{srcA, pA, capB, false, simCounters{hits: 1, kept: 1}},                // fpA aliasA: promoted
+		{srcB, pB, 0, true, simCounters{misses: 1}},                           // fpA aliasA; B in probation
+		{srcB, pB, 0, true, simCounters{hits: 1}},                             // aliasA fpB: promoted, no alias
 		{srcA, pA, capC, false, simCounters{sourceHits: 1, hits: 1, kept: 1}}, // fpB aliasA: it outlived fpA
-		{variantA, pA, capA, false, simCounters{misses: 1}},                   // aliasA fpA, relabeled
-		{srcC, pC, 0, true, simCounters{misses: 1}},                           // fpA fpC
-		{srcA, pA, capB, false, simCounters{hits: 1, kept: 1}},                // fpA aliasA: fpA outlived aliasA
-		{srcB, pB, capA, false, simCounters{misses: 1}},                       // aliasA fpB
-		{srcC, pC, capA, false, simCounters{misses: 1}},                       // fpB fpC
+		{variantA, pA, capA, false, simCounters{misses: 1}},                   // fpB aliasA; A relabeled into probation
+		{srcC, pC, 0, true, simCounters{misses: 1}},                           // fpB aliasA; C in probation
+		{srcC, pC, 0, true, simCounters{hits: 1}},                             // aliasA fpC
+		{variantA, pA, capB, false, simCounters{hits: 1, kept: 1}},            // fpA aliasVariantA
+		{srcA, pA, capC, false, simCounters{hits: 1, kept: 1}},                // fpA aliasA: fpA outlived aliasA
+		{srcB, pB, capA, false, simCounters{misses: 1}},                       // fpA aliasA; B relabeled into probation
 	} {
 		var got simCounters
 		if st.timeline {
@@ -521,8 +525,9 @@ func TestSimulateAliasAndFingerprintEvictIndependently(t *testing.T) {
 			t.Errorf("step %d: counters moved %+v, want %+v", i, got, st.want)
 		}
 	}
-	if cs := s.CacheStats(); cs.Entries != 2 || cs.Evictions == 0 {
-		t.Errorf("program tier: %d entries, %d evictions; want 2 and some", cs.Entries, cs.Evictions)
+	if cs := s.CacheStats(); cs.Entries != 2 || cs.Evictions == 0 || cs.Promotions != 4 {
+		t.Errorf("program tier: %d entries, %d evictions, %d promotions; want 2, some and 4",
+			cs.Entries, cs.Evictions, cs.Promotions)
 	}
 }
 
@@ -676,8 +681,8 @@ func TestConcurrentFirstSimulatesOfOneSource(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Whichever of them found the entry by fingerprint gave the source its
-	// alias; if none did, this repeat does.
+	// Whichever of them found the entry in the tier or promoted it out of
+	// probation gave the source its alias; if none did, this repeat does.
 	simulateStep(t, s, Request{Program: src, Procs: 2, Capacity: capB}, oracleOf(t, p, 2, capB))
 	before := simCountersOf(s)
 	simulateStep(t, s, Request{Program: src, Procs: 2, Capacity: capC}, oracleOf(t, p, 2, capC))
