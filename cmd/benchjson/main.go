@@ -1,7 +1,9 @@
 // Command benchjson converts `go test -bench` output (read from stdin)
 // into a JSON document mapping benchmark name to ns/op, allocs/op,
-// bytes/op and every custom metric reported via b.ReportMetric. An
-// optional -baseline file (same JSON shape) is embedded verbatim so a
+// bytes/op and every custom metric reported via b.ReportMetric. The
+// document also records the environment the stream states: the CPU model
+// of its `cpu:` lines and the GOMAXPROCS of its benchmark-name suffixes.
+// An optional -baseline file (same JSON shape) is embedded verbatim so a
 // results file can carry the reference numbers it is compared against.
 //
 // It is also the benchmark-regression gate: with -gate BASELINE.json the
@@ -20,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -35,31 +38,35 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Document is the BENCH_results.json shape: current measurements plus
-// the embedded reference baseline.
+// Document is the BENCH_results.json shape: current measurements, the
+// environment they ran in, and the embedded reference baseline. The gate
+// compares benchmarks only.
 type Document struct {
 	Go         string            `json:"go,omitempty"`
+	CPU        string            `json:"cpu,omitempty"`
+	GOMAXPROCS int               `json:"gomaxprocs,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 	Baseline   map[string]Result `json:"baseline,omitempty"`
 }
 
-func parse(line string) (string, Result, bool) {
+// parse reads one benchmark line. go test appends a -N GOMAXPROCS suffix
+// to the name unless GOMAXPROCS is 1; the name is returned without it.
+func parse(line string) (name string, procs int, r Result, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return "", Result{}, false
+		return "", 0, Result{}, false
 	}
-	name := fields[0]
-	// Strip the -N GOMAXPROCS suffix go test appends.
+	name, procs = fields[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return "", Result{}, false
+		return "", 0, Result{}, false
 	}
-	r := Result{Iterations: iters, Metrics: map[string]float64{}}
+	r = Result{Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -79,7 +86,33 @@ func parse(line string) (string, Result, bool) {
 	if len(r.Metrics) == 0 {
 		r.Metrics = nil
 	}
-	return name, r, true
+	return name, procs, r, true
+}
+
+// read parses a `go test -bench` stream, of one package or several, into
+// a document. Every benchmark must have run at the same GOMAXPROCS: the
+// document records one, and names stripped of their suffixes would
+// collide.
+func read(in io.Reader) (Document, error) {
+	doc := Document{Benchmarks: map[string]Result{}}
+	sc := bufio.NewScanner(in)
+	for sc.Scan() {
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			doc.CPU = cpu
+			continue
+		}
+		name, procs, r, ok := parse(line)
+		if !ok {
+			continue
+		}
+		if doc.GOMAXPROCS != 0 && doc.GOMAXPROCS != procs {
+			return Document{}, fmt.Errorf("%s ran at GOMAXPROCS %d, earlier benchmarks at %d", name, procs, doc.GOMAXPROCS)
+		}
+		doc.GOMAXPROCS = procs
+		doc.Benchmarks[name] = r
+	}
+	return doc, sc.Err()
 }
 
 func main() {
@@ -101,17 +134,12 @@ func main() {
 		"comma-separated name prefixes whose ns/op gate uses -gate-ns-slack (fs-bound benchmarks: fsync latency varies run to run far beyond CPU noise; their allocs/op gate still applies)")
 	flag.Parse()
 
-	doc := Document{Go: *goVersion, Benchmarks: map[string]Result{}}
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		if name, r, ok := parse(sc.Text()); ok {
-			doc.Benchmarks[name] = r
-		}
-	}
-	if err := sc.Err(); err != nil {
+	doc, err := read(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	doc.Go = *goVersion
 	if *baseline != "" {
 		raw, err := os.ReadFile(*baseline)
 		if err != nil {

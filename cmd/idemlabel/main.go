@@ -155,7 +155,7 @@ func printRegion(w io.Writer, p *ir.Program, r *ir.Region, res *idem.Result, sho
 	if showDeps {
 		fmt.Fprintln(w, "\nmay-dependences:")
 		for _, d := range res.Deps.All {
-			fmt.Fprintf(w, "  %s\n", d)
+			fmt.Fprintf(w, "  %s\n", res.Deps.Text(d))
 		}
 	}
 	fmt.Fprintln(w)

@@ -30,7 +30,7 @@ func TestConservativeMirrorsEveryDep(t *testing.T) {
 			}
 		}
 		if !found || !mirrored {
-			t.Errorf("dep %v: found=%v mirrored=%v", d, found, mirrored)
+			t.Errorf("dep %s: found=%v mirrored=%v", a.Text(d), found, mirrored)
 		}
 	}
 	// Both endpoints become sinks.
@@ -42,7 +42,7 @@ func TestConservativeMirrorsEveryDep(t *testing.T) {
 	// becomes an anti (r->w).
 	hasAnti := false
 	for _, e := range c.SinksAt(wr) {
-		if e.Kind == Anti && e.Src == rd {
+		if d := c.All[e]; d.Kind == Anti && d.Src == int32(rd.ID) {
 			hasAnti = true
 		}
 	}
@@ -62,7 +62,7 @@ func TestConservativeOnDependenceFreeRegion(t *testing.T) {
 	r.Finalize()
 	p.AddRegion(r)
 	c := Conservative(Analyze(r, cfg.FromRegion(r)))
-	if len(c.All) != 0 || c.HasCrossDeps() {
-		t.Errorf("independent loop should stay dependence-free: %v", c.All)
+	if len(c.All) != 0 || hasCross(c) {
+		t.Errorf("independent loop should stay dependence-free: %v", texts(c))
 	}
 }

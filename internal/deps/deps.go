@@ -22,7 +22,6 @@ package deps
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"refidem/internal/cfg"
 	"refidem/internal/ir"
@@ -53,87 +52,60 @@ func (k Kind) String() string {
 
 // Dep is one directed may-dependence: Src executes before Dst in some
 // sequential execution and they may access the same storage location.
+// Src and Dst are reference IDs, indices into the region's Refs.
 type Dep struct {
-	Src  *ir.Ref
-	Dst  *ir.Ref
-	Kind Kind
+	Src, Dst int32
+	Kind     Kind
 	// Cross reports a cross-segment dependence (between different segment
 	// instances); intra-segment dependences have Cross == false.
 	Cross bool
-	// SpecConf, when > 0, is a speculative ensemble member's confidence
-	// that this dependence does not actually occur (it stays strictly
-	// below 1: confidence 1 would be a soundness claim only the exact
-	// members may make, and they refute by omitting the edge). The edge
-	// itself is still emitted, so purely sound consumers are unaffected;
-	// SpecBy names the member that produced the annotation.
-	SpecConf float64
-	SpecBy   Member
 }
 
-func (d Dep) String() string {
-	scope := "intra"
-	if d.Cross {
-		scope = "cross"
-	}
-	return scope + " " + d.Kind.String() + ": " + d.Src.String() + " -> " + d.Dst.String()
-}
-
-// Analysis holds the dependences of one region. Endpoint indexes are
-// stored as CSR groups over reference IDs, so SinksAt/SourcesAt return
-// zero-allocation views.
+// Analysis holds the dependences of one region. All is ordered by
+// (Src, Dst, Kind), and the sink index groups edge numbers into All by
+// sink reference, so SinksAt returns a zero-allocation view.
 type Analysis struct {
 	Region *ir.Region
 	All    []Dep
+	// Spec is the speculative ensemble members' overlay on All: Spec[e]
+	// annotates All[e]. Only AnalyzeWith allocates it (ensemble.go); it is
+	// nil on every other analysis.
+	Spec []SpecEdge
 
-	bySink  []Dep // grouped by Dst.ID
-	sinkOff []int32
-	bySrc   []Dep // grouped by Src.ID
-	srcOff  []int32
+	sinkOff []int32 // sinkIdx[sinkOff[id]:sinkOff[id+1]] sink at reference ID id
+	sinkIdx []int32 // edge numbers into All, grouped by Dst
 	cross   ir.Bits // ref is the sink of a cross-segment dependence
 
 	// emitted dedups directions within the pair currently being tested:
 	// [0] src==r1, [1] src==r2; second index is Cross.
 	emitted [2][2]bool
 	pairR1  *ir.Ref
-
-	// Ensemble state (nil/zero outside AnalyzeWith; see ensemble.go).
-	ens     *Ensemble
-	mwfVars map[*ir.Var]bool
-	obs     []RefObs
+	// rangeFilter runs the ensemble's Range member ahead of the exact
+	// solver (set by AnalyzeWith).
+	rangeFilter bool
 }
 
-// SinksAt returns the dependences whose sink is ref. The slice is a view
-// into the analysis; do not mutate.
-func (a *Analysis) SinksAt(ref *ir.Ref) []Dep {
-	return a.bySink[a.sinkOff[ref.ID]:a.sinkOff[ref.ID+1]]
+// Text renders edge d of the analysis as dependence lists print it:
+// "cross flow: write x@S0#1 -> read x@S0#0".
+func (a *Analysis) Text(d Dep) string {
+	scope := "intra"
+	if d.Cross {
+		scope = "cross"
+	}
+	refs := a.Region.Refs
+	return scope + " " + d.Kind.String() + ": " + refs[d.Src].String() + " -> " + refs[d.Dst].String()
 }
 
-// SourcesAt returns the dependences whose source is ref. The slice is a
-// view into the analysis; do not mutate.
-func (a *Analysis) SourcesAt(ref *ir.Ref) []Dep {
-	return a.bySrc[a.srcOff[ref.ID]:a.srcOff[ref.ID+1]]
-}
-
-// IsSink reports whether ref is the sink of any dependence.
-func (a *Analysis) IsSink(ref *ir.Ref) bool {
-	return a.sinkOff[ref.ID] != a.sinkOff[ref.ID+1]
+// SinksAt returns the numbers of the edges in All whose sink is ref, in
+// All's order. The slice is a view into the analysis; do not mutate.
+func (a *Analysis) SinksAt(ref *ir.Ref) []int32 {
+	return a.sinkIdx[a.sinkOff[ref.ID]:a.sinkOff[ref.ID+1]]
 }
 
 // IsCrossSink reports whether ref is the sink of a cross-segment
 // dependence (the references Lemma 3 forces to stay speculative).
 func (a *Analysis) IsCrossSink(ref *ir.Ref) bool {
 	return a.cross.Get(int32(ref.ID))
-}
-
-// HasCrossDeps reports whether the region carries any cross-segment data
-// dependence, one half of the fully-independent test of Lemma 7.
-func (a *Analysis) HasCrossDeps() bool {
-	for _, d := range a.All {
-		if d.Cross {
-			return true
-		}
-	}
-	return false
 }
 
 // Conservative returns a copy of the analysis in which every dependence
@@ -143,9 +115,10 @@ func (a *Analysis) HasCrossDeps() bool {
 // references become idempotent.
 func Conservative(a *Analysis) *Analysis {
 	out := &Analysis{Region: a.Region}
+	refs := a.Region.Refs
 	for _, d := range a.All {
-		out.emitDedupScan(d.Src, d.Dst, d.Cross)
-		out.emitDedupScan(d.Dst, d.Src, d.Cross)
+		out.emitDedupScan(refs[d.Src], refs[d.Dst], d.Cross)
+		out.emitDedupScan(refs[d.Dst], refs[d.Src], d.Cross)
 	}
 	out.buildIndexes()
 	return out
@@ -154,13 +127,14 @@ func Conservative(a *Analysis) *Analysis {
 // emitDedupScan appends a dependence unless an identical one exists; the
 // linear scan is fine for the ablation-only Conservative path.
 func (a *Analysis) emitDedupScan(src, dst *ir.Ref, cross bool) {
-	d := Dep{Src: src, Dst: dst, Kind: kindOf(src, dst), Cross: cross}
-	for _, e := range a.All {
-		if e == d {
-			return
-		}
+	if d := newDep(src, dst, cross); !slices.Contains(a.All, d) {
+		a.All = append(a.All, d)
 	}
-	a.All = append(a.All, d)
+}
+
+// newDep builds the edge src -> dst, classified by the access types.
+func newDep(src, dst *ir.Ref, cross bool) Dep {
+	return Dep{Src: int32(src.ID), Dst: int32(dst.ID), Kind: kindOf(src, dst), Cross: cross}
 }
 
 // kindOf classifies a source/sink access pair.
@@ -175,8 +149,6 @@ func kindOf(src, dst *ir.Ref) Kind {
 	}
 }
 
-var cursorPool = sync.Pool{New: func() any { return &[]int32{} }}
-
 // Analyze computes the may-dependences of the region. The graph must be
 // cfg.FromRegion(r) (passed in so callers can share it). It is the
 // exact-solver-only degenerate case of AnalyzeWith (ensemble.go).
@@ -187,7 +159,7 @@ func Analyze(r *ir.Region, g *cfg.Graph) *Analysis {
 }
 
 // analyze runs the pair loop, orders the result deterministically, and
-// builds the CSR endpoint views.
+// builds the sink index.
 func (a *Analysis) analyze(g *cfg.Graph) {
 	r := a.Region
 	idx := r.DenseIndex()
@@ -209,10 +181,10 @@ func (a *Analysis) analyze(g *cfg.Graph) {
 	}
 	// Deterministic order for printing and tests.
 	slices.SortStableFunc(a.All, func(x, y Dep) int {
-		if c := cmp.Compare(x.Src.ID, y.Src.ID); c != 0 {
+		if c := cmp.Compare(x.Src, y.Src); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(x.Dst.ID, y.Dst.ID); c != 0 {
+		if c := cmp.Compare(x.Dst, y.Dst); c != 0 {
 			return c
 		}
 		return cmp.Compare(x.Kind, y.Kind)
@@ -220,44 +192,29 @@ func (a *Analysis) analyze(g *cfg.Graph) {
 	a.buildIndexes()
 }
 
-// buildIndexes fills the CSR endpoint groups and the cross-sink bitset
-// from All.
+// buildIndexes fills the sink index and the cross-sink bitset from All.
 func (a *Analysis) buildIndexes() {
 	n := len(a.Region.Refs)
 	a.sinkOff = make([]int32, n+1)
-	a.srcOff = make([]int32, n+1)
 	a.cross = ir.MakeBits(n)
 	for _, d := range a.All {
-		a.sinkOff[d.Dst.ID+1]++
-		a.srcOff[d.Src.ID+1]++
+		a.sinkOff[d.Dst+1]++
 		if d.Cross {
-			a.cross.Set(int32(d.Dst.ID))
+			a.cross.Set(d.Dst)
 		}
 	}
 	for i := 0; i < n; i++ {
 		a.sinkOff[i+1] += a.sinkOff[i]
-		a.srcOff[i+1] += a.srcOff[i]
 	}
-	a.bySink = make([]Dep, len(a.All))
-	a.bySrc = make([]Dep, len(a.All))
-	cp := cursorPool.Get().(*[]int32)
-	cursor := *cp
-	if cap(cursor) < n {
-		cursor = make([]int32, n)
+	a.sinkIdx = make([]int32, len(a.All))
+	for e, d := range a.All {
+		a.sinkIdx[a.sinkOff[d.Dst]] = int32(e)
+		a.sinkOff[d.Dst]++
 	}
-	cursor = cursor[:n]
-	copy(cursor, a.sinkOff[:n])
-	for _, d := range a.All {
-		a.bySink[cursor[d.Dst.ID]] = d
-		cursor[d.Dst.ID]++
-	}
-	copy(cursor, a.srcOff[:n])
-	for _, d := range a.All {
-		a.bySrc[cursor[d.Src.ID]] = d
-		cursor[d.Src.ID]++
-	}
-	*cp = cursor
-	cursorPool.Put(cp)
+	// Each group's offset advanced to its end, the next group's start:
+	// shift them back by one group.
+	copy(a.sinkOff[1:], a.sinkOff[:n])
+	a.sinkOff[0] = 0
 }
 
 // emit records one directed dependence, deduplicating within the current
@@ -277,16 +234,12 @@ func (a *Analysis) emit(src, dst *ir.Ref, cross bool) {
 		return
 	}
 	a.emitted[dir][ci] = true
-	d := Dep{Src: src, Dst: dst, Kind: kindOf(src, dst), Cross: cross}
-	a.All = append(a.All, d)
-	if a.ens != nil {
-		a.annotate(&a.All[len(a.All)-1])
-	}
+	a.All = append(a.All, newDep(src, dst, cross))
 }
 
 // pair tests one unordered reference pair in every direction and level.
 func (a *Analysis) pair(r1, r2 *ir.Ref, g *cfg.Graph, idx *ir.RegionIndex) {
-	if a.ens != nil && a.ens.Range && a.rangeRefutesPair(r1, r2, idx) {
+	if a.rangeFilter && a.rangeRefutesPair(r1, r2, idx) {
 		// Sound refutation of every level test at once: the whole pair
 		// short-circuits past the exact solver.
 		return

@@ -2,6 +2,7 @@ package deps
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"refidem/internal/cfg"
@@ -26,12 +27,33 @@ func loopRegion(t *testing.T, p *ir.Program, from, to, step int, body ...ir.Stmt
 
 // has reports whether a dependence src->dst with the kind/cross exists.
 func has(a *Analysis, src, dst *ir.Ref, kind Kind, cross bool) bool {
+	return slices.Contains(a.All, Dep{Src: int32(src.ID), Dst: int32(dst.ID), Kind: kind, Cross: cross})
+}
+
+// hasCross reports whether the region carries any cross-segment
+// dependence.
+func hasCross(a *Analysis) bool {
+	return slices.ContainsFunc(a.All, func(d Dep) bool { return d.Cross })
+}
+
+// sourcesAt returns the dependences whose source is ref, in All's order.
+func sourcesAt(a *Analysis, ref *ir.Ref) []Dep {
+	var out []Dep
 	for _, d := range a.All {
-		if d.Src == src && d.Dst == dst && d.Kind == kind && d.Cross == cross {
-			return true
+		if d.Src == int32(ref.ID) {
+			out = append(out, d)
 		}
 	}
-	return false
+	return out
+}
+
+// texts renders every dependence of the analysis for failure messages.
+func texts(a *Analysis) []string {
+	out := make([]string, len(a.All))
+	for e, d := range a.All {
+		out[e] = a.Text(d)
+	}
+	return out
 }
 
 // TestUnvalidatedFormsAreConservative: a program that skipped Validate
@@ -64,7 +86,7 @@ func TestUnvalidatedFormsAreConservative(t *testing.T) {
 			t.Errorf("%s: address certain without an affine form", c.name)
 		}
 		if !has(an, wr, rd, Flow, true) || !has(an, rd, wr, Anti, false) {
-			t.Errorf("%s: dependences not assumed: %v", c.name, an.All)
+			t.Errorf("%s: dependences not assumed: %v", c.name, texts(an))
 		}
 	}
 }
@@ -90,11 +112,11 @@ func TestScalarAccumulator(t *testing.T) {
 	}
 	for _, w := range want {
 		if !has(a, w.src, w.dst, w.kind, w.cross) {
-			t.Errorf("missing dep %v->%v %v cross=%v in %v", w.src, w.dst, w.kind, w.cross, a.All)
+			t.Errorf("missing dep %v->%v %v cross=%v in %v", w.src, w.dst, w.kind, w.cross, texts(a))
 		}
 	}
 	if len(a.All) != len(want) {
-		t.Errorf("got %d deps, want %d: %v", len(a.All), len(want), a.All)
+		t.Errorf("got %d deps, want %d: %v", len(a.All), len(want), texts(a))
 	}
 	if !a.IsCrossSink(wr) || !a.IsCrossSink(rd) {
 		t.Error("both refs are cross-segment sinks")
@@ -108,10 +130,10 @@ func TestIndependentStreaming(t *testing.T) {
 	a, _ := loopRegion(t, p, 1, 8, 1,
 		&ir.Assign{LHS: ir.Wr(av, ir.Idx("k")), RHS: ir.Rd(bv, ir.Idx("k"))})
 	if len(a.All) != 0 {
-		t.Errorf("a[k]=b[k] should be dependence-free, got %v", a.All)
+		t.Errorf("a[k]=b[k] should be dependence-free, got %v", texts(a))
 	}
-	if a.HasCrossDeps() {
-		t.Error("HasCrossDeps should be false")
+	if hasCross(a) {
+		t.Error("no cross dependence expected")
 	}
 }
 
@@ -122,16 +144,16 @@ func TestDistanceOneFlow(t *testing.T) {
 		&ir.Assign{LHS: ir.Wr(av, ir.Idx("k")), RHS: ir.Rd(av, ir.SubE(ir.Idx("k"), ir.C(1)))})
 	rd, wr := r.Refs[0], r.Refs[1]
 	if !has(a, wr, rd, Flow, true) {
-		t.Errorf("missing cross flow w->r: %v", a.All)
+		t.Errorf("missing cross flow w->r: %v", texts(a))
 	}
 	if has(a, rd, wr, Anti, true) || has(a, rd, wr, Anti, false) {
-		t.Errorf("spurious anti dep: %v", a.All)
+		t.Errorf("spurious anti dep: %v", texts(a))
 	}
 	if has(a, wr, wr, Output, true) {
-		t.Errorf("spurious output self dep: %v", a.All)
+		t.Errorf("spurious output self dep: %v", texts(a))
 	}
 	if len(a.All) != 1 {
-		t.Errorf("got %d deps, want 1: %v", len(a.All), a.All)
+		t.Errorf("got %d deps, want 1: %v", len(a.All), texts(a))
 	}
 }
 
@@ -145,10 +167,10 @@ func TestDescendingLoopFlowDirection(t *testing.T) {
 		&ir.Assign{LHS: ir.Wr(av, ir.Idx("k")), RHS: ir.Rd(av, ir.AddE(ir.Idx("k"), ir.C(1)))})
 	rd, wr := r.Refs[0], r.Refs[1]
 	if !has(a, wr, rd, Flow, true) {
-		t.Errorf("missing cross flow w->r on descending loop: %v", a.All)
+		t.Errorf("missing cross flow w->r on descending loop: %v", texts(a))
 	}
 	if len(a.All) != 1 {
-		t.Errorf("got %v", a.All)
+		t.Errorf("got %v", texts(a))
 	}
 }
 
@@ -161,10 +183,10 @@ func TestAscendingLoopAntiDirection(t *testing.T) {
 		&ir.Assign{LHS: ir.Wr(av, ir.Idx("k")), RHS: ir.Rd(av, ir.AddE(ir.Idx("k"), ir.C(1)))})
 	rd, wr := r.Refs[0], r.Refs[1]
 	if !has(a, rd, wr, Anti, true) {
-		t.Errorf("missing cross anti r->w on ascending loop: %v", a.All)
+		t.Errorf("missing cross anti r->w on ascending loop: %v", texts(a))
 	}
 	if len(a.All) != 1 {
-		t.Errorf("got %v", a.All)
+		t.Errorf("got %v", texts(a))
 	}
 }
 
@@ -182,13 +204,13 @@ func TestInnerLoopLevelDependence(t *testing.T) {
 		}})
 	rd, wr := r.Refs[0], r.Refs[1]
 	if !has(a, rd, wr, Anti, false) {
-		t.Errorf("missing intra anti: %v", a.All)
+		t.Errorf("missing intra anti: %v", texts(a))
 	}
-	if a.HasCrossDeps() {
-		t.Errorf("no cross deps expected: %v", a.All)
+	if hasCross(a) {
+		t.Errorf("no cross deps expected: %v", texts(a))
 	}
 	if len(a.All) != 1 {
-		t.Errorf("got %v", a.All)
+		t.Errorf("got %v", texts(a))
 	}
 }
 
@@ -204,10 +226,10 @@ func TestInnerLoopDescendingFlow(t *testing.T) {
 		}})
 	rd, wr := r.Refs[0], r.Refs[1]
 	if !has(a, wr, rd, Flow, false) {
-		t.Errorf("missing intra flow on descending inner loop: %v", a.All)
+		t.Errorf("missing intra flow on descending inner loop: %v", texts(a))
 	}
 	if len(a.All) != 1 {
-		t.Errorf("got %v", a.All)
+		t.Errorf("got %v", texts(a))
 	}
 }
 
@@ -220,10 +242,10 @@ func TestReadModifyWriteSameCell(t *testing.T) {
 		&ir.Assign{LHS: ir.Wr(av, ir.Idx("k")), RHS: ir.SubE(ir.Rd(av, ir.Idx("k")), ir.C(1))})
 	rd, wr := r.Refs[0], r.Refs[1]
 	if !has(a, rd, wr, Anti, false) {
-		t.Errorf("missing intra anti: %v", a.All)
+		t.Errorf("missing intra anti: %v", texts(a))
 	}
 	if len(a.All) != 1 {
-		t.Errorf("got %v", a.All)
+		t.Errorf("got %v", texts(a))
 	}
 }
 
@@ -242,7 +264,7 @@ func TestSubscriptedSubscriptConservative(t *testing.T) {
 		}
 	}
 	if !has(a, wr, wr, Output, true) {
-		t.Errorf("missing conservative output self-dep: %v", a.All)
+		t.Errorf("missing conservative output self-dep: %v", texts(a))
 	}
 }
 
@@ -277,10 +299,10 @@ func TestNoDepsBetweenExclusiveBranches(t *testing.T) {
 		}
 	}
 	if has(a, w1, w2, Output, true) || has(a, w2, w1, Output, true) {
-		t.Errorf("exclusive branches must not depend on each other: %v", a.All)
+		t.Errorf("exclusive branches must not depend on each other: %v", texts(a))
 	}
 	if !has(a, w1, rd, Flow, true) || !has(a, w2, rd, Flow, true) {
-		t.Errorf("join read depends on both writes: %v", a.All)
+		t.Errorf("join read depends on both writes: %v", texts(a))
 	}
 }
 
@@ -306,10 +328,10 @@ func TestCFGDirectionByAge(t *testing.T) {
 		}
 	}
 	if !has(a, rd, wr, Anti, true) {
-		t.Errorf("missing anti old->young: %v", a.All)
+		t.Errorf("missing anti old->young: %v", texts(a))
 	}
 	if has(a, wr, rd, Flow, true) {
-		t.Errorf("flow young->old is impossible in a DAG: %v", a.All)
+		t.Errorf("flow young->old is impossible in a DAG: %v", texts(a))
 	}
 }
 
@@ -318,8 +340,8 @@ func TestSingleIterationRegionHasNoCrossDeps(t *testing.T) {
 	x := p.AddVar("x")
 	a, _ := loopRegion(t, p, 1, 1, 1,
 		&ir.Assign{LHS: ir.Wr(x), RHS: ir.AddE(ir.Rd(x), ir.C(1))})
-	if a.HasCrossDeps() {
-		t.Errorf("one iteration cannot have cross-segment deps: %v", a.All)
+	if hasCross(a) {
+		t.Errorf("one iteration cannot have cross-segment deps: %v", texts(a))
 	}
 }
 
@@ -329,11 +351,24 @@ func TestSourcesAndSinksIndex(t *testing.T) {
 	a, r := loopRegion(t, p, 1, 4, 1,
 		&ir.Assign{LHS: ir.Wr(x), RHS: ir.AddE(ir.Rd(x), ir.C(1))})
 	rd, wr := r.Refs[0], r.Refs[1]
-	if len(a.SinksAt(wr)) == 0 || len(a.SourcesAt(wr)) == 0 {
+	if len(a.SinksAt(wr)) == 0 || len(sourcesAt(a, wr)) == 0 {
 		t.Error("write should be both source and sink here")
 	}
-	if !a.IsSink(rd) {
+	if len(a.SinksAt(rd)) == 0 {
 		t.Error("read is a flow sink")
+	}
+	// The sink index lists, per reference, exactly the edges into it in
+	// All's order.
+	for _, ref := range r.Refs {
+		var want []int32
+		for e, d := range a.All {
+			if d.Dst == int32(ref.ID) {
+				want = append(want, int32(e))
+			}
+		}
+		if got := a.SinksAt(ref); !slices.Equal(got, want) {
+			t.Errorf("SinksAt(%v) = %v, want %v", ref, got, want)
+		}
 	}
 }
 
@@ -371,8 +406,9 @@ func TestDepString(t *testing.T) {
 	x := p.AddVar("x")
 	_, r := loopRegion(t, p, 1, 4, 1,
 		&ir.Assign{LHS: ir.Wr(x), RHS: ir.AddE(ir.Rd(x), ir.C(1))})
-	d := Dep{Src: r.Refs[0], Dst: r.Refs[1], Kind: Anti, Cross: true}
-	if s := d.String(); s == "" {
-		t.Error("empty Dep string")
+	a := &Analysis{Region: r}
+	d := Dep{Src: 0, Dst: 1, Kind: Anti, Cross: true}
+	if got, want := a.Text(d), "cross anti: read x@S0#0 -> write x@S0#1"; got != want {
+		t.Errorf("Text = %q, want %q", got, want)
 	}
 }

@@ -1,8 +1,8 @@
 package deps
 
-// This file is the collaborative dependence-analysis ensemble (SCAF-style,
-// ROADMAP direction 2): an ordered, cheap-first chain of member analyses
-// cooperating behind the one query interface Analyze already exposes.
+// This file is the collaborative dependence-analysis ensemble (SCAF-style):
+// an ordered, cheap-first chain of member analyses cooperating behind the
+// one query interface Analyze already exposes.
 //
 // Member roles and ordering:
 //
@@ -34,8 +34,8 @@ package deps
 //
 // Speculative members never remove edges: the exact solver's dependence
 // set is emitted unchanged (so every sound consumer — Algorithm 2, RFW,
-// the lemma oracles — is untouched), and speculative answers ride along
-// as Dep.SpecConf/Dep.SpecBy, the per-edge probability that the
+// the lemma oracles — is untouched), and speculative answers sit in an
+// overlay by edge number, Analysis.Spec: the per-edge probability that the
 // dependence does not actually occur. internal/idem folds those
 // confidences into a per-reference P(idempotent); the engine's
 // Config.SpecThreshold speculation policy acts on that probability.
@@ -78,9 +78,19 @@ func (m Member) String() string {
 const mwfConf = 0.98
 
 // maxSpecConf caps every speculative confidence strictly below 1, keeping
-// "SpecConf == 1" impossible and "P(idempotent) == 1" an exact-analysis
+// "Conf == 1" impossible and "P(idempotent) == 1" an exact-analysis
 // certificate.
 const maxSpecConf = 0.999999
+
+// SpecEdge is the speculative members' answer for one edge: Conf, when
+// > 0, is member By's confidence that the dependence does not actually
+// occur. It stays strictly below 1: confidence 1 would be a soundness
+// claim only the exact members may make, and they refute by omitting the
+// edge.
+type SpecEdge struct {
+	Conf float64
+	By   Member
+}
 
 // RefObs is one reference's observed address statistics from a
 // sequential replay: the inclusive [Min, Max] range of flat addresses it
@@ -126,24 +136,29 @@ func (e *Ensemble) enabled() bool {
 
 // AnalyzeWith computes the may-dependences of the region through the
 // member chain configured by ens. The emitted dependence set is always
-// exactly Analyze's (speculative members only annotate edges with
-// SpecConf/SpecBy); a nil or zero ens degenerates to Analyze.
+// exactly Analyze's, and the speculative members' answers fill the
+// Spec overlay; a nil or zero ens degenerates to Analyze.
 func AnalyzeWith(r *ir.Region, g *cfg.Graph, ens *Ensemble) *Analysis {
 	if !ens.enabled() {
 		return Analyze(r, g)
 	}
-	a := &Analysis{Region: r, ens: ens}
-	if ens.MustWriteFirst && ens.Summaries != nil {
-		a.mwfVars = mustWriteFirstVars(r, ens.Summaries)
-	}
-	if ens.Profile != nil {
-		a.obs = ens.Profile.Obs[r]
-	}
+	a := &Analysis{Region: r, rangeFilter: ens.Range}
 	a.analyze(g)
+	var mwfVars map[*ir.Var]bool
+	if ens.MustWriteFirst && ens.Summaries != nil {
+		mwfVars = mustWriteFirstVars(r, ens.Summaries)
+	}
+	var obs []RefObs
+	if ens.Profile != nil {
+		obs = ens.Profile.Obs[r]
+	}
+	a.Spec = make([]SpecEdge, len(a.All))
+	for e, d := range a.All {
+		a.Spec[e] = annotate(r.Refs, d, mwfVars, obs)
+	}
 	if ens.BreakCrossReads {
 		a.breakCrossReads()
 	}
-	a.ens, a.mwfVars, a.obs = nil, nil, nil
 	return a
 }
 
@@ -253,18 +268,16 @@ func mustWriteFirstVars(r *ir.Region, cg *callgraph.Analysis) map[*ir.Var]bool {
 	return out
 }
 
-// annotate runs the speculative members on one freshly emitted edge,
-// recording the strongest confidence that the dependence does not occur.
-// It never removes the edge.
-func (a *Analysis) annotate(d *Dep) {
-	if a.mwfVars != nil && d.Cross && d.Kind == Flow &&
-		d.Dst.Access == ir.Read && len(d.Dst.Subs) == 0 {
-		if a.mwfVars[d.Dst.Var] {
-			d.SpecConf, d.SpecBy = mwfConf, MemberMustWriteFirst
-		}
+// annotate runs the speculative members on one edge and returns the
+// strongest confidence that the dependence does not occur.
+func annotate(refs []*ir.Ref, d Dep, mwfVars map[*ir.Var]bool, obs []RefObs) SpecEdge {
+	var s SpecEdge
+	if dst := refs[d.Dst]; d.Cross && d.Kind == Flow && dst.Access == ir.Read &&
+		len(dst.Subs) == 0 && mwfVars[dst.Var] {
+		s = SpecEdge{Conf: mwfConf, By: MemberMustWriteFirst}
 	}
-	if a.obs != nil && int(d.Src.ID) < len(a.obs) && int(d.Dst.ID) < len(a.obs) {
-		so, do := a.obs[d.Src.ID], a.obs[d.Dst.ID]
+	if int(d.Src) < len(obs) && int(d.Dst) < len(obs) {
+		so, do := obs[d.Src], obs[d.Dst]
 		if so.Count > 0 && do.Count > 0 {
 			if so.Max < do.Min || do.Max < so.Min {
 				n := so.Count
@@ -275,37 +288,28 @@ func (a *Analysis) annotate(d *Dep) {
 				if conf > maxSpecConf {
 					conf = maxSpecConf
 				}
-				if conf > d.SpecConf {
-					d.SpecConf, d.SpecBy = conf, MemberProfile
+				if conf > s.Conf {
+					s = SpecEdge{Conf: conf, By: MemberProfile}
 				}
 			}
 		}
 	}
+	return s
 }
 
-// breakFirstCrossSink is the deliberate fault injection behind the fuzz
-// driver's -break-ensemble self-test: it picks the first cross-segment
-// sink (preferring a read — reads carry no RFW side condition, so the
-// forced probability actually promotes) and marks every dependence into
-// it speculatively refuted at high confidence. Honest members never
-// produce these answers; an engine speculating on them must be caught by
-// the live-out oracles.
+// breakCrossReads is the deliberate fault injection behind the fuzz
+// driver's -break-ensemble self-test: it marks every dependence into every
+// read that sinks a cross-segment dependence speculatively refuted at high
+// confidence (reads carry no RFW side condition, so the forced probability
+// actually promotes). Honest members never produce these answers; an
+// engine speculating on them must be caught by the live-out oracles.
 func (a *Analysis) breakCrossReads() {
-	victims := make(map[*ir.Ref]bool)
-	for _, d := range a.All {
-		if d.Cross && d.Dst.Access == ir.Read {
-			victims[d.Dst] = true
+	for _, ref := range a.Region.Refs {
+		if ref.Access != ir.Read || !a.IsCrossSink(ref) {
+			continue
+		}
+		for _, e := range a.SinksAt(ref) {
+			a.Spec[e] = SpecEdge{Conf: 0.99, By: MemberProfile}
 		}
 	}
-	if len(victims) == 0 {
-		return
-	}
-	for i := range a.All {
-		if victims[a.All[i].Dst] {
-			a.All[i].SpecConf, a.All[i].SpecBy = 0.99, MemberProfile
-		}
-	}
-	// The CSR views copy Dep values; rebuild them so SinksAt/SourcesAt
-	// see the forced annotations.
-	a.buildIndexes()
 }

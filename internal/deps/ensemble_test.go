@@ -1,6 +1,7 @@
 package deps
 
 import (
+	"slices"
 	"testing"
 
 	"refidem/internal/callgraph"
@@ -8,29 +9,6 @@ import (
 	"refidem/internal/gen"
 	"refidem/internal/ir"
 )
-
-// stripSpec clears the speculative annotations of a dependence list so it
-// can be compared against the exact solver's output field by field.
-func stripSpec(all []Dep) []Dep {
-	out := make([]Dep, len(all))
-	for i, d := range all {
-		d.SpecConf, d.SpecBy = 0, 0
-		out[i] = d
-	}
-	return out
-}
-
-func sameDeps(a, b []Dep) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // TestAnalyzeWithNilMatchesAnalyze pins the degenerate cases: a nil and a
 // zero-value ensemble must produce the exact solver's result unchanged.
@@ -42,8 +20,8 @@ func TestAnalyzeWithNilMatchesAnalyze(t *testing.T) {
 	g := cfg.FromRegion(r)
 	for _, ens := range []*Ensemble{nil, {}} {
 		got := AnalyzeWith(r, g, ens)
-		if !sameDeps(got.All, a.All) {
-			t.Errorf("ens=%+v: got %v, want %v", ens, got.All, a.All)
+		if !slices.Equal(got.All, a.All) || got.Spec != nil {
+			t.Errorf("ens=%+v: got %v (overlay %v), want %v", ens, texts(got), got.Spec, texts(a))
 		}
 	}
 }
@@ -57,8 +35,8 @@ func TestRangeMemberShortCircuit(t *testing.T) {
 	exact, r := loopRegion(t, p, 1, 4, 1,
 		&ir.Assign{LHS: ir.Wr(av, ir.Idx("k")), RHS: ir.Rd(av, ir.AddE(ir.Idx("k"), ir.C(100)))})
 	got := AnalyzeWith(r, cfg.FromRegion(r), &Ensemble{Range: true})
-	if len(got.All) != 0 || !sameDeps(got.All, exact.All) {
-		t.Fatalf("disjoint ranges: ensemble %v, exact %v, want both empty", got.All, exact.All)
+	if len(got.All) != 0 || len(exact.All) != 0 {
+		t.Fatalf("disjoint ranges: ensemble %v, exact %v, want both empty", texts(got), texts(exact))
 	}
 	wr, rd := refsByAccess(t, r)
 	a, idx := &Analysis{Region: r}, r.DenseIndex()
@@ -98,11 +76,11 @@ func TestRangeMemberGCD(t *testing.T) {
 			RHS: ir.Rd(av, ir.AddE(ir.MulE(ir.C(2), ir.Idx("k")), ir.C(1))),
 		})
 	if len(a.All) != 0 {
-		t.Fatalf("exact solver should refute interleaved strides, got %v", a.All)
+		t.Fatalf("exact solver should refute interleaved strides, got %v", texts(a))
 	}
 	got := AnalyzeWith(r, cfg.FromRegion(r), &Ensemble{Range: true})
 	if len(got.All) != 0 {
-		t.Fatalf("range member should refute interleaved strides, got %v", got.All)
+		t.Fatalf("range member should refute interleaved strides, got %v", texts(got))
 	}
 	wr, rd := refsByAccess(t, r)
 	if !(&Analysis{Region: r}).rangeRefutesPair(rd, wr, r.DenseIndex()) {
@@ -129,11 +107,11 @@ func TestRangeMemberSlopBoundary(t *testing.T) {
 			},
 		}})
 	if len(a.All) != 1 || a.All[0].Kind != Flow || a.All[0].Cross {
-		t.Fatalf("expected exactly the conservative intra flow dep, got %v", a.All)
+		t.Fatalf("expected exactly the conservative intra flow dep, got %v", texts(a))
 	}
 	got := AnalyzeWith(r, cfg.FromRegion(r), &Ensemble{Range: true})
-	if !sameDeps(got.All, a.All) {
-		t.Fatalf("range member diverged from exact on the slop boundary: got %v, want %v", got.All, a.All)
+	if !slices.Equal(got.All, a.All) {
+		t.Fatalf("range member diverged from exact on the slop boundary: got %v, want %v", texts(got), texts(a))
 	}
 }
 
@@ -156,9 +134,9 @@ func TestRangeMemberConsistencyRandom(t *testing.T) {
 				g := cfg.FromRegion(r)
 				exact := Analyze(r, g)
 				got := AnalyzeWith(r, g, &Ensemble{Range: true})
-				if !sameDeps(got.All, exact.All) {
+				if !slices.Equal(got.All, exact.All) {
 					t.Fatalf("%s seed %d region %s: ensemble %v != exact %v",
-						prof.Name, seed, r.Name, got.All, exact.All)
+						prof.Name, seed, r.Name, texts(got), texts(exact))
 				}
 			}
 		}
@@ -193,19 +171,19 @@ func TestMustWriteFirstLift(t *testing.T) {
 	g := cfg.FromRegion(r)
 	exact := Analyze(r, g)
 	got := AnalyzeWith(r, g, &Ensemble{MustWriteFirst: true, Summaries: callgraph.Analyze(p)})
-	if !sameDeps(stripSpec(got.All), exact.All) {
-		t.Fatalf("MWF changed the dep set: got %v, want %v", got.All, exact.All)
+	if !slices.Equal(got.All, exact.All) {
+		t.Fatalf("MWF changed the dep set: got %v, want %v", texts(got), texts(exact))
 	}
 	annotated, crossFlows := 0, 0
-	for _, d := range got.All {
-		isCrossFlowRead := d.Cross && d.Kind == Flow && d.Dst.Access == ir.Read
+	for e, d := range got.All {
+		isCrossFlowRead := d.Cross && d.Kind == Flow && r.Refs[d.Dst].Access == ir.Read
 		if isCrossFlowRead {
 			crossFlows++
 		}
-		if d.SpecConf > 0 {
+		if s := got.Spec[e]; s.Conf > 0 {
 			annotated++
-			if !isCrossFlowRead || d.SpecBy != MemberMustWriteFirst || d.SpecConf != mwfConf {
-				t.Errorf("unexpected annotation on %v (conf %v by %v)", d, d.SpecConf, d.SpecBy)
+			if !isCrossFlowRead || s.By != MemberMustWriteFirst || s.Conf != mwfConf {
+				t.Errorf("unexpected annotation on %s (conf %v by %v)", got.Text(d), s.Conf, s.By)
 			}
 		}
 	}
@@ -284,24 +262,25 @@ func TestProfileMemberAnnotates(t *testing.T) {
 	obs[aRead.ID] = RefObs{Min: 10, Max: 13, Count: 4}
 	prof := &Profile{Obs: map[*ir.Region][]RefObs{r: obs}}
 	got := AnalyzeWith(r, cfg.FromRegion(r), &Ensemble{Profile: prof})
-	if !sameDeps(stripSpec(got.All), a.All) {
-		t.Fatalf("profile member changed the dep set: got %v, want %v", got.All, a.All)
+	if !slices.Equal(got.All, a.All) {
+		t.Fatalf("profile member changed the dep set: got %v, want %v", texts(got), texts(a))
 	}
 	wantConf := 4.0 / 5.0
-	for _, d := range got.All {
-		betweenPair := (d.Src == aRead && d.Dst == aWrite) || (d.Src == aWrite && d.Dst == aRead)
-		switch {
-		case betweenPair && (d.SpecConf != wantConf || d.SpecBy != MemberProfile):
-			t.Errorf("edge %v: conf %v by %v, want %v by profile", d, d.SpecConf, d.SpecBy, wantConf)
-		case !betweenPair && d.SpecConf != 0:
-			t.Errorf("edge %v: unexpected annotation (conf %v)", d, d.SpecConf)
+	rd, wr := int32(aRead.ID), int32(aWrite.ID)
+	for e, d := range got.All {
+		betweenPair := (d.Src == rd && d.Dst == wr) || (d.Src == wr && d.Dst == rd)
+		switch s := got.Spec[e]; {
+		case betweenPair && (s.Conf != wantConf || s.By != MemberProfile):
+			t.Errorf("edge %s: conf %v by %v, want %v by profile", got.Text(d), s.Conf, s.By, wantConf)
+		case !betweenPair && s.Conf != 0:
+			t.Errorf("edge %s: unexpected annotation (conf %v)", got.Text(d), s.Conf)
 		}
 	}
 }
 
 // TestBreakCrossReads: the fault-injection mode forces high-
-// confidence refutations onto every edge into one cross-segment read
-// sink, and the rebuilt CSR views expose them.
+// confidence refutations onto every edge into a cross-segment read sink,
+// and the sink index reaches them.
 func TestBreakCrossReads(t *testing.T) {
 	p := ir.NewProgram("t")
 	av := p.AddVar("a", 64)
@@ -314,26 +293,27 @@ func TestBreakCrossReads(t *testing.T) {
 	got := AnalyzeWith(r, cfg.FromRegion(r), &Ensemble{BreakCrossReads: true})
 	var victim *ir.Ref
 	for _, d := range got.All {
-		if d.Cross && d.Dst.Access == ir.Read {
-			victim = d.Dst
+		if d.Cross && r.Refs[d.Dst].Access == ir.Read {
+			victim = r.Refs[d.Dst]
 			break
 		}
 	}
 	if victim == nil {
 		t.Fatal("no cross read sink in test region")
 	}
-	for _, d := range got.All {
-		if d.Dst == victim && (d.SpecConf != 0.99 || d.SpecBy != MemberProfile) {
-			t.Errorf("edge into victim not forced: %v (conf %v)", d, d.SpecConf)
+	for e, d := range got.All {
+		s := got.Spec[e]
+		if d.Dst == int32(victim.ID) && (s.Conf != 0.99 || s.By != MemberProfile) {
+			t.Errorf("edge into victim not forced: %s (conf %v)", got.Text(d), s.Conf)
 		}
-		if d.Dst != victim && d.SpecConf != 0 {
-			t.Errorf("edge %v annotated but not into victim", d)
+		if d.Dst != int32(victim.ID) && s.Conf != 0 {
+			t.Errorf("edge %s annotated but not into victim", got.Text(d))
 		}
 	}
 	forced := 0
-	for _, d := range got.SinksAt(victim) {
-		if d.SpecConf != 0.99 {
-			t.Errorf("SinksAt view stale after break: %v", d)
+	for _, e := range got.SinksAt(victim) {
+		if got.Spec[e].Conf != 0.99 {
+			t.Errorf("sink index misses a forced edge: %s", got.Text(got.All[e]))
 		}
 		forced++
 	}

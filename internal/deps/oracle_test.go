@@ -191,7 +191,7 @@ func TestAnalysisIsSoundAgainstBruteForce(t *testing.T) {
 		a := Analyze(r, cfg.FromRegion(r))
 		have := make(map[gtDep]bool, len(a.All))
 		for _, d := range a.All {
-			have[gtDep{src: d.Src, dst: d.Dst, cross: d.Cross}] = true
+			have[gtDep{src: r.Refs[d.Src], dst: r.Refs[d.Dst], cross: d.Cross}] = true
 		}
 		for gt := range groundTruth(enumerate(t, r)) {
 			if !have[gt] {
@@ -219,7 +219,7 @@ func TestAnalysisPrecisionOnAffine(t *testing.T) {
 		gt := groundTruth(enumerate(t, r))
 		for _, d := range a.All {
 			reported++
-			if gt[gtDep{src: d.Src, dst: d.Dst, cross: d.Cross}] {
+			if gt[gtDep{src: r.Refs[d.Src], dst: r.Refs[d.Dst], cross: d.Cross}] {
 				realized++
 			}
 		}

@@ -83,14 +83,13 @@ func fail(kind, format string, args ...any) *Verdict {
 //  7. pressure   — lemmas 1-2 again under a tiny speculative storage
 //  8. ensemble   — the collaborative dependence ensemble (range, exact,
 //     must-write-first, replay profile) is no less conservative than the
-//     exact solver: the dependence set is identical once speculative
-//     annotations are stripped, the annotations are well-formed
-//     (confidence in [0, 1), member tag set exactly when annotated), the
-//     base labels are byte-identical to LabelProgram's, and the
-//     P(idempotent) overlay reaches 1 exactly on the proved set. Under
-//     BreakEnsemble a deliberately wrong speculative annotation is
-//     injected and the threshold CASE run must be caught by the live-out
-//     oracle.
+//     exact solver: the dependence list is identical, the overlay's
+//     annotations are well-formed (confidence in [0, 1), member tag set
+//     exactly when annotated), the base labels are byte-identical to
+//     LabelProgram's, and the P(idempotent) overlay reaches 1 exactly on
+//     the proved set. Under BreakEnsemble a deliberately wrong
+//     speculative annotation is injected and the threshold CASE run must
+//     be caught by the live-out oracle.
 func CheckProgram(p *ir.Program, o OracleOptions) *Verdict {
 	if err := p.Validate(); err != nil {
 		return fail(KindValidate, "%v", err)
@@ -180,9 +179,10 @@ func checkEnsemble(p *ir.Program, labs map[*ir.Region]*idem.Result,
 		BreakCrossReads: o.BreakEnsemble,
 	}
 
-	// Conservativeness at the dependence level: member short-circuits and
-	// annotations must leave the emitted set field-identical to the exact
-	// solver's (the injected break only annotates, so it passes too).
+	// Conservativeness at the dependence level: member short-circuits must
+	// leave the emitted set identical to the exact solver's, and the
+	// annotations live beside it in a well-formed overlay (the injected
+	// break only annotates, so it passes too).
 	for _, r := range p.Regions {
 		g := ccfg.FromRegion(r)
 		exact := deps.Analyze(r, g)
@@ -193,20 +193,20 @@ func checkEnsemble(p *ir.Program, labs map[*ir.Region]*idem.Result,
 			return fail(KindEnsemble, "region %s: ensemble emits %d deps, exact %d",
 				r.Name, len(got.All), len(exact.All))
 		}
-		for i := range got.All {
-			d := got.All[i]
-			if d.SpecConf < 0 || d.SpecConf >= 1 {
-				return fail(KindEnsemble, "region %s: dep %v has confidence %v outside [0,1)",
-					r.Name, d, d.SpecConf)
-			}
-			if (d.SpecConf > 0) != (d.SpecBy == deps.MemberMustWriteFirst || d.SpecBy == deps.MemberProfile) {
-				return fail(KindEnsemble, "region %s: dep %v annotation conf=%v by=%v is ill-formed",
-					r.Name, d, d.SpecConf, d.SpecBy)
-			}
-			d.SpecConf, d.SpecBy = 0, 0
+		for i, d := range got.All {
 			if d != exact.All[i] {
-				return fail(KindEnsemble, "region %s: dep %d differs from exact: %v vs %v",
-					r.Name, i, got.All[i], exact.All[i])
+				return fail(KindEnsemble, "region %s: dep %d differs from exact: %s vs %s",
+					r.Name, i, got.Text(d), exact.Text(exact.All[i]))
+			}
+		}
+		for i, s := range got.Spec {
+			if s.Conf < 0 || s.Conf >= 1 {
+				return fail(KindEnsemble, "region %s: dep %s has confidence %v outside [0,1)",
+					r.Name, got.Text(got.All[i]), s.Conf)
+			}
+			if (s.Conf > 0) != (s.By == deps.MemberMustWriteFirst || s.By == deps.MemberProfile) {
+				return fail(KindEnsemble, "region %s: dep %s annotation conf=%v by=%v is ill-formed",
+					r.Name, got.Text(got.All[i]), s.Conf, s.By)
 			}
 		}
 	}

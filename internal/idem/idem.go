@@ -332,11 +332,12 @@ func label(r *ir.Region, g *cfg.Graph, info *dataflow.RegionInfo, da *deps.Analy
 			if !candidate.Get(int32(ref.ID)) {
 				continue
 			}
-			for _, d := range da.SinksAt(ref) {
+			for _, e := range da.SinksAt(ref) {
+				d := da.All[e]
 				if d.Cross || d.Kind != deps.Output {
 					continue
 				}
-				srcOK := candidate.Get(int32(d.Src.ID)) || res.labels[d.Src.ID] == Idempotent
+				srcOK := candidate.Get(d.Src) || res.labels[d.Src] == Idempotent
 				if !srcOK {
 					candidate.Clear(int32(ref.ID))
 					changed = true
@@ -362,8 +363,8 @@ func label(r *ir.Region, g *cfg.Graph, info *dataflow.RegionInfo, da *deps.Analy
 			continue
 		}
 		ok := true
-		for _, d := range da.SinksAt(ref) {
-			if d.Cross || res.labels[d.Src.ID] != Idempotent {
+		for _, e := range da.SinksAt(ref) {
+			if d := da.All[e]; d.Cross || res.labels[d.Src] != Idempotent {
 				ok = false
 				break
 			}
@@ -384,7 +385,7 @@ func isFullyIndependent(r *ir.Region, g *cfg.Graph, info *dataflow.RegionInfo, d
 		return false
 	}
 	for _, d := range da.All {
-		if d.Cross && !info.PrivateAt(idx.VarOf[d.Src.ID]) {
+		if d.Cross && !info.PrivateAt(idx.VarOf[d.Src]) {
 			return false
 		}
 	}
@@ -434,8 +435,8 @@ func (res *Result) CheckTheorems() []error {
 	if res.FullyIndependent {
 		// Lemma 7: everything idempotent; and the precondition must hold.
 		for _, d := range res.Deps.All {
-			if d.Cross && !res.Info.Private(d.Src.Var) {
-				errs = append(errs, fmt.Errorf("region marked fully independent but has cross dep %v", d))
+			if d.Cross && !res.Info.Private(r.Refs[d.Src].Var) {
+				errs = append(errs, fmt.Errorf("region marked fully independent but has cross dep %s", res.Deps.Text(d)))
 			}
 		}
 		for _, ref := range r.Refs {
@@ -456,11 +457,11 @@ func (res *Result) CheckTheorems() []error {
 	// Lemma 3: the sink of a cross-segment dependence must be speculative
 	// (unless privatization removed the dependence).
 	for _, d := range res.Deps.All {
-		if !d.Cross || res.Info.Private(d.Dst.Var) {
+		if !d.Cross || res.Info.Private(r.Refs[d.Dst].Var) {
 			continue
 		}
-		if res.labels[d.Dst.ID] == Idempotent {
-			errs = append(errs, fmt.Errorf("cross-segment sink labeled idempotent: %v", d))
+		if res.labels[d.Dst] == Idempotent {
+			errs = append(errs, fmt.Errorf("cross-segment sink labeled idempotent: %s", res.Deps.Text(d)))
 		}
 	}
 	return errs
@@ -494,8 +495,8 @@ func (res *Result) expectedWrites() ir.Bits {
 			if res.Info.Private(ref.Var) || res.Info.ReadOnly(ref.Var) {
 				continue
 			}
-			for _, d := range res.Deps.SinksAt(ref) {
-				if !d.Cross && d.Kind == deps.Output && !ok.Get(int32(d.Src.ID)) {
+			for _, e := range res.Deps.SinksAt(ref) {
+				if d := res.Deps.All[e]; !d.Cross && d.Kind == deps.Output && !ok.Get(d.Src) {
 					ok.Clear(int32(ref.ID))
 					changed = true
 					break
@@ -514,11 +515,12 @@ func (res *Result) expectedIdempotent(ref *ir.Ref, wantWrites ir.Bits) bool {
 	if ref.Access == ir.Write {
 		return wantWrites.Get(int32(ref.ID))
 	}
-	for _, d := range res.Deps.SinksAt(ref) {
+	for _, e := range res.Deps.SinksAt(ref) {
+		d := res.Deps.All[e]
 		if d.Cross {
 			return false
 		}
-		if !res.expectedIdempotent(d.Src, wantWrites) {
+		if !res.expectedIdempotent(res.Region.Refs[d.Src], wantWrites) {
 			return false
 		}
 	}

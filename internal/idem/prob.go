@@ -1,12 +1,12 @@
 package idem
 
 // Confidence-weighted labeling: the probabilistic overlay on Algorithm 2
-// (ROADMAP direction 2, after "Probabilistic data flow analysis: a linear
-// equational approach"). The dependence ensemble (internal/deps,
-// ensemble.go) annotates edges with SpecConf — a speculative member's
-// confidence that the dependence does not actually occur. This file folds
-// those per-edge confidences into a per-reference P(idempotent), stored
-// as a dense float array beside the label bitsets.
+// (after "Probabilistic data flow analysis: a linear equational
+// approach"). The dependence ensemble (internal/deps, ensemble.go)
+// annotates edges in its overlay deps.Analysis.Spec with a speculative
+// member's confidence Conf that the dependence does not actually occur.
+// This file folds those per-edge confidences into a per-reference
+// P(idempotent), stored as a dense float array beside the label bitsets.
 //
 // The model keeps every *intra-segment certainty* condition of the
 // theorems (RFW for writes, the LC2 output-dependence strengthening,
@@ -17,8 +17,8 @@ package idem
 // equation system
 //
 //	P(ref) = Π over d in SinksAt(ref) of factor(d)
-//	  factor(cross d)        = SpecConf(d)
-//	  factor(intra d)        = SpecConf(d) + (1-SpecConf(d))·P(Src(d))
+//	  factor(cross d)        = Conf(d)
+//	  factor(intra d)        = Conf(d) + (1-Conf(d))·P(Src(d))
 //
 // is monotone in P, so the Gauss-Seidel sweep from 0 converges from
 // below; references Algorithm 2 already proved idempotent are pinned at
@@ -153,20 +153,26 @@ func (res *Result) refProb(ref *ir.Ref, probs []float64) float64 {
 	if ref.Access == ir.Write && !res.RFW.IsRFW(ref) {
 		return 0
 	}
+	da := res.Deps
 	p := 1.0
-	for _, d := range res.Deps.SinksAt(ref) {
+	for _, e := range da.SinksAt(ref) {
+		d := da.All[e]
+		var conf float64
+		if da.Spec != nil {
+			conf = da.Spec[e].Conf
+		}
 		var f float64
 		switch {
 		case d.Cross:
 			// The edge must be absent.
-			f = d.SpecConf
+			f = conf
 		case ref.Access == ir.Read:
 			// Absent, or present with an idempotent source (Theorem 2).
-			f = d.SpecConf + (1-d.SpecConf)*probs[d.Src.ID]
+			f = conf + (1-conf)*probs[d.Src]
 		case d.Kind == deps.Output:
 			// LC2 strengthening: an intra output source must itself be
 			// idempotent (or the edge absent).
-			f = d.SpecConf + (1-d.SpecConf)*probs[d.Src.ID]
+			f = conf + (1-conf)*probs[d.Src]
 		default:
 			// Intra anti dependences into a write carry no condition.
 			f = 1

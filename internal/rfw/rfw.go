@@ -253,7 +253,8 @@ func isLoopRFW(w *ir.Ref, da *deps.Analysis, earlyExit bool, idx *ir.RegionIndex
 		// the segment.
 		return false
 	}
-	for _, d := range da.SinksAt(w) {
+	for _, e := range da.SinksAt(w) {
+		d := da.All[e]
 		if d.Kind != deps.Anti {
 			continue
 		}
@@ -264,7 +265,7 @@ func isLoopRFW(w *ir.Ref, da *deps.Analysis, earlyExit bool, idx *ir.RegionIndex
 		// is itself covered by a must-write to the same location earlier
 		// in its own segment execution, in which case every path still
 		// rewrites the location before any read (Definition 5 holds).
-		if !isCoveredRead(d.Src, da.Region, idx) {
+		if !isCoveredRead(da.Region.Refs[d.Src], da.Region, idx) {
 			return false
 		}
 	}

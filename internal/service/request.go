@@ -108,7 +108,7 @@ func renderRegionLabeling(r *ir.Region, res *idem.Result, withDeps bool) RegionL
 	if withDeps {
 		reg.Deps = make([]string, 0, len(res.Deps.All))
 		for _, d := range res.Deps.All {
-			reg.Deps = append(reg.Deps, d.String())
+			reg.Deps = append(reg.Deps, res.Deps.Text(d))
 		}
 		slices.Sort(reg.Deps)
 	}

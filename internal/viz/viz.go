@@ -73,8 +73,8 @@ func DependenceGraphDOT(res *idem.Result) string {
 			id, label, color, res.Category(ref).String())
 	}
 	for _, d := range res.Deps.All {
-		src, _ := refNode(d.Src)
-		dst, _ := refNode(d.Dst)
+		src, _ := refNode(res.Region.Refs[d.Src])
+		dst, _ := refNode(res.Region.Refs[d.Dst])
 		style := "solid"
 		switch d.Kind {
 		case deps.Anti:

@@ -14,8 +14,10 @@ BENCH="${BENCH:-BenchmarkEngineHOSE|BenchmarkEngineCASE|BenchmarkAnalysisPipelin
 BENCHTIME="${BENCHTIME:-2s}"
 OUT="${OUT:-BENCH_results.json}"
 
-go build -o /tmp/benchjson ./cmd/benchjson
+bin="$(mktemp -d)"
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/benchjson" ./cmd/benchjson
 go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" . ./internal/service ./internal/store ./internal/cluster |
   tee /dev/stderr |
-  /tmp/benchjson -o "$OUT" -baseline scripts/seed_baseline.json -go "$(go version | awk '{print $3}')"
+  "$bin/benchjson" -o "$OUT" -baseline scripts/seed_baseline.json -go "$(go version | awk '{print $3}')"
 echo "wrote $OUT" >&2

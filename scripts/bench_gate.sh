@@ -9,8 +9,8 @@
 # BenchmarkEngineCapacitySweep: a capacity change must allocate what a
 # fixed-capacity run does), BenchmarkAnalysisPipeline*
 # (the labeling pipeline, exact-only and through the dependence
-# ensemble), BenchmarkDepsQuery* (the dependence solver plus the dense
-# CSR query sweep — its allocs gate is exact, pinning the
+# ensemble), BenchmarkDepsQuery* (the dependence solver plus a sweep of
+# its sink index — its allocs gate is exact, pinning the
 # allocation-free query-path claim for both the exact solver and the
 # ensemble chain), BenchmarkSequentialBaseline (the uniprocessor
 # reference run) and the service benchmarks — BenchmarkServiceLabel*
@@ -48,9 +48,11 @@ MAX_REGRESS="${MAX_REGRESS:-0.25}"
 PREFIXES="${PREFIXES:-BenchmarkEngine,BenchmarkAnalysisPipeline,BenchmarkDepsQuery,BenchmarkSequentialBaseline,BenchmarkServiceLabel,BenchmarkServiceSimulateThroughput,BenchmarkStore,BenchmarkRouterRoute}"
 ALLOC_SLACK="${ALLOC_SLACK:-0.25}"
 
-go build -o /tmp/benchjson ./cmd/benchjson
+bin="$(mktemp -d)"
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/benchjson" ./cmd/benchjson
 go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" . ./internal/service ./internal/store ./internal/cluster |
   tee /dev/stderr |
-  /tmp/benchjson -gate "$BASELINE" -gate-prefix "$PREFIXES" -gate-max-regress "$MAX_REGRESS" \
+  "$bin/benchjson" -gate "$BASELINE" -gate-prefix "$PREFIXES" -gate-max-regress "$MAX_REGRESS" \
     -gate-alloc-slack "$ALLOC_SLACK" \
     -gate-alloc-slack-prefix "BenchmarkServiceLabelThroughput,BenchmarkServiceSimulateThroughput,BenchmarkStore"

@@ -28,12 +28,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go build -o /tmp/refidemd ./cmd/refidemd
-go build -o /tmp/refidem-router ./cmd/refidem-router
-
 out="$(mktemp -d)"
 pids=()
 trap 'for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done; rm -rf "$out"' EXIT
+
+go build -o "$out/refidemd" ./cmd/refidemd
+go build -o "$out/refidem-router" ./cmd/refidem-router
 
 # await_url FILE VAR — parse the "listening on http://HOST:PORT" line a
 # daemon prints once ready, into the named variable. FILE is created
@@ -54,7 +54,7 @@ await_url() {
 urls=()
 for i in 0 1 2; do
   : >"$out/rep$i.out"
-  /tmp/refidemd -addr 127.0.0.1:0 >"$out/rep$i.out" 2>"$out/rep$i.err" &
+  "$out/refidemd" -addr 127.0.0.1:0 >"$out/rep$i.out" 2>"$out/rep$i.err" &
   pids+=($!)
 done
 for i in 0 1 2; do
@@ -65,7 +65,7 @@ echo "smoke: replicas at ${urls[*]}"
 
 # The router, probing fast enough that ejection shows within the run.
 : >"$out/router.out"
-/tmp/refidem-router -addr 127.0.0.1:0 \
+"$out/refidem-router" -addr 127.0.0.1:0 \
   -replicas "$(IFS=,; echo "${urls[*]}")" \
   -probe-interval 100ms -probe-timeout 500ms -fail-after 2 \
   >"$out/router.out" 2>"$out/router.err" &

@@ -16,12 +16,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go build -o /tmp/refidemd ./cmd/refidemd
-
 out="$(mktemp -d)"
 store="$out/store"
 pid=""
 trap 'kill -9 "$pid" 2>/dev/null || true; rm -rf "$out"' EXIT
+
+go build -o "$out/refidemd" ./cmd/refidemd
 
 # boot starts the daemon on an ephemeral port against $store and sets
 # $url/$pid. Every boot writes the same files, so they are emptied first:
@@ -30,7 +30,7 @@ trap 'kill -9 "$pid" 2>/dev/null || true; rm -rf "$out"' EXIT
 boot() {
   : >"$out/stdout"
   : >"$out/stderr"
-  /tmp/refidemd -addr 127.0.0.1:0 -store "$store" >"$out/stdout" 2>"$out/stderr" &
+  "$out/refidemd" -addr 127.0.0.1:0 -store "$store" >"$out/stdout" 2>"$out/stderr" &
   pid=$!
   url=""
   for _ in $(seq 1 100); do

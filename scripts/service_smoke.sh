@@ -15,15 +15,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go build -o /tmp/refidemd ./cmd/refidemd
-
 out="$(mktemp -d)"
+pid=""
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$out"' EXIT
+
+go build -o "$out/refidemd" ./cmd/refidemd
 
 # The file exists before the loop below reads it, even if the daemon has
 # not started yet.
 : >"$out/stdout"
-/tmp/refidemd -addr 127.0.0.1:0 >"$out/stdout" 2>"$out/stderr" &
+"$out/refidemd" -addr 127.0.0.1:0 >"$out/stdout" 2>"$out/stderr" &
 pid=$!
 
 # The daemon announces "listening on http://HOST:PORT" once ready.
