@@ -2,7 +2,10 @@
 // into a JSON document mapping benchmark name to ns/op, allocs/op,
 // bytes/op and every custom metric reported via b.ReportMetric. The
 // document also records the environment the stream states: the CPU model
-// of its `cpu:` lines and the GOMAXPROCS of its benchmark-name suffixes.
+// of its `cpu:` lines and the GOMAXPROCS of its benchmark-name suffixes,
+// and the commit benchjson itself was built from, with whether that tree
+// had uncommitted changes (the VCS stamp `go build` puts in a binary
+// built inside the checkout; both are omitted when there is none).
 // An optional -baseline file (same JSON shape) is embedded verbatim so a
 // results file can carry the reference numbers it is compared against.
 //
@@ -24,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,11 +46,34 @@ type Result struct {
 // environment they ran in, and the embedded reference baseline. The gate
 // compares benchmarks only.
 type Document struct {
-	Go         string            `json:"go,omitempty"`
-	CPU        string            `json:"cpu,omitempty"`
-	GOMAXPROCS int               `json:"gomaxprocs,omitempty"`
+	Go         string `json:"go,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	Commit     string `json:"commit,omitempty"`
+	// Modified is a pointer so that a stamped clean tree records false
+	// while an unstamped build records neither field.
+	Modified   *bool             `json:"modified,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 	Baseline   map[string]Result `json:"baseline,omitempty"`
+}
+
+// recordVCS records the commit and modified flag of a build's VCS
+// settings (debug.BuildInfo.Settings), or nothing when they carry no
+// revision.
+func (d *Document) recordVCS(settings []debug.BuildSetting) {
+	var modified string
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			d.Commit = s.Value
+		case "vcs.modified":
+			modified = s.Value
+		}
+	}
+	if d.Commit != "" {
+		m := modified == "true"
+		d.Modified = &m
+	}
 }
 
 // parse reads one benchmark line. go test appends a -N GOMAXPROCS suffix
@@ -140,6 +167,9 @@ func main() {
 		os.Exit(1)
 	}
 	doc.Go = *goVersion
+	if info, ok := debug.ReadBuildInfo(); ok {
+		doc.recordVCS(info.Settings)
+	}
 	if *baseline != "" {
 		raw, err := os.ReadFile(*baseline)
 		if err != nil {

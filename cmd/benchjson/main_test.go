@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -72,6 +74,33 @@ func TestReadMixedGOMAXPROCSFails(t *testing.T) {
 	}
 }
 
+// The document records the build's commit and modified flag, a clean tree
+// as false, and neither field when the build has no VCS stamp.
+func TestRecordVCS(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{"modified", []debug.BuildSetting{{Key: "-compiler", Value: "gc"}, {Key: "vcs", Value: "git"},
+			{Key: "vcs.revision", Value: "d900976"}, {Key: "vcs.modified", Value: "true"}},
+			`{"commit":"d900976","modified":true,"benchmarks":null}`},
+		{"clean", []debug.BuildSetting{{Key: "vcs.revision", Value: "d900976"}, {Key: "vcs.modified", Value: "false"}},
+			`{"commit":"d900976","modified":false,"benchmarks":null}`},
+		{"unstamped", []debug.BuildSetting{{Key: "-compiler", Value: "gc"}}, `{"benchmarks":null}`},
+	} {
+		var doc Document
+		doc.recordVCS(tc.settings)
+		got, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // The gate compares benchmarks only; the environment may differ.
 func TestGateIgnoresEnvironment(t *testing.T) {
 	got, err := read(strings.NewReader(twoPackages))
@@ -79,7 +108,7 @@ func TestGateIgnoresEnvironment(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(base, []byte(`{"cpu": "another CPU", "gomaxprocs": 8,
+	if err := os.WriteFile(base, []byte(`{"cpu": "another CPU", "gomaxprocs": 8, "commit": "0123abc", "modified": true,
 		"benchmarks": {"BenchmarkRouterRoute": {"iterations": 1, "ns_per_op": 700, "allocs_per_op": 2}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}

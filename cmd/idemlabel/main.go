@@ -98,9 +98,6 @@ func printProcSummaries(w io.Writer, p *ir.Program) {
 	}
 	fmt.Fprintln(w, "procedure summaries (bottom-up):")
 	fmt.Fprintln(w, t.String())
-	if cg.HasRecursion() {
-		fmt.Fprintf(w, "recursive cycle: %s (conservative fallback labeling)\n", strings.Join(cg.Cycle(), " -> "))
-	}
 	fmt.Fprintln(w)
 }
 

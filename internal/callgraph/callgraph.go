@@ -6,13 +6,9 @@
 // subscript they reach (the affine parameter binding the dependence
 // analysis relies on).
 //
-// The graph is condensed with Tarjan's strongly-connected-components
-// algorithm; Tarjan emits SCCs in reverse topological order, which is
-// exactly the bottom-up order summaries need (callees before callers).
-// Members of a non-trivial SCC — recursive procedures — are summarized by
-// a one-pass union over the component (the effect sets are monotone), and
-// are flagged Recursive: the inline expansion cannot open them, so
-// consumers (idem.LabelProgram) fall back to conservative labeling.
+// The program must have passed ir.Program.Validate, so its call graph is
+// acyclic: one callee-first depth-first walk summarizes every procedure
+// after all of its callees.
 package callgraph
 
 import (
@@ -43,14 +39,10 @@ type Summary struct {
 	// ExitRegion, giving every calling region a data-dependent trip count.
 	MayExit bool
 
-	// Recursive marks members of cyclic SCCs; their bodies cannot be
-	// inline-expanded.
-	Recursive bool
-
 	// AffineParams marks parameters whose every use in a subscript — own
 	// body or through call-argument composition into callees — stays
 	// affine, so binding an affine argument yields an affine caller-side
-	// subscript. Parameters of recursive procedures are never marked.
+	// subscript.
 	AffineParams map[string]bool
 
 	// OwnStmts and OwnRefs count the un-expanded body's statements and
@@ -76,165 +68,82 @@ func VarNames(set map[*ir.Var]bool) []string {
 
 // Analysis is the call graph of one program plus its summaries.
 type Analysis struct {
-	// SCCs holds the condensation in bottom-up (callees-first) order;
-	// each component lists its procedures in declaration order.
-	SCCs [][]*ir.Proc
+	// Order lists the procedures bottom-up: each after all of its
+	// callees.
+	Order []*ir.Proc
 
 	summaries map[*ir.Proc]*Summary
-	cycle     []string
 }
 
 // Summary returns the summary of pr, or nil for procedures outside the
 // analyzed program.
 func (a *Analysis) Summary(pr *ir.Proc) *Summary { return a.summaries[pr] }
 
-// HasRecursion reports whether any SCC is cyclic.
-func (a *Analysis) HasRecursion() bool { return a.cycle != nil }
-
-// Cycle returns one recursive cycle of procedure names, or nil.
-func (a *Analysis) Cycle() []string { return a.cycle }
-
-// RegionEffects unions the summaries of every procedure a region calls
-// directly, yielding the call-carried read and write sets of the region
-// (its own direct references are visible in Region.Refs already).
-func (a *Analysis) RegionEffects(r *ir.Region) (reads, writes map[*ir.Var]bool) {
-	reads = make(map[*ir.Var]bool)
-	writes = make(map[*ir.Var]bool)
-	for _, seg := range r.Segments {
-		ir.WalkStmts(seg.Body, func(st ir.Stmt) {
-			c, ok := st.(*ir.Call)
-			if !ok || c.Proc == nil {
-				return
-			}
-			if sum := a.summaries[c.Proc]; sum != nil {
-				for v := range sum.Reads {
-					reads[v] = true
-				}
-				for v := range sum.Writes {
-					writes[v] = true
-				}
-			}
-		})
-	}
-	return reads, writes
-}
-
-// Analyze builds the call graph and the bottom-up summaries.
+// Analyze builds the call graph and the bottom-up summaries of a validated
+// program.
 func Analyze(p *ir.Program) *Analysis {
 	a := &Analysis{summaries: make(map[*ir.Proc]*Summary, len(p.Procs))}
-	if len(p.Procs) == 0 {
-		return a
+	visited := make(map[*ir.Proc]bool, len(p.Procs))
+	var visit func(pr *ir.Proc)
+	visit = func(pr *ir.Proc) {
+		visited[pr] = true
+		calls := directCallees(pr)
+		for _, callee := range calls {
+			if !visited[callee] {
+				visit(callee)
+			}
+		}
+		a.summarize(pr, calls)
+		a.Order = append(a.Order, pr)
 	}
-	order := make(map[*ir.Proc]int, len(p.Procs))
-	for i, pr := range p.Procs {
-		order[pr] = i
-	}
-	edges := make(map[*ir.Proc][]*ir.Proc, len(p.Procs))
 	for _, pr := range p.Procs {
-		edges[pr] = directCallees(p, pr)
-	}
-	a.SCCs = tarjan(p.Procs, edges)
-	for _, scc := range a.SCCs {
-		sort.Slice(scc, func(i, j int) bool { return order[scc[i]] < order[scc[j]] })
-	}
-
-	inSCC := make(map[*ir.Proc]int, len(p.Procs))
-	for i, scc := range a.SCCs {
-		for _, pr := range scc {
-			inSCC[pr] = i
-		}
-	}
-	for i, scc := range a.SCCs {
-		recursive := len(scc) > 1 || selfCalls(p, scc[0])
-		if recursive && a.cycle == nil {
-			a.cycle = p.RecursionCycle()
-		}
-		// Component-wide effect union: direct effects of every member
-		// plus the (already complete) summaries of out-of-component
-		// callees. One pass suffices — the sets are monotone and
-		// intra-component callees contribute exactly the component union.
-		reads := make(map[*ir.Var]bool)
-		writes := make(map[*ir.Var]bool)
-		mayExit := false
-		for _, pr := range scc {
-			dr, dw, exit := directEffects(pr)
-			for v := range dr {
-				reads[v] = true
-			}
-			for v := range dw {
-				writes[v] = true
-			}
-			mayExit = mayExit || exit
-			for _, callee := range edges[pr] {
-				if inSCC[callee] == i {
-					continue
-				}
-				cs := a.summaries[callee]
-				for v := range cs.Reads {
-					reads[v] = true
-				}
-				for v := range cs.Writes {
-					writes[v] = true
-				}
-				mayExit = mayExit || cs.MayExit
-			}
-		}
-		for _, pr := range scc {
-			sum := &Summary{
-				Proc:           pr,
-				Calls:          edges[pr],
-				Reads:          reads,
-				Writes:         writes,
-				MustWriteFirst: mustWriteFirst(pr),
-				MayExit:        mayExit,
-				Recursive:      recursive,
-			}
-			ir.WalkStmts(pr.Body, func(ir.Stmt) { sum.OwnStmts++ })
-			sum.OwnRefs = countOwnRefs(pr)
-			a.summaries[pr] = sum
-		}
-	}
-	// Affine parameter binding runs after every summary exists: a
-	// parameter stays affine only if the callee parameters it flows into
-	// are affine too, and the bottom-up SCC order makes one pass exact
-	// for the acyclic part.
-	for _, scc := range a.SCCs {
-		for _, pr := range scc {
-			a.summaries[pr].AffineParams = a.affineParams(pr)
+		if !visited[pr] {
+			visit(pr)
 		}
 	}
 	return a
 }
 
+// summarize builds pr's summary from its own body and the (complete)
+// summaries of its direct callees.
+func (a *Analysis) summarize(pr *ir.Proc, calls []*ir.Proc) {
+	reads, writes, mayExit := directEffects(pr)
+	for _, callee := range calls {
+		cs := a.summaries[callee]
+		for v := range cs.Reads {
+			reads[v] = true
+		}
+		for v := range cs.Writes {
+			writes[v] = true
+		}
+		mayExit = mayExit || cs.MayExit
+	}
+	sum := &Summary{
+		Proc:           pr,
+		Calls:          calls,
+		Reads:          reads,
+		Writes:         writes,
+		MustWriteFirst: mustWriteFirst(pr),
+		MayExit:        mayExit,
+		AffineParams:   a.affineParams(pr),
+	}
+	ir.WalkStmts(pr.Body, func(ir.Stmt) { sum.OwnStmts++ })
+	sum.OwnRefs = countOwnRefs(pr)
+	a.summaries[pr] = sum
+}
+
 // directCallees lists the procedures pr calls directly, deduplicated, in
 // first-call order.
-func directCallees(p *ir.Program, pr *ir.Proc) []*ir.Proc {
+func directCallees(pr *ir.Proc) []*ir.Proc {
 	var out []*ir.Proc
 	seen := make(map[*ir.Proc]bool)
 	ir.WalkStmts(pr.Body, func(st ir.Stmt) {
-		c, ok := st.(*ir.Call)
-		if !ok {
-			return
-		}
-		callee := c.Proc
-		if callee == nil {
-			callee = p.Proc(c.Callee)
-		}
-		if callee != nil && !seen[callee] {
-			seen[callee] = true
-			out = append(out, callee)
+		if c, ok := st.(*ir.Call); ok && !seen[c.Proc] {
+			seen[c.Proc] = true
+			out = append(out, c.Proc)
 		}
 	})
 	return out
-}
-
-func selfCalls(p *ir.Program, pr *ir.Proc) bool {
-	for _, callee := range directCallees(p, pr) {
-		if callee == pr {
-			return true
-		}
-	}
-	return false
 }
 
 // directEffects collects the variables pr's own body reads and writes and
@@ -260,12 +169,6 @@ func directEffects(pr *ir.Proc) (reads, writes map[*ir.Var]bool, mayExit bool) {
 		case *ir.ExitRegion:
 			readExpr(s.Cond)
 			mayExit = true
-		case *ir.Call:
-			// Arguments are load-free index expressions; tolerate
-			// unvalidated programs by folding any stray loads in.
-			for _, a := range s.Args {
-				readExpr(a)
-			}
 		}
 	})
 	return reads, writes, mayExit
@@ -288,10 +191,6 @@ func countOwnRefs(pr *ir.Proc) int {
 			count(s.Cond)
 		case *ir.ExitRegion:
 			count(s.Cond)
-		case *ir.Call:
-			for _, a := range s.Args {
-				count(a)
-			}
 		}
 	})
 	return n
@@ -348,19 +247,17 @@ func mustWriteFirst(pr *ir.Proc) map[*ir.Var]bool {
 			case *ir.ExitRegion:
 				readExpr(s.Cond)
 			case *ir.Call:
-				if s.Proc != nil {
-					// Opaque: the callee may read anything it summarizes;
-					// treat those as exposed reads unless already covered.
-					dr, dw, _ := directEffects(s.Proc)
-					for v := range dr {
-						st := get(v)
-						if !st.mustDef {
-							st.exposed = true
-						}
+				// Opaque: the callee may read anything it summarizes;
+				// treat those as exposed reads unless already covered.
+				dr, dw, _ := directEffects(s.Proc)
+				for v := range dr {
+					st := get(v)
+					if !st.mustDef {
+						st.exposed = true
 					}
-					for v := range dw {
-						get(v)
-					}
+				}
+				for v := range dw {
+					get(v)
 				}
 			}
 		}
@@ -401,16 +298,11 @@ func condEffects(stmt ir.Stmt, get func(*ir.Var) *mwState) {
 	case *ir.ExitRegion:
 		mark(s.Cond)
 	case *ir.Call:
-		for _, a := range s.Args {
-			mark(a)
-		}
-		if s.Proc != nil {
-			dr, _, _ := directEffects(s.Proc)
-			for v := range dr {
-				st := get(v)
-				if !st.mustDef {
-					st.exposed = true
-				}
+		dr, _, _ := directEffects(s.Proc)
+		for v := range dr {
+			st := get(v)
+			if !st.mustDef {
+				st.exposed = true
 			}
 		}
 	}
@@ -419,14 +311,9 @@ func condEffects(stmt ir.Stmt, get func(*ir.Var) *mwState) {
 // affineParams decides which parameters stay affine through every
 // subscript they reach. A parameter fails when it appears in a non-affine
 // subscript of the own body, in a non-affine argument of a nested call,
-// or flows into a callee parameter that itself is not affine. Recursive
-// procedures get the empty set.
+// or flows into a callee parameter that itself is not affine. Every
+// callee is summarized already.
 func (a *Analysis) affineParams(pr *ir.Proc) map[string]bool {
-	sum := a.summaries[pr]
-	out := make(map[string]bool, len(pr.Params))
-	if sum.Recursive {
-		return out
-	}
 	bad := make(map[string]bool)
 	checkSub := func(e ir.Expr) {
 		_, affine := ir.AffineOf(e)
@@ -448,15 +335,10 @@ func (a *Analysis) affineParams(pr *ir.Proc) map[string]bool {
 				}
 			}
 		case *ir.Call:
-			callee := s.Proc
+			cs := a.summaries[s.Proc]
 			for i, arg := range s.Args {
 				_, affine := ir.AffineOf(arg)
-				calleeOK := false
-				if callee != nil && i < len(callee.Params) {
-					if cs := a.summaries[callee]; cs != nil {
-						calleeOK = cs.AffineParams[callee.Params[i]]
-					}
-				}
+				calleeOK := cs.AffineParams[s.Proc.Params[i]]
 				for _, name := range indexNamesIn(arg) {
 					if !affine || !calleeOK {
 						bad[name] = true
@@ -465,6 +347,7 @@ func (a *Analysis) affineParams(pr *ir.Proc) map[string]bool {
 			}
 		}
 	})
+	out := make(map[string]bool, len(pr.Params))
 	for _, prm := range pr.Params {
 		if !bad[prm] {
 			out[prm] = true
@@ -491,54 +374,5 @@ func indexNamesIn(e ir.Expr) []string {
 		}
 	}
 	walk(e)
-	return out
-}
-
-// tarjan computes strongly connected components; emission order is
-// reverse topological (every component is emitted after all components it
-// calls into), i.e. bottom-up for summaries.
-func tarjan(procs []*ir.Proc, edges map[*ir.Proc][]*ir.Proc) [][]*ir.Proc {
-	index := make(map[*ir.Proc]int, len(procs))
-	low := make(map[*ir.Proc]int, len(procs))
-	onStack := make(map[*ir.Proc]bool, len(procs))
-	var stack []*ir.Proc
-	var out [][]*ir.Proc
-	next := 0
-	var strongconnect func(v *ir.Proc)
-	strongconnect = func(v *ir.Proc) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range edges[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []*ir.Proc
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			out = append(out, comp)
-		}
-	}
-	for _, v := range procs {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
 	return out
 }

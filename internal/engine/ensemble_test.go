@@ -67,9 +67,6 @@ func TestSpecThresholdOneMatchesBaseline(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("prog %d: %v", i, err)
 		}
-		if err := ir.CheckExecutable(p); err != nil {
-			continue
-		}
 		base, err := RunSpeculative(p, idem.LabelProgram(p), cfg, CASE)
 		if err != nil {
 			t.Fatalf("prog %d baseline: %v", i, err)

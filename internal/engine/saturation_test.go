@@ -53,9 +53,6 @@ func TestSaturatedRunIsCapacityInvariant(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if ir.CheckExecutable(p) != nil {
-			continue
-		}
 		labs := idem.LabelProgram(p)
 		for _, procs := range []int{1, 2, 3, 4, 8} {
 			for _, mode := range []Mode{HOSE, CASE} {

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"refidem/internal/deps"
 	"refidem/internal/ir"
 	"refidem/internal/specmem"
 	"refidem/internal/vm"
@@ -14,11 +15,37 @@ import (
 // uniprocessor baseline the paper's speedups are relative to. It reads
 // only cfg's Hier, OpCost, Seed and MaxEvents: the processor count,
 // speculative storage and speculation knobs do not change it, so one run
-// serves every machine that shares those four.
+// serves every machine that shares those four. The program must have
+// passed ir.Program.Validate.
 func RunSequential(p *ir.Program, cfg Config) (*Result, error) {
-	if err := ir.CheckExecutable(p); err != nil {
+	return runSequential(p, cfg, nil)
+}
+
+// CollectProfile executes the program sequentially, like RunSequential,
+// and records, per region and dense reference ID, the inclusive range of
+// flat addresses each static reference touched and how many dynamic
+// instances ran. The result feeds the ensemble's profile member
+// (deps.Profile): two references whose observed ranges are disjoint are
+// speculatively "observed to never alias", with a confidence derived from
+// the observation counts.
+//
+// The replay is the ground truth for the profiled input: the paper's
+// programs are closed (memory is seeded deterministically from
+// Config.Seed), so "observed on this input" and "observed on the
+// training input" coincide, and the residual misspeculation risk the
+// confidence models is the transfer to other seeds and configs.
+func CollectProfile(p *ir.Program, cfg Config) (*deps.Profile, error) {
+	prof := &deps.Profile{Obs: make(map[*ir.Region][]deps.RefObs, len(p.Regions))}
+	if _, err := runSequential(p, cfg, prof); err != nil {
 		return nil, err
 	}
+	return prof, nil
+}
+
+// runSequential is the one sequential interpreter behind RunSequential
+// and CollectProfile. When prof is non-nil it also records, per region,
+// the observation of every dense reference ID in prof.Obs.
+func runSequential(p *ir.Program, cfg Config, prof *deps.Profile) (*Result, error) {
 	layout := NewLayout(p, nil, 1)
 	mem := NewMemory(layout, cfg.Seed)
 	hier := specmem.NewHierarchy(1, cfg.Hier)
@@ -27,6 +54,11 @@ func RunSequential(p *ir.Program, cfg Config) (*Result, error) {
 	var events int64
 	var m *vm.Machine
 	for _, r := range p.Regions {
+		var obs []deps.RefObs
+		if prof != nil {
+			obs = make([]deps.RefObs, len(r.Refs))
+			prof.Obs[r] = obs
+		}
 		rc := cachedRegion(r)
 		codes, iters := rc.codes, rc.iters
 		segID := entrySegment(r)
@@ -65,6 +97,16 @@ func RunSequential(p *ir.Program, cfg Config) (*Result, error) {
 				addr := layout.Base[ev.Ref.Var] + ev.Index
 				res.Cycles += hier.Access(0, addr)
 				res.Stats.DynRefs++
+				if obs != nil {
+					o := &obs[ev.Ref.ID]
+					if o.Count == 0 || addr < o.Min {
+						o.Min = addr
+					}
+					if o.Count == 0 || addr > o.Max {
+						o.Max = addr
+					}
+					o.Count++
+				}
 				if ev.Kind == vm.EvLoad {
 					m.ResumeLoad(mem[addr])
 				} else {

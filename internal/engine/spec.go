@@ -70,9 +70,10 @@ type instance struct {
 	tally      refTally
 }
 
-// RunSpeculative executes the program under HOSE or CASE. labelings must
-// come from idem.LabelProgram on the same program: CASE uses the labels to
-// route references, and both modes use the private sets to address the
+// RunSpeculative executes the program under HOSE or CASE. The program
+// must have passed ir.Program.Validate, and labelings must come from
+// idem.LabelProgram on the same program: CASE uses the labels to route
+// references, and both modes use the private sets to address the
 // per-segment private stacks of the privatized program.
 func RunSpeculative(p *ir.Program, labelings map[*ir.Region]*idem.Result, cfg Config, mode Mode) (*Result, error) {
 	if mode != HOSE && mode != CASE {
@@ -80,9 +81,6 @@ func RunSpeculative(p *ir.Program, labelings map[*ir.Region]*idem.Result, cfg Co
 	}
 	if cfg.Processors < 1 {
 		return nil, fmt.Errorf("engine: need at least one processor")
-	}
-	if err := ir.CheckExecutable(p); err != nil {
-		return nil, err
 	}
 	layout := NewLayout(p, labelings, cfg.Processors)
 	mem := NewMemory(layout, cfg.Seed)

@@ -22,9 +22,9 @@ package idem
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
-	"refidem/internal/callgraph"
 	"refidem/internal/cfg"
 	"refidem/internal/dataflow"
 	"refidem/internal/deps"
@@ -94,14 +94,6 @@ type Result struct {
 	// FullyIndependent reports that the region carries no cross-segment
 	// data or control dependences (Lemma 7 applies).
 	FullyIndependent bool
-	// Fallback marks results from the conservative interprocedural
-	// fallback used when the program's call graph is recursive and
-	// therefore cannot be inline-expanded: only reads of variables the
-	// whole program (per callgraph summaries) never writes are labeled
-	// idempotent, and the analysis artifacts (Info, Deps, RFW, Graph) are
-	// nil. Deps, RFW and Graph are nil on any result after
-	// DropArtifacts too.
-	Fallback bool
 
 	Info  *dataflow.RegionInfo
 	Deps  *deps.Analysis
@@ -122,7 +114,7 @@ type Result struct {
 // private, read-only and live-out sets place, route and check every
 // reference. The artifacts are most of a result's memory. CheckTheorems
 // and anything that renders dependences or RFW flags read them, so run
-// those first; a non-Fallback result cannot be checked again afterwards.
+// those first; a result cannot be checked again afterwards.
 func (res *Result) DropArtifacts() {
 	res.Deps, res.RFW, res.Graph = nil, nil, nil
 }
@@ -166,7 +158,8 @@ func LabelRegionWithInfo(r *ir.Region, info *dataflow.RegionInfo) *Result {
 }
 
 // LabelProgram labels every region of the program, using the inter-region
-// liveness pass for live-out sets.
+// liveness pass for live-out sets. The program must have passed
+// ir.Program.Validate; a recursive one panics.
 func LabelProgram(p *ir.Program) map[*ir.Region]*Result {
 	return labelProgram(p, false)
 }
@@ -174,19 +167,14 @@ func LabelProgram(p *ir.Program) map[*ir.Region]*Result {
 // LabelProgramConservative is LabelProgram under direction-less
 // may-dependences (see LabelRegionConservative). The dependence-direction
 // ablation uses it so multi-region programs get the same inter-region
-// liveness under both analyses.
+// liveness under both analyses. Like LabelProgram, it panics on a
+// recursive program.
 func LabelProgramConservative(p *ir.Program) map[*ir.Region]*Result {
 	return labelProgram(p, true)
 }
 
 func labelProgram(p *ir.Program, conservative bool) map[*ir.Region]*Result {
-	// Recursive call graphs cannot be inline-expanded, so the region
-	// reference sets are incomplete; fall back to summary-driven
-	// conservative labels instead of mislabeling. (Validate rejects such
-	// programs, so this path only serves direct API users.)
-	if len(p.Procs) > 0 && p.RecursionCycle() != nil {
-		return fallbackLabels(p, callgraph.Analyze(p))
-	}
+	requireAcyclic(p)
 	infos := dataflow.AnalyzeProgram(p)
 	out := make(map[*ir.Region]*Result, len(p.Regions))
 	for _, r := range p.Regions {
@@ -195,43 +183,15 @@ func labelProgram(p *ir.Program, conservative bool) map[*ir.Region]*Result {
 	return out
 }
 
-// fallbackLabels is the conservative interprocedural fallback: the
-// bottom-up callgraph summaries decide which variables the program may
-// write anywhere (directly or through any call chain, recursive ones
-// included — effect sets of cyclic SCCs are still sound unions); reads of
-// variables never written are idempotent read-only references, and every
-// other reference stays speculative.
-func fallbackLabels(p *ir.Program, cg *callgraph.Analysis) map[*ir.Region]*Result {
-	written := make(map[*ir.Var]bool)
-	for _, r := range p.Regions {
-		for _, ref := range r.Refs {
-			if ref.Access == ir.Write {
-				written[ref.Var] = true
-			}
-		}
-		_, w := cg.RegionEffects(r)
-		for v := range w {
-			written[v] = true
-		}
+// requireAcyclic panics when the program's call graph is recursive. A
+// recursive call has no finite expansion, so a region's reference set
+// would be incomplete and its labels unsound; ir.Program.Validate rejects
+// such programs, so only a caller that skipped it gets here.
+func requireAcyclic(p *ir.Program) {
+	if cyc := p.RecursionCycle(); cyc != nil {
+		panic(fmt.Sprintf("idem: recursive procedure call cycle %s: label only programs that pass ir.Program.Validate",
+			strings.Join(cyc, " -> ")))
 	}
-	out := make(map[*ir.Region]*Result, len(p.Regions))
-	for _, r := range p.Regions {
-		n := len(r.Refs)
-		res := &Result{
-			Region:   r,
-			Fallback: true,
-			labels:   make([]Label, n),
-			cats:     make([]Category, n),
-		}
-		for _, ref := range r.Refs {
-			if ref.Access == ir.Read && !written[ref.Var] {
-				res.labels[ref.ID] = Idempotent
-				res.cats[ref.ID] = CatReadOnly
-			}
-		}
-		out[r] = res
-	}
-	return out
 }
 
 // labelRegion is the one shared pipeline body: segment graph, dependence
@@ -420,18 +380,6 @@ func (res *Result) IdempotentFraction() (total float64, byCat map[Category]float
 func (res *Result) CheckTheorems() []error {
 	var errs []error
 	r := res.Region
-	if res.Fallback {
-		// The conservative fallback carries no per-reference analysis to
-		// re-derive; the only obligation is soundness of what it did
-		// label: idempotent references must be reads (of globally
-		// unwritten variables — writes always stay speculative).
-		for _, ref := range r.Refs {
-			if res.labels[ref.ID] == Idempotent && ref.Access != ir.Read {
-				errs = append(errs, fmt.Errorf("fallback labeled non-read %v idempotent", ref))
-			}
-		}
-		return errs
-	}
 	if res.FullyIndependent {
 		// Lemma 7: everything idempotent; and the precondition must hold.
 		for _, d := range res.Deps.All {

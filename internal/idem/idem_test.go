@@ -1,8 +1,11 @@
 package idem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"refidem/internal/deps"
 	"refidem/internal/ir"
 	"refidem/internal/workloads"
 )
@@ -322,5 +325,48 @@ func TestStringers(t *testing.T) {
 		CatSharedDependent.String() != "shared-dependent" || CatFullyIndependent.String() != "fully-independent" ||
 		CatSpeculative.String() != "speculative" {
 		t.Error("Category.String broken")
+	}
+}
+
+// TestLabelProgramPanicsOnRecursion: a recursive program, which only a
+// builder can construct and Validate rejects, makes every whole-program
+// entry point panic with a message naming Validate instead of labeling
+// a region whose reference set is incomplete.
+func TestLabelProgramPanicsOnRecursion(t *testing.T) {
+	p := ir.NewProgram("rec")
+	s := p.AddVar("s")
+	f := p.AddProc("f", []string{"x"}, nil)
+	f.Body = []ir.Stmt{
+		&ir.Assign{LHS: ir.Wr(s), RHS: ir.C(1)},
+		&ir.Call{Callee: "f", Args: []ir.Expr{ir.Idx("x")}},
+	}
+	r := &ir.Region{
+		Name: "r", Kind: ir.LoopRegion, Index: "i", From: 0, To: 3, Step: 1,
+		Segments: []*ir.Segment{{ID: 0, Body: []ir.Stmt{
+			&ir.Call{Callee: "f", Args: []ir.Expr{ir.Idx("i")}},
+		}}},
+	}
+	p.AddRegion(r)
+	if err := p.ResolveCalls(); err != nil {
+		t.Fatal(err)
+	}
+	r.Finalize()
+	if err := p.Validate(); err == nil {
+		t.Fatal("Validate accepted a recursive program")
+	}
+	for name, label := range map[string]func(){
+		"LabelProgram":             func() { LabelProgram(p) },
+		"LabelProgramConservative": func() { LabelProgramConservative(p) },
+		"LabelProgramEnsemble":     func() { LabelProgramEnsemble(p, deps.Ensemble{Range: true}) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "Validate") || !strings.Contains(msg, "f -> f") {
+					t.Errorf("%s: panic %q, want one naming Validate and the cycle", name, msg)
+				}
+			}()
+			label()
+		}()
 	}
 }

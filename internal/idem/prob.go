@@ -67,15 +67,10 @@ func (res *Result) Prob(ref *ir.Ref) float64 {
 // P(idempotent) overlay. The base labels are always identical to
 // LabelProgram's (speculative members only annotate, never remove,
 // dependences). When the MustWriteFirst member is requested without
-// summaries, the program's callgraph analysis is run here.
+// summaries, the program's callgraph analysis is run here. Like
+// LabelProgram, it panics on a recursive program.
 func LabelProgramEnsemble(p *ir.Program, ens deps.Ensemble) map[*ir.Region]*Result {
-	if len(p.Procs) > 0 && p.RecursionCycle() != nil {
-		out := fallbackLabels(p, callgraph.Analyze(p))
-		for _, res := range out {
-			res.fillProbsFromLabels()
-		}
-		return out
-	}
+	requireAcyclic(p)
 	if ens.MustWriteFirst && ens.Summaries == nil {
 		ens.Summaries = callgraph.Analyze(p)
 	}
@@ -97,17 +92,6 @@ func labelRegionEnsemble(r *ir.Region, info *dataflow.RegionInfo, ens *deps.Ense
 	res := label(r, g, info, da, rf)
 	res.computeProbs()
 	return res
-}
-
-// fillProbsFromLabels degenerates the overlay to the base labels
-// (fallback results carry no dependence information to weight).
-func (res *Result) fillProbsFromLabels() {
-	res.probs = make([]float64, len(res.labels))
-	for i, l := range res.labels {
-		if l == Idempotent {
-			res.probs[i] = 1
-		}
-	}
 }
 
 // computeProbs runs the monotone fixpoint described in the file comment.

@@ -161,40 +161,3 @@ func TestProbInvariantsRandom(t *testing.T) {
 		}
 	}
 }
-
-// TestProbFallback: recursive programs take the conservative fallback,
-// whose overlay is the 1/0 degenerate.
-func TestProbFallback(t *testing.T) {
-	p := ir.NewProgram("rec")
-	x := p.AddVar("x")
-	f := p.AddProc("f", nil, nil)
-	f.Body = []ir.Stmt{
-		&ir.Assign{LHS: ir.Wr(x), RHS: ir.C(1)},
-		&ir.Call{Callee: "f"},
-	}
-	r := &ir.Region{
-		Name: "r", Kind: ir.LoopRegion, Index: "k", From: 1, To: 2, Step: 1,
-		Segments: []*ir.Segment{{ID: 0, Body: []ir.Stmt{
-			&ir.Assign{LHS: ir.Wr(x), RHS: ir.AddE(ir.Rd(x), ir.C(1))},
-		}}},
-	}
-	p.AddRegion(r)
-	if err := p.ResolveCalls(); err != nil {
-		t.Fatal(err)
-	}
-	r.Finalize()
-	out := LabelProgramEnsemble(p, deps.Ensemble{Range: true})
-	res := out[r]
-	if !res.Fallback {
-		t.Fatal("expected the recursive fallback")
-	}
-	for _, ref := range r.Refs {
-		want := 0.0
-		if res.Label(ref) == Idempotent {
-			want = 1
-		}
-		if got := res.Prob(ref); got != want {
-			t.Errorf("fallback ref %v: Prob = %v, want %v", ref, got, want)
-		}
-	}
-}

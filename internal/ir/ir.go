@@ -384,11 +384,12 @@ func (r *Region) Seg(id int) *Segment {
 // r.Refs by ID. Calls are expanded first: each resolved Call gets a fresh
 // per-callsite Inlined body (see proc.go) whose references are numbered in
 // place of the call, so every downstream analysis sees through procedure
-// boundaries. Calls inside a recursive cycle are left unexpanded
-// (Validate rejects such programs). It must be called once after the
-// region body is complete and before any analysis runs, and again after
-// the body changes: it rebuilds the dense index and discards the
-// published compiled form (PublishCode). Finalize is idempotent.
+// boundaries. Finalize runs before Validate and tolerates any body: a
+// call inside a recursive cycle is left unexpanded, and Validate rejects
+// the program. It must be called once after the region body is complete
+// and before any analysis runs, and again after the body changes: it
+// rebuilds the dense index and discards the published compiled form
+// (PublishCode). Finalize is idempotent.
 func (r *Region) Finalize() {
 	r.Refs = r.Refs[:0]
 	id := 0

@@ -20,8 +20,8 @@ import "fmt"
 // fingerprinting render `call f(args)` and the `proc` declaration, never
 // the expansion, so round-trips and content hashes see the
 // interprocedural structure. Recursive call cycles cannot be expanded;
-// Validate rejects them, and analyses fall back conservatively (see
-// package callgraph and idem.LabelProgram).
+// Validate rejects them, and everything that runs after it relies on an
+// acyclic call graph.
 
 // Proc is a top-level procedure: a named statement list over the
 // program's shared variable table, parameterized by integer values.
@@ -48,8 +48,9 @@ type Call struct {
 	// Inlined is the per-callsite expansion, rebuilt by Region.Finalize:
 	// a clone of the callee body with colliding inner-loop indices renamed
 	// and parameters substituted by Args. It is derived state — printing
-	// and fingerprinting ignore it — and is nil for calls inside a
-	// recursive cycle (which Validate rejects).
+	// and fingerprinting ignore it. Finalize leaves it nil on an
+	// unresolved call and on a call that re-enters a procedure it is
+	// expanding; Validate rejects both programs.
 	Inlined []Stmt
 }
 
@@ -129,8 +130,8 @@ func (p *Program) ResolveCalls() error {
 
 // RecursionCycle returns one cycle of procedure names ("f" calling "g"
 // calling "f" yields [f g f]) when the call graph is cyclic, or nil.
-// Recursive programs cannot be expanded or executed; Validate rejects
-// them and idem.LabelProgram falls back to a conservative labeling.
+// Recursive programs cannot be expanded or executed: Validate rejects
+// them, and the whole-program labelers refuse them.
 func (p *Program) RecursionCycle() []string {
 	const (
 		unvisited = 0
@@ -188,68 +189,6 @@ func procCalls(pr *Proc) []*Call {
 		}
 	})
 	return out
-}
-
-// WalkStmtsExpanded visits every statement like WalkStmts and
-// additionally descends through calls: for each Call it visits the
-// statement itself and then its expansion (or, before Finalize has built
-// one, the callee body — each procedure at most once, so recursive cycles
-// terminate).
-func WalkStmtsExpanded(stmts []Stmt, f func(Stmt)) {
-	var visited map[*Proc]bool
-	var walk func(list []Stmt)
-	walk = func(list []Stmt) {
-		for _, st := range list {
-			f(st)
-			switch s := st.(type) {
-			case *If:
-				walk(s.Then)
-				walk(s.Else)
-			case *For:
-				walk(s.Body)
-			case *Call:
-				if s.Inlined != nil {
-					walk(s.Inlined)
-					break
-				}
-				if s.Proc != nil {
-					if visited == nil {
-						visited = make(map[*Proc]bool)
-					}
-					if !visited[s.Proc] {
-						visited[s.Proc] = true
-						walk(s.Proc.Body)
-					}
-				}
-			}
-		}
-	}
-	walk(stmts)
-}
-
-// CheckExecutable reports whether every call in the program's regions
-// has an expansion to execute. Unresolved calls and recursive cycles
-// have none: analyses fall back conservatively for them (see
-// idem.LabelProgram), but the engines cannot simulate them, so they
-// surface this error instead of panicking in the bytecode compiler.
-func CheckExecutable(p *Program) error {
-	if len(p.Procs) == 0 {
-		return nil
-	}
-	for _, r := range p.Regions {
-		var bad *Call
-		for _, seg := range r.Segments {
-			WalkStmtsExpanded(seg.Body, func(st Stmt) {
-				if c, ok := st.(*Call); ok && c.Inlined == nil && bad == nil {
-					bad = c
-				}
-			})
-		}
-		if bad != nil {
-			return fmt.Errorf("ir: region %q: call to %q has no expansion (unresolved or recursive procedures are not executable)", r.Name, bad.Callee)
-		}
-	}
-	return nil
 }
 
 // expandCall builds the per-callsite expansion of a resolved call: the

@@ -167,12 +167,10 @@ func (p *Program) validateStmts(r *Region, stmts []Stmt, indices map[string]bool
 			if indices[s.Index] {
 				return fmt.Errorf("ir: inner loop index %q shadows an enclosing index", s.Index)
 			}
-			inner := make(map[string]bool, len(indices)+1)
-			for k, v := range indices {
-				inner[k] = v
-			}
-			inner[s.Index] = true
-			if err := p.validateStmts(r, s.Body, inner); err != nil {
+			indices[s.Index] = true
+			err := p.validateStmts(r, s.Body, indices)
+			delete(indices, s.Index)
+			if err != nil {
 				return err
 			}
 		case *ExitRegion:
@@ -215,7 +213,8 @@ func (p *Program) validateProc(pr *Proc) error {
 
 // validateCall checks one call statement: the callee resolves into the
 // program's procedure table, arity matches, arguments are load-free index
-// expressions, and — after Finalize — the expansion itself is valid.
+// expressions, and in a region (r non-nil) Finalize has expanded the call
+// after it was resolved, into a valid expansion.
 func (p *Program) validateCall(r *Region, s *Call, indices map[string]bool) error {
 	pr := s.Proc
 	if pr == nil {
@@ -235,10 +234,14 @@ func (p *Program) validateCall(r *Region, s *Call, indices map[string]bool) erro
 			return fmt.Errorf("ir: call to %q: argument %d reads memory (arguments must be index expressions)", s.Callee, i+1)
 		}
 	}
-	if s.Inlined != nil {
-		if err := p.validateStmts(r, s.Inlined, indices); err != nil {
-			return fmt.Errorf("inlined call to %q: %w", s.Callee, err)
+	if s.Inlined == nil {
+		if r != nil {
+			return fmt.Errorf("ir: call to %q has no expansion (finalize the region after resolving its calls)", s.Callee)
 		}
+		return nil
+	}
+	if err := p.validateStmts(r, s.Inlined, indices); err != nil {
+		return fmt.Errorf("inlined call to %q: %w", s.Callee, err)
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"refidem/internal/engine"
 	"refidem/internal/fuzz"
 	"refidem/internal/idem"
-	"refidem/internal/ir"
 )
 
 func TestCorpusReplay(t *testing.T) {
@@ -61,14 +60,11 @@ func TestCorpusEnsembleIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ens := deps.Ensemble{Range: true, MustWriteFirst: true}
-			if ir.CheckExecutable(p) == nil {
-				prof, err := engine.CollectProfile(p, engine.DefaultConfig())
-				if err != nil {
-					t.Fatalf("collecting replay profile: %v", err)
-				}
-				ens.Profile = prof
+			prof, err := engine.CollectProfile(p, engine.DefaultConfig())
+			if err != nil {
+				t.Fatalf("collecting replay profile: %v", err)
 			}
+			ens := deps.Ensemble{Range: true, MustWriteFirst: true, Profile: prof}
 			base := idem.LabelProgram(p)
 			got := idem.LabelProgramEnsemble(p, ens)
 			for _, reg := range p.Regions {

@@ -78,9 +78,6 @@ type fragKey struct {
 // the same pipeline body LabelProgram uses and rendered once.
 func (s *Server) label(t *task) ([]byte, error) {
 	prog := t.entry.prog
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
 	infos := dataflow.AnalyzeProgram(prog)
 	doc := LabelResponse{
 		Op:          OpLabel,
@@ -140,9 +137,6 @@ func (s *Server) labeled(e programEntry) (programEntry, error) {
 		return stored, nil
 	}
 	p := e.prog
-	if err := p.Validate(); err != nil {
-		return programEntry{}, err
-	}
 	infos := dataflow.AnalyzeProgram(p)
 	e.labs = make(map[*ir.Region]*idem.Result, len(p.Regions))
 	for _, r := range p.Regions {

@@ -52,13 +52,22 @@ var (
 // rejects malformed sources before they consume queue space. Delta
 // requests (req.Base != "") are resolved by the server's resolveRequest,
 // which has access to the base registry; this free function handles the
-// stateless selectors.
+// stateless selectors. Every resolved program has passed
+// ir.Program.Validate, here or in lang.Parse, and nothing after
+// resolution validates it again.
 func resolveProgram(req Request) (*ir.Program, error) {
 	switch {
 	case req.Program != "":
 		return lang.Parse(req.Program)
 	case req.Example != "":
-		return workloads.Example(req.Example)
+		p, err := workloads.Example(req.Example)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+		return p, nil
 	default:
 		return nil, fmt.Errorf("empty request: pass program source, an example name, or a base fingerprint with patches")
 	}

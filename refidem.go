@@ -101,22 +101,31 @@ func LabelRegion(p *Program, r *Region) *Labeling { return idem.LabelRegion(p, r
 func DefaultConfig() Config { return engine.DefaultConfig() }
 
 // RunSequential executes the program serially (the correctness oracle and
-// the speedup baseline).
+// the speedup baseline). A program Validate rejects returns its error.
 func RunSequential(p *Program, cfg Config) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	return engine.RunSequential(p, cfg)
 }
 
 // RunHOSE executes the program under hardware-only speculative execution
 // (Definition 2 of the paper): every reference is tracked in speculative
-// storage.
+// storage. A program Validate rejects returns its error.
 func RunHOSE(p *Program, labs map[*Region]*Labeling, cfg Config) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	return engine.RunSpeculative(p, labs, cfg, engine.HOSE)
 }
 
 // RunCASE executes the program under compiler-assisted speculative
 // execution (Definition 4): references labeled idempotent bypass the
-// speculative storage.
+// speculative storage. A program Validate rejects returns its error.
 func RunCASE(p *Program, labs map[*Region]*Labeling, cfg Config) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	return engine.RunSpeculative(p, labs, cfg, engine.CASE)
 }
 

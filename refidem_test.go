@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"refidem/internal/ir"
 	"refidem/internal/workloads"
 )
 
@@ -45,14 +46,65 @@ func TestParseError(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidProgram: every runner returns Validate's error for
+// a program it rejects, here a region stripped of its segments, and two
+// that only a builder can construct: a recursive procedure, and a call
+// resolved after its region was finalized, which left it unexpanded.
 func TestRunRejectsInvalidProgram(t *testing.T) {
-	p, err := ParseProgram(quickSrc)
+	segless, err := ParseProgram(quickSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Regions[0].Segments = nil
-	if _, err := Run(p, DefaultConfig()); err == nil {
-		t.Error("invalid program accepted")
+	segless.Regions[0].Segments = nil
+
+	rec := ir.NewProgram("rec")
+	s := rec.AddVar("s")
+	rec.AddProc("f", nil, []ir.Stmt{
+		&ir.Assign{LHS: ir.Wr(s), RHS: ir.C(1)},
+		&ir.Call{Callee: "f"},
+	})
+	r := &ir.Region{Name: "r", Kind: ir.LoopRegion, Index: "i", From: 0, To: 3, Step: 1,
+		Segments: []*ir.Segment{{ID: 0, Body: []ir.Stmt{&ir.Call{Callee: "f"}}}}}
+	rec.AddRegion(r)
+	if err := rec.ResolveCalls(); err != nil {
+		t.Fatal(err)
+	}
+	r.Finalize()
+
+	stale := ir.NewProgram("stale")
+	a := stale.AddVar("a", 8)
+	stale.AddProc("g", []string{"x"}, []ir.Stmt{&ir.Assign{LHS: ir.Wr(a, ir.Idx("x")), RHS: ir.C(1)}})
+	sr := &ir.Region{Name: "r", Kind: ir.LoopRegion, Index: "i", From: 0, To: 3, Step: 1,
+		Segments: []*ir.Segment{{ID: 0, Body: []ir.Stmt{
+			&ir.Assign{LHS: ir.Wr(a, ir.Idx("i")), RHS: ir.C(2)},
+			&ir.Call{Callee: "g", Args: []ir.Expr{ir.Idx("i")}},
+		}}}}
+	stale.AddRegion(sr)
+	sr.Finalize()
+	if err := stale.ResolveCalls(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := DefaultConfig()
+	runners := []struct {
+		name string
+		run  func(p *Program) error
+	}{
+		{"Run", func(p *Program) error { _, err := Run(p, cfg); return err }},
+		{"RunSequential", func(p *Program) error { _, err := RunSequential(p, cfg); return err }},
+		{"RunHOSE", func(p *Program) error { _, err := RunHOSE(p, nil, cfg); return err }},
+		{"RunCASE", func(p *Program) error { _, err := RunCASE(p, nil, cfg); return err }},
+	}
+	for _, p := range []*Program{segless, rec, stale} {
+		want := p.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepted an invalid program", p.Name)
+		}
+		for _, rn := range runners {
+			if err := rn.run(p); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s(%s) = %v, want %v", rn.name, p.Name, err, want)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-BenchmarkEngineHOSE|BenchmarkEngineCASE|BenchmarkAnalysisPipeline|BenchmarkDepsQuery|BenchmarkSequentialBaseline|BenchmarkService|BenchmarkStore|BenchmarkRouterRoute}"
+BENCH="${BENCH:-BenchmarkEngine|BenchmarkAnalysisPipeline|BenchmarkDepsQuery|BenchmarkSequentialBaseline|BenchmarkService|BenchmarkStore|BenchmarkRouterRoute}"
 BENCHTIME="${BENCHTIME:-2s}"
 OUT="${OUT:-BENCH_results.json}"
 
