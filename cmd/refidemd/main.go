@@ -22,9 +22,11 @@
 //	refidemd -debug-addr 127.0.0.1:0                   # pprof sidecar
 //
 // With -store, the daemon opens a crash-safe result store in the given
-// directory: it warm-starts from surviving records at boot (announcing the
-// recovery scan's findings), persists computed responses write-behind, and
-// degrades to memory-only serving if the store faults at runtime.
+// directory: its recovery scan validates every record at boot (the daemon
+// announces the findings), a request no memory tier answers reads its
+// record before computing, computed responses are persisted write-behind,
+// and the daemon degrades to memory-only serving if the store faults at
+// runtime.
 //
 // Observability: the flight recorder keeps the last -flight request spans
 // (served on /debug/tracez; each response carries X-Refidem-Trace-Id).
@@ -140,7 +142,6 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		workers   = fs.Int("workers", 0, "compute worker pool size (0 = all cores)")
 		queue     = fs.Int("queue", 1024, "admission queue depth (full queue answers 503)")
 		storeDir  = fs.String("store", "", "persistent result store directory (empty = memory-only)")
-		storeQ    = fs.Int("store-queue", 256, "write-behind persistence queue depth")
 		reqTO     = fs.Duration("request-timeout", 5*time.Second, "per-request deadline (answers 504; 0 disables)")
 		flight    = fs.Int("flight", 256, "flight-recorder span ring capacity for /debug/tracez (0 disables request tracing)")
 		logLevel  = fs.String("log-level", "off", "structured request logging level: off, debug, info, warn or error")
@@ -159,14 +160,10 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	cfg.ResponseCache = *respCache
 	cfg.Workers = *workers
 	cfg.QueueDepth = *queue
-	cfg.StoreQueueDepth = *storeQ
 	cfg.RequestTimeout = *reqTO
 	cfg.FlightSpans = *flight
-	var backend *store.FS
 	if *storeDir != "" {
-		var stats store.RecoveryStats
-		var err error
-		backend, stats, err = store.Open(*storeDir)
+		backend, stats, err := store.Open(*storeDir)
 		if err != nil {
 			return fmt.Errorf("opening store %s: %w", *storeDir, err)
 		}
@@ -174,16 +171,10 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		cfg.Store = backend
 	}
 	srv := service.New(cfg)
+	defer srv.Close() // idempotent; the graceful path closes it before its last line
 
-	closeAll := func() {
-		srv.Close() // flushes write-behind persistence before the backend closes
-		if backend != nil {
-			backend.Close()
-		}
-	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		closeAll()
 		return err
 	}
 	handler := srv.Handler()
@@ -201,7 +192,6 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			ln.Close()
-			closeAll()
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		debugLn = dln
@@ -227,7 +217,6 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 
 	select {
 	case err := <-serveErr:
-		closeAll()
 		return err
 	case <-ctx.Done():
 	}
@@ -239,7 +228,7 @@ func runUntil(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintln(stderr, "refidemd: forced shutdown:", err)
 	}
-	closeAll()
+	srv.Close() // drains admitted requests and flushes write-behind persistence
 	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

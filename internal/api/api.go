@@ -192,9 +192,4 @@ type Health struct {
 	// StoreQuarantined counts records the backend quarantined (recovery
 	// scan plus runtime detections). Always 0 when the store is disabled.
 	StoreQuarantined int64 `json:"store_quarantined"`
-	// StoreWarmHits counts requests answered from the warm-start index.
-	StoreWarmHits int64 `json:"store_warm_hits"`
-	// StoreWarmEntries is the number of warm-start records not yet
-	// served.
-	StoreWarmEntries int64 `json:"store_warm_entries"`
 }

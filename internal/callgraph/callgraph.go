@@ -123,7 +123,7 @@ func (a *Analysis) summarize(pr *ir.Proc, calls []*ir.Proc) {
 		Calls:          calls,
 		Reads:          reads,
 		Writes:         writes,
-		MustWriteFirst: mustWriteFirst(pr),
+		MustWriteFirst: a.mustWriteFirst(pr),
 		MayExit:        mayExit,
 		AffineParams:   a.affineParams(pr),
 	}
@@ -198,9 +198,10 @@ func countOwnRefs(pr *ir.Proc) int {
 
 // mustWriteFirst runs a small structured walk over the body: a scalar is
 // in the set when every path through the body writes it before any read.
-// Calls are treated as opaque reads of everything the callee may read —
-// conservative, and cheap enough for a summary.
-func mustWriteFirst(pr *ir.Proc) map[*ir.Var]bool {
+// Calls are treated as opaque reads of everything the callee may read,
+// transitively (its finished summary) — conservative, and cheap enough
+// for a summary.
+func (a *Analysis) mustWriteFirst(pr *ir.Proc) map[*ir.Var]bool {
 	states := make(map[*ir.Var]*mwState)
 	get := func(v *ir.Var) *mwState {
 		s, ok := states[v]
@@ -240,8 +241,8 @@ func mustWriteFirst(pr *ir.Proc) map[*ir.Var]bool {
 				// Conservative join: treat both arms as conditional —
 				// reads expose unless already must-defined, and defines
 				// do not count as covering.
-				ir.WalkStmts(s.Then, func(st2 ir.Stmt) { condEffects(st2, get) })
-				ir.WalkStmts(s.Else, func(st2 ir.Stmt) { condEffects(st2, get) })
+				ir.WalkStmts(s.Then, func(st2 ir.Stmt) { a.condEffects(st2, get) })
+				ir.WalkStmts(s.Else, func(st2 ir.Stmt) { a.condEffects(st2, get) })
 			case *ir.For:
 				walk(s.Body)
 			case *ir.ExitRegion:
@@ -249,14 +250,14 @@ func mustWriteFirst(pr *ir.Proc) map[*ir.Var]bool {
 			case *ir.Call:
 				// Opaque: the callee may read anything it summarizes;
 				// treat those as exposed reads unless already covered.
-				dr, dw, _ := directEffects(s.Proc)
-				for v := range dr {
+				cs := a.summaries[s.Proc]
+				for v := range cs.Reads {
 					st := get(v)
 					if !st.mustDef {
 						st.exposed = true
 					}
 				}
-				for v := range dw {
+				for v := range cs.Writes {
 					get(v)
 				}
 			}
@@ -276,8 +277,9 @@ func mustWriteFirst(pr *ir.Proc) map[*ir.Var]bool {
 type mwState struct{ mustDef, exposed bool }
 
 // condEffects applies the conservative conditional-arm effect of one
-// statement: any read exposes (unless covered), writes never cover.
-func condEffects(stmt ir.Stmt, get func(*ir.Var) *mwState) {
+// statement: any read exposes (unless covered), writes never cover. A
+// call reads everything its callee's summary may read.
+func (a *Analysis) condEffects(stmt ir.Stmt, get func(*ir.Var) *mwState) {
 	mark := func(e ir.Expr) {
 		for _, ref := range ir.ExprRefs(e) {
 			s := get(ref.Var)
@@ -298,8 +300,7 @@ func condEffects(stmt ir.Stmt, get func(*ir.Var) *mwState) {
 	case *ir.ExitRegion:
 		mark(s.Cond)
 	case *ir.Call:
-		dr, _, _ := directEffects(s.Proc)
-		for v := range dr {
+		for v := range a.summaries[s.Proc].Reads {
 			st := get(v)
 			if !st.mustDef {
 				st.exposed = true

@@ -72,6 +72,39 @@ region r loop i = 0 to 7 {
 	}
 }
 
+// TestMustWriteFirstSeesNestedCalls: a call exposes everything its callee
+// reads transitively, so a scalar read two calls down is not
+// must-written-first by a caller that writes it only after the call.
+func TestMustWriteFirstSeesNestedCalls(t *testing.T) {
+	p := parse(t, `program p
+var a[8]
+var s
+proc g(x) {
+  a[x] = s
+}
+proc f(x) {
+  call g(x)
+}
+proc mid(x) {
+  call f(x)
+  s = 1
+}
+region r loop i = 0 to 7 {
+  liveout a, s
+  call mid(i)
+}
+`)
+	cg := Analyze(p)
+	mid := cg.Summary(p.Proc("mid"))
+	if got := strings.Join(VarNames(mid.Reads), ","); got != "s" {
+		t.Fatalf("mid reads %q, want s", got)
+	}
+	if len(mid.MustWriteFirst) != 0 {
+		t.Errorf("mid must-write-first %v, want empty: f reads s through g before mid writes it",
+			VarNames(mid.MustWriteFirst))
+	}
+}
+
 func TestMayExitPropagates(t *testing.T) {
 	p := parse(t, `program p
 var s

@@ -172,37 +172,25 @@ type Fig5Row struct {
 // bounds the parallel simulator fan-out (<=0: all cores).
 func Figure5(cfg engine.Config, workers int) ([]Fig5Row, error) {
 	suite := workloads.Suite()
-	type res struct {
-		row Fig5Row
-		err error
-	}
-	rows := parallel.Map(len(suite), workers, func(i int) res {
+	return parallel.Map(len(suite), workers, func(i int) (Fig5Row, error) {
 		b := suite[i]
 		if b.FullyParallel {
 			// No non-parallelizable sections: the Figure 5 fraction is
 			// measured over an empty set.
-			return res{row: Fig5Row{Bench: b.Name, FullyParallel: true}}
+			return Fig5Row{Bench: b.Name, FullyParallel: true}, nil
 		}
 		lr, err := runProgram(b.Program(), cfg, LoopResult{})
 		if err != nil {
-			return res{err: fmt.Errorf("%s: %w", b.Name, err)}
+			return Fig5Row{}, fmt.Errorf("%s: %w", b.Name, err)
 		}
-		return res{row: Fig5Row{
+		return Fig5Row{
 			Bench:     b.Name,
 			ReadOnly:  lr.ReadOnly,
 			Private:   lr.Private,
 			SharedDep: lr.SharedDep,
 			Total:     lr.Idem,
-		}}
+		}, nil
 	})
-	out := make([]Fig5Row, 0, len(rows))
-	for _, r := range rows {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.row)
-	}
-	return out, nil
 }
 
 // FigureLoops runs the named loops of one figure (6, 7, 8 or 9).
@@ -213,22 +201,9 @@ func FigureLoops(fig int, cfg engine.Config, workers int) ([]LoopResult, error) 
 			specs = append(specs, s)
 		}
 	}
-	type res struct {
-		lr  LoopResult
-		err error
-	}
-	rows := parallel.Map(len(specs), workers, func(i int) res {
-		lr, err := RunLoop(specs[i], cfg)
-		return res{lr: lr, err: err}
+	return parallel.Map(len(specs), workers, func(i int) (LoopResult, error) {
+		return RunLoop(specs[i], cfg)
 	})
-	out := make([]LoopResult, 0, len(rows))
-	for _, r := range rows {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.lr)
-	}
-	return out, nil
 }
 
 // CapacityPoint is one speculative-storage-capacity sweep sample.
@@ -243,32 +218,20 @@ type CapacityPoint struct {
 // showing where HOSE falls off the overflow cliff and how insensitive
 // CASE is (the central claim of the paper).
 func AblationCapacity(spec workloads.LoopSpec, capacities []int, cfg engine.Config, workers int) ([]CapacityPoint, error) {
-	type res struct {
-		pt  CapacityPoint
-		err error
-	}
-	rows := parallel.Map(len(capacities), workers, func(i int) res {
+	return parallel.Map(len(capacities), workers, func(i int) (CapacityPoint, error) {
 		c := cfg
 		c.SpecCapacity = capacities[i]
 		lr, err := RunLoop(spec, c)
 		if err != nil {
-			return res{err: err}
+			return CapacityPoint{}, err
 		}
-		return res{pt: CapacityPoint{
+		return CapacityPoint{
 			Capacity:      capacities[i],
 			HoseSpeedup:   lr.HoseSpeedup,
 			CaseSpeedup:   lr.CaseSpeedup,
 			HoseOverflows: lr.HoseStats.Overflows,
-		}}
+		}, nil
 	})
-	out := make([]CapacityPoint, 0, len(rows))
-	for _, r := range rows {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.pt)
-	}
-	return out, nil
 }
 
 // CategoryAblationRow reports CASE speedup with only a subset of
@@ -351,36 +314,24 @@ type GranularityPoint struct {
 // parallelism" — under CASE, idempotent references don't occupy
 // speculative storage, so large segments become affordable.
 func AblationGranularity(np NamedProgram, blocks []int, cfg engine.Config, workers int) ([]GranularityPoint, error) {
-	type res struct {
-		pt  GranularityPoint
-		err error
-	}
-	rows := parallel.Map(len(blocks), workers, func(i int) res {
+	return parallel.Map(len(blocks), workers, func(i int) (GranularityPoint, error) {
 		p, err := ir.BlockProgram(np.Make(), blocks[i])
 		if err != nil {
-			return res{err: fmt.Errorf("block %d: %w", blocks[i], err)}
+			return GranularityPoint{}, fmt.Errorf("block %d: %w", blocks[i], err)
 		}
 		lr, err := runProgram(p, cfg, LoopResult{})
 		if err != nil {
-			return res{err: fmt.Errorf("block %d: %w", blocks[i], err)}
+			return GranularityPoint{}, fmt.Errorf("block %d: %w", blocks[i], err)
 		}
-		return res{pt: GranularityPoint{
+		return GranularityPoint{
 			Block:         blocks[i],
 			HoseSpeedup:   lr.HoseSpeedup,
 			CaseSpeedup:   lr.CaseSpeedup,
 			HoseOverflows: lr.HoseStats.Overflows,
 			HosePeak:      lr.HoseStats.PeakSpecOccupancy,
 			CasePeak:      lr.CaseStats.PeakSpecOccupancy,
-		}}
+		}, nil
 	})
-	out := make([]GranularityPoint, 0, len(rows))
-	for _, r := range rows {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.pt)
-	}
-	return out, nil
 }
 
 // DirectionRow compares idempotent fractions under the precise
@@ -415,32 +366,20 @@ func AblationAssociativity(spec workloads.LoopSpec, cfg engine.Config, workers i
 		{"64 sets x 2 ways", 64},
 		{"128 sets x 1 way", 128},
 	}
-	type res struct {
-		pt  AssocPoint
-		err error
-	}
-	rows := parallel.Map(len(orgs), workers, func(i int) res {
+	return parallel.Map(len(orgs), workers, func(i int) (AssocPoint, error) {
 		c := cfg
 		c.SpecSets = orgs[i].sets
 		lr, err := RunLoop(spec, c)
 		if err != nil {
-			return res{err: fmt.Errorf("%s: %w", orgs[i].label, err)}
+			return AssocPoint{}, fmt.Errorf("%s: %w", orgs[i].label, err)
 		}
-		return res{pt: AssocPoint{
+		return AssocPoint{
 			Label:         orgs[i].label,
 			HoseSpeedup:   lr.HoseSpeedup,
 			CaseSpeedup:   lr.CaseSpeedup,
 			HoseOverflows: lr.HoseStats.Overflows,
-		}}
+		}, nil
 	})
-	out := make([]AssocPoint, 0, len(rows))
-	for _, r := range rows {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.pt)
-	}
-	return out, nil
 }
 
 // NamedProgram pairs a display name with a fresh-program constructor
@@ -514,29 +453,17 @@ type ProcessorPoint struct {
 
 // AblationProcessors sweeps the processor count.
 func AblationProcessors(spec workloads.LoopSpec, procs []int, cfg engine.Config, workers int) ([]ProcessorPoint, error) {
-	type res struct {
-		pt  ProcessorPoint
-		err error
-	}
-	rows := parallel.Map(len(procs), workers, func(i int) res {
+	return parallel.Map(len(procs), workers, func(i int) (ProcessorPoint, error) {
 		c := cfg
 		c.Processors = procs[i]
 		lr, err := RunLoop(spec, c)
 		if err != nil {
-			return res{err: err}
+			return ProcessorPoint{}, err
 		}
-		return res{pt: ProcessorPoint{
+		return ProcessorPoint{
 			Processors:  procs[i],
 			HoseSpeedup: lr.HoseSpeedup,
 			CaseSpeedup: lr.CaseSpeedup,
-		}}
+		}, nil
 	})
-	out := make([]ProcessorPoint, 0, len(rows))
-	for _, r := range rows {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.pt)
-	}
-	return out, nil
 }

@@ -35,9 +35,9 @@ const (
 	// StageSingleflight is program resolution (parse or example lookup)
 	// plus the wait on the possibly-coalesced computation.
 	StageSingleflight
-	// StageStoreRead is the worker's persistent-tier lookup (warm index
-	// and backend read). Worker stages are shared: coalesced waiters
-	// report the one computation they all waited on.
+	// StageStoreRead is the worker's persistent-tier lookup (one backend
+	// read). Worker stages are shared: coalesced waiters report the one
+	// computation they all waited on.
 	StageStoreRead
 	// StageCompute is labeling, simulation and response rendering.
 	StageCompute

@@ -18,13 +18,21 @@ func ForEach(n, workers int, fn func(i int)) {
 	ForEachCtx(context.Background(), n, workers, fn)
 }
 
-// Map applies fn to each index and returns the results in order.
-func Map[T any](n, workers int, fn func(i int) T) []T {
+// Map applies fn to each index and returns the results in order. Every
+// index runs; if any fails, Map returns the error of the lowest failing
+// index and no results.
+func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
+	errs := make([]error, n)
 	ForEach(n, workers, func(i int) {
-		out[i] = fn(i)
+		out[i], errs[i] = fn(i)
 	})
-	return out
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // ForEachCtx is ForEach with early cancellation: once ctx is done or any

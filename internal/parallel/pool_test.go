@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -28,11 +29,33 @@ func TestForEachDefaultWorkers(t *testing.T) {
 }
 
 func TestMapOrder(t *testing.T) {
-	out := Map(50, 8, func(i int) int { return i * i })
+	out, err := Map(50, 8, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
+	}
+}
+
+// TestMapLowestError: every index runs, and the error returned is the
+// lowest failing index's, whatever order the workers finish in.
+func TestMapLowestError(t *testing.T) {
+	var ran int64
+	out, err := Map(50, 8, func(i int) (int, error) {
+		atomic.AddInt64(&ran, 1)
+		if i%7 == 3 {
+			return 0, fmt.Errorf("index %d", i)
+		}
+		return i, nil
+	})
+	if ran != 50 {
+		t.Errorf("ran %d, want 50", ran)
+	}
+	if out != nil || err == nil || err.Error() != "index 3" {
+		t.Errorf("Map = %v, %v; want nil and the error of index 3", out, err)
 	}
 }
 

@@ -22,7 +22,7 @@ var chaosRequests = []Request{
 // single one that
 //
 //   - no request ever fails or panics because the store faulted,
-//   - every response — faulted, degraded, or warm-restarted — is
+//   - every response — faulted, degraded, or restarted — is
 //     byte-identical to the cold-computed reference, so no quarantined or
 //     corrupt record is ever served,
 //   - the restart recovery scan never invents corrupt records from clean
@@ -92,7 +92,6 @@ func chaosIteration(t *testing.T, kind store.FaultKind, iter int, want [][]byte)
 	}
 	s.Close() // drains the write-behind queue through the (possibly faulty) backend
 	fired := f.Fired()
-	st.Close()
 	f.Heal()
 
 	// "Restart": a clean process reopens the directory. The recovery scan
@@ -120,6 +119,5 @@ func chaosIteration(t *testing.T, kind store.FaultKind, iter int, want [][]byte)
 		t.Fatalf("iter %d (%s): restarted server lost its store", iter, kind)
 	}
 	s2.Close()
-	st2.Close()
 	return fired
 }

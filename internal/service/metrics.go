@@ -51,12 +51,8 @@ type Metrics struct {
 	regionsRelabeled atomic.Int64
 
 	// Persistent-store counters (all zero when no store is configured).
-	// storeWarmHits counts tasks answered from the warm-start index;
-	// storeHits counts tasks answered by a runtime backend read;
-	// storeWarmEntries tracks warm-start records not yet served.
-	storeWarmHits    atomic.Int64
-	storeHits        atomic.Int64
-	storeWarmEntries atomic.Int64
+	// storeHits counts lookups answered by a backend read.
+	storeHits atomic.Int64
 	// storeWrites/storeWriteErrors count write-behind persistence
 	// outcomes; storeDroppedWrites counts writes dropped by a full queue
 	// or a degraded store; storeCorrupt counts corrupt records detected
@@ -125,8 +121,7 @@ type Snapshot struct {
 	Timeouts                                    int64
 	DeltaRequests, DeltaUnknownBase             int64
 	RegionsReused, RegionsRelabeled             int64
-	StoreWarmHits, StoreHits, StoreWarmEntries  int64
-	StoreWrites, StoreWriteErrors               int64
+	StoreHits, StoreWrites, StoreWriteErrors    int64
 	StoreDroppedWrites, StoreCorrupt            int64
 	StoreReadErrors                             int64
 	StoreDegradedEvents, StoreRecoveries        int64
@@ -153,9 +148,7 @@ func (m *Metrics) SnapshotNow() Snapshot {
 		DeltaUnknownBase:    m.deltaUnknownBase.Load(),
 		RegionsReused:       m.regionsReused.Load(),
 		RegionsRelabeled:    m.regionsRelabeled.Load(),
-		StoreWarmHits:       m.storeWarmHits.Load(),
 		StoreHits:           m.storeHits.Load(),
-		StoreWarmEntries:    m.storeWarmEntries.Load(),
 		StoreWrites:         m.storeWrites.Load(),
 		StoreWriteErrors:    m.storeWriteErrors.Load(),
 		StoreDroppedWrites:  m.storeDroppedWrites.Load(),
@@ -223,8 +216,6 @@ func (s *Server) RenderMetricz() string {
 	state := s.StoreStateNow()
 	w("store_enabled", boolToInt(state != StoreDisabled))
 	w("store_degraded", boolToInt(state == StoreDegraded))
-	w("store_warm_hits", m.storeWarmHits.Load())
-	w("store_warm_entries", m.storeWarmEntries.Load())
 	w("store_hits", m.storeHits.Load())
 	w("store_writes", m.storeWrites.Load())
 	w("store_write_errors", m.storeWriteErrors.Load())

@@ -36,8 +36,8 @@ func TestRenderMetriczLineOrder(t *testing.T) {
 		"sim_source_hits", "sim_answered_kept",
 		"response_cache_hits", "response_cache_entries",
 		"store_enabled", "store_degraded",
-		"store_warm_hits", "store_warm_entries", "store_hits",
-		"store_writes", "store_write_errors", "store_dropped_writes",
+		"store_hits", "store_writes", "store_write_errors",
+		"store_dropped_writes",
 		"store_corrupt_reads", "store_read_errors",
 		"store_degraded_events", "store_recoveries", "store_probe_failures",
 		"store_quarantined",

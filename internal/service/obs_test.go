@@ -355,10 +355,9 @@ func TestSimulateTimelineValidation(t *testing.T) {
 	}
 }
 
-// TestSnapshotCoversEveryCounter is the satellite guard: every atomic
-// counter on Metrics must surface in Snapshot (the bug being fixed:
-// storeReadErrors, storeProbeFailures and storeWarmEntries silently
-// missing from SnapshotNow).
+// TestSnapshotCoversEveryCounter: every atomic counter on Metrics must
+// surface in Snapshot (storeReadErrors and storeProbeFailures were once
+// silently missing from SnapshotNow).
 func TestSnapshotCoversEveryCounter(t *testing.T) {
 	atomicInt := reflect.TypeOf(atomic.Int64{})
 	mt := reflect.TypeOf(Metrics{})
@@ -379,13 +378,13 @@ func TestSnapshotCoversEveryCounter(t *testing.T) {
 		}
 	}
 
-	// Behavioral check for the three previously-dropped counters.
+	// Behavioral check for the previously-dropped counters and one more.
 	m := newMetrics()
 	m.storeReadErrors.Add(3)
 	m.storeProbeFailures.Add(5)
-	m.storeWarmEntries.Add(7)
+	m.storeCorrupt.Add(7)
 	snap := m.SnapshotNow()
-	if snap.StoreReadErrors != 3 || snap.StoreProbeFailures != 5 || snap.StoreWarmEntries != 7 {
+	if snap.StoreReadErrors != 3 || snap.StoreProbeFailures != 5 || snap.StoreCorrupt != 7 {
 		t.Fatalf("snapshot dropped store counters: %+v", snap)
 	}
 }

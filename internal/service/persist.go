@@ -58,37 +58,21 @@ func storeKeyOf(k taskKey) store.Key {
 	}
 }
 
-// initStore attaches the configured backend: warm-starts the in-memory
-// tier from the recovery-scanned records, then starts the write-behind
-// persister and the degraded-mode probe loop. Called once from New.
+// storeQueueDepth bounds the write-behind persistence queue; a full
+// queue drops writes (counted) instead of blocking the request path.
+const storeQueueDepth = 256
+
+// initStore attaches the configured backend: starts the write-behind
+// persister and the degraded-mode probe loop. It reads no record: the
+// backend answers each task's lookup itself. Called once from New.
 func (s *Server) initStore() {
 	if s.cfg.Store == nil {
 		return
 	}
 	s.storeState.Store(int32(StoreOK))
-	s.persistQ = make(chan persistWrite, s.cfg.StoreQueueDepth)
+	s.persistQ = make(chan persistWrite, storeQueueDepth)
 	s.persistDone = make(chan struct{})
 	s.probeStop = make(chan struct{})
-	s.warm = make(map[store.Key][]byte)
-
-	// Warm start: every valid record of AnalysisVersion becomes an
-	// in-memory answer. Records from other versions are left in place (a
-	// rollback finds them again) but never loaded.
-	err := s.cfg.Store.Scan(func(k store.Key, data []byte) error {
-		if k.Version != AnalysisVersion {
-			return nil
-		}
-		if k.Op != OpLabel && k.Op != OpSimulate {
-			return nil
-		}
-		s.warm[k] = append([]byte(nil), data...)
-		return nil
-	})
-	if err != nil {
-		s.degradeStore(err)
-	}
-	s.metrics.storeWarmEntries.Store(int64(len(s.warm)))
-
 	go s.persistLoop()
 	go s.probeLoop()
 }
@@ -107,30 +91,15 @@ func (s *Server) degradeStore(err error) {
 	}
 }
 
-// storeLookup answers a task from the persistent tier: first the
-// warm-start index (a boot-time snapshot, drained as entries are
-// served), then the backend itself. Returns nil on any miss or store
-// fault — the caller computes, requests never fail on store errors.
+// storeLookup answers a task from the persistent tier with one backend
+// read. Records of another AnalysisVersion are never read: the version is
+// part of every key. Returns nil on any miss or store fault — the caller
+// computes, requests never fail on store errors.
 func (s *Server) storeLookup(key taskKey) []byte {
-	if StoreState(s.storeState.Load()) == StoreDisabled {
-		return nil
-	}
-	sk := storeKeyOf(key)
-	s.warmMu.Lock()
-	if data, ok := s.warm[sk]; ok {
-		// The entry graduates to the response cache (the caller publishes
-		// it); keeping it here would duplicate every served record.
-		delete(s.warm, sk)
-		s.warmMu.Unlock()
-		s.metrics.storeWarmHits.Add(1)
-		s.metrics.storeWarmEntries.Add(-1)
-		return data
-	}
-	s.warmMu.Unlock()
 	if StoreState(s.storeState.Load()) != StoreOK {
 		return nil
 	}
-	data, err := s.cfg.Store.Get(sk)
+	data, err := s.cfg.Store.Get(storeKeyOf(key))
 	switch {
 	case err == nil:
 		s.metrics.storeHits.Add(1)
@@ -212,7 +181,7 @@ func (s *Server) probeLoop() {
 // pipeline has drained: every already-queued write is flushed (or
 // dropped if the store is degraded), the persister and probe goroutines
 // exit, and no write can happen after Close returns. The backend itself
-// belongs to the caller and is not closed.
+// belongs to the caller.
 func (s *Server) closeStore() {
 	if s.cfg.Store == nil {
 		return
@@ -225,12 +194,7 @@ func (s *Server) closeStore() {
 // Health reports the server's health document (served on /healthz). The
 // document type lives in internal/api (aliased in request.go).
 func (s *Server) Health() Health {
-	h := Health{
-		Status:           "ok",
-		Store:            s.StoreStateNow().String(),
-		StoreWarmHits:    s.metrics.storeWarmHits.Load(),
-		StoreWarmEntries: s.metrics.storeWarmEntries.Load(),
-	}
+	h := Health{Status: "ok", Store: s.StoreStateNow().String()}
 	if s.cfg.Store != nil {
 		h.StoreQuarantined = s.cfg.Store.Quarantined()
 	}

@@ -20,12 +20,11 @@ import (
 	"refidem/internal/workloads"
 )
 
-// storeTestConfig is testConfig plus a filesystem store at dir.
+// storeTestConfig is testConfig plus the given store backend.
 func storeTestConfig(t *testing.T, backend store.Backend) Config {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Store = backend
-	cfg.StoreQueueDepth = 64
 	return cfg
 }
 
@@ -43,8 +42,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestWarmStartServesPersistedBytes is the durability round trip: a server
 // computes and persists, a second server on the same directory answers the
-// same requests byte-identically from the warm-start index without a
-// single pipeline compute.
+// same requests byte-identically from backend reads without a single
+// pipeline compute.
 func TestWarmStartServesPersistedBytes(t *testing.T) {
 	dir := t.TempDir()
 	st1, _, err := store.Open(dir)
@@ -67,7 +66,6 @@ func TestWarmStartServesPersistedBytes(t *testing.T) {
 	if got := s1.Metrics().SnapshotNow().StoreWrites; got != int64(len(reqs)) {
 		t.Fatalf("store writes = %d, want %d", got, len(reqs))
 	}
-	st1.Close()
 
 	st2, stats, err := store.Open(dir)
 	if err != nil {
@@ -78,9 +76,6 @@ func TestWarmStartServesPersistedBytes(t *testing.T) {
 	}
 	s2 := New(storeTestConfig(t, st2))
 	defer s2.Close()
-	if h := s2.Health(); h.StoreWarmEntries != int64(len(reqs)) {
-		t.Fatalf("warm entries = %d, want %d", h.StoreWarmEntries, len(reqs))
-	}
 	for i, r := range reqs {
 		got, err := s2.Do(ctx, r)
 		if err != nil {
@@ -94,19 +89,75 @@ func TestWarmStartServesPersistedBytes(t *testing.T) {
 	if snap.Computed != 0 {
 		t.Errorf("computed = %d, want 0 (warm restart must not recompute)", snap.Computed)
 	}
-	if snap.StoreWarmHits != int64(len(reqs)) {
-		t.Errorf("warm hits = %d, want %d", snap.StoreWarmHits, len(reqs))
-	}
-	if h := s2.Health(); h.StoreWarmHits != int64(len(reqs)) || h.StoreWarmEntries != 0 {
-		t.Errorf("health after serving = %+v, want all warm entries drained", h)
+	if snap.StoreHits != int64(len(reqs)) {
+		t.Errorf("store hits = %d, want %d", snap.StoreHits, len(reqs))
 	}
 }
 
-// TestWarmStartSkipsOtherVersions: warm start loads only records of
+// TestBootHoldsNoRecords: a server built on a store of persisted answers
+// holds none of them. Boot reads the store once, in store.Open's recovery
+// scan; New then keeps under 1 MB of heap over 200 label records with
+// dependence lists, and each request reads its own record from the
+// backend, byte-identical to the first server's answer and with nothing
+// recomputed.
+func TestBootHoldsNoRecords(t *testing.T) {
+	const n = 200
+	dir := t.TempDir()
+	st1, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	reqs := make([]Request, n)
+	for i, src := range benchSources(n) {
+		reqs[i] = Request{Op: OpLabel, Program: src, Deps: true}
+	}
+	want := make([][]byte, n)
+	s1 := New(storeTestConfig(t, st1))
+	for i, r := range reqs {
+		if want[i], err = s1.Do(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s1.Close()
+	if got := s1.Metrics().SnapshotNow().StoreWrites; got != n {
+		t.Fatalf("store writes = %d, want %d", got, n)
+	}
+
+	st2, stats, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Valid != n {
+		t.Fatalf("recovery stats = %v, want %d valid", stats, n)
+	}
+	before := liveHeap()
+	s2 := New(storeTestConfig(t, st2))
+	defer s2.Close()
+	kept := int64(liveHeap()) - int64(before)
+	t.Logf("New kept %d bytes of heap over %d records", kept, n)
+	if !raceEnabled && kept >= 1<<20 {
+		t.Errorf("New kept %d bytes of heap, want under 1 MB", kept)
+	}
+	for i, r := range reqs {
+		got, err := s2.Do(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("request %d: response differs from the first server's bytes", i)
+		}
+	}
+	if snap := s2.Metrics().SnapshotNow(); snap.Computed != 0 || snap.StoreHits != n {
+		t.Errorf("computed %d, store hits %d; want 0 and %d", snap.Computed, snap.StoreHits, n)
+	}
+}
+
+// TestWarmStartSkipsOtherVersions: a server reads only records of
 // AnalysisVersion. A record planted at a simulate request's exact store
-// key under another version is neither loaded nor served: the server
-// computes the answer afresh, and the record stays in the store for a
-// rollback to find.
+// key under another version is never served: the server computes the
+// answer afresh, and the record stays in the store for a rollback to
+// find.
 func TestWarmStartSkipsOtherVersions(t *testing.T) {
 	ctx := context.Background()
 	req := Request{Op: OpSimulate, Example: "fig2"}
@@ -121,7 +172,6 @@ func TestWarmStartSkipsOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	foreign := storeKeyOf(taskKey{op: OpSimulate, fp: ir.FingerprintOf(workloads.Figure2())})
 	foreign.Version = "refidem-analysis/5"
 	sentinel := []byte("sentinel: another version's answer\n")
@@ -130,9 +180,6 @@ func TestWarmStartSkipsOtherVersions(t *testing.T) {
 	}
 
 	s := New(storeTestConfig(t, st))
-	if n := s.Health().StoreWarmEntries; n != 0 {
-		t.Errorf("warm entries = %d, want 0 (the only record is another version's)", n)
-	}
 	got, err := s.Do(ctx, req)
 	s.Close()
 	if err != nil {
@@ -141,8 +188,8 @@ func TestWarmStartSkipsOtherVersions(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("answer differs from a fresh memory-only compute:\n%s", got)
 	}
-	if n := s.Metrics().SnapshotNow().Computed; n != 1 {
-		t.Errorf("computed = %d, want 1", n)
+	if snap := s.Metrics().SnapshotNow(); snap.Computed != 1 || snap.StoreHits != 0 {
+		t.Errorf("computed %d, store hits %d; want 1 and 0", snap.Computed, snap.StoreHits)
 	}
 	data, err := st.Get(foreign)
 	if err != nil {
@@ -153,9 +200,9 @@ func TestWarmStartSkipsOtherVersions(t *testing.T) {
 	}
 }
 
-// TestRuntimeStoreHit: the warm-start index is a one-shot snapshot; later
-// identical tasks (with the response cache disabled so they re-enter the
-// queue) are answered by a backend read, still with zero computes.
+// TestRuntimeStoreHit: with the response cache disabled, every repeat of
+// a persisted task re-enters the queue and is answered by its own backend
+// read, still with zero computes.
 func TestRuntimeStoreHit(t *testing.T) {
 	dir := t.TempDir()
 	st1, _, err := store.Open(dir)
@@ -170,7 +217,6 @@ func TestRuntimeStoreHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Close()
-	st1.Close()
 
 	st2, _, err := store.Open(dir)
 	if err != nil {
@@ -193,8 +239,8 @@ func TestRuntimeStoreHit(t *testing.T) {
 	if snap.Computed != 0 {
 		t.Errorf("computed = %d, want 0", snap.Computed)
 	}
-	if snap.StoreWarmHits != 1 || snap.StoreHits != 1 {
-		t.Errorf("warm/runtime hits = %d/%d, want 1/1", snap.StoreWarmHits, snap.StoreHits)
+	if snap.StoreHits != 2 {
+		t.Errorf("store hits = %d, want 2", snap.StoreHits)
 	}
 }
 
@@ -267,11 +313,9 @@ func (b *blockingBackend) Put(k store.Key, data []byte) error {
 	b.puts.Add(1)
 	return nil
 }
-func (b *blockingBackend) Get(k store.Key) ([]byte, error)          { return nil, store.ErrNotFound }
-func (b *blockingBackend) Scan(func(store.Key, []byte) error) error { return nil }
-func (b *blockingBackend) Probe() error                             { return nil }
-func (b *blockingBackend) Quarantined() int64                       { return 0 }
-func (b *blockingBackend) Close() error                             { return nil }
+func (b *blockingBackend) Get(k store.Key) ([]byte, error) { return nil, store.ErrNotFound }
+func (b *blockingBackend) Probe() error                    { return nil }
+func (b *blockingBackend) Quarantined() int64              { return 0 }
 
 // TestCloseRacesWriteBehind: Close must wait for the in-flight write-behind
 // record, flush everything already queued, and leave no persistence write
@@ -417,7 +461,7 @@ func TestHealthDocument(t *testing.T) {
 }
 
 // TestKeptRowAnswersPersist: a simulate answered from kept rows is durable
-// like a computed one. The one whose key has a warm-start record drains it
+// like a computed one. The one whose key the store holds reads its record
 // and writes nothing, the record being durable already, and the other is
 // written behind and found after a restart.
 func TestKeptRowAnswersPersist(t *testing.T) {
@@ -439,7 +483,6 @@ func TestKeptRowAnswersPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Close()
-	st1.Close()
 
 	st2 := open()
 	s2 := New(storeTestConfig(t, st2))
@@ -461,17 +504,15 @@ func TestKeptRowAnswersPersist(t *testing.T) {
 	if snap.SimAnsweredKept != 2 || snap.Computed != 1 {
 		t.Errorf("answered from kept rows %d, computed %d; want 2 and 1", snap.SimAnsweredKept, snap.Computed)
 	}
-	if snap.StoreWarmEntries != 0 || snap.StoreWarmHits != 1 {
-		t.Errorf("warm entries %d, warm hits %d; want the record drained by one hit", snap.StoreWarmEntries, snap.StoreWarmHits)
+	if snap.StoreHits != 1 {
+		t.Errorf("store hits = %d, want 1 (the persisted capacity-8192 record)", snap.StoreHits)
 	}
 	s2.Close()
 	if got := s2.Metrics().SnapshotNow().StoreWrites; got != 2 {
 		t.Errorf("store writes = %d, want 2 (capacities 4096 and 16384)", got)
 	}
-	st2.Close()
 
 	st3 := open()
-	defer st3.Close()
 	fp := ir.FingerprintOf(workloads.Figure2())
 	data, err := st3.Get(storeKeyOf(taskKey{op: OpSimulate, fp: fp, capacity: 16384}))
 	if err != nil {
@@ -491,7 +532,6 @@ func TestKeptRowRepeatsWriteOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	cfg := storeTestConfig(t, st)
 	cfg.ResponseCache = -1
 	s := New(cfg)

@@ -90,16 +90,12 @@ type Config struct {
 	// engine.DefaultConfig.
 	Engine engine.Config
 	// Store is the persistent result store (nil disables persistence —
-	// the zero value and DefaultConfig are memory-only). When set, the
-	// server warm-starts from it at construction, persists computed
-	// responses write-behind, and degrades to memory-only on backend
-	// faults instead of failing requests. The backend belongs to the
-	// caller: Close does not close it.
+	// the zero value and DefaultConfig are memory-only). When set, a task
+	// that misses the memory tiers reads the backend before computing,
+	// computed responses are persisted write-behind through a 256-deep
+	// queue, and backend faults degrade the server to memory-only instead
+	// of failing requests. The backend belongs to the caller.
 	Store store.Backend
-	// StoreQueueDepth bounds the write-behind persistence queue; a full
-	// queue drops writes (counted) instead of blocking the request path
-	// (<= 0 selects 256).
-	StoreQueueDepth int
 	// StoreProbeInterval is how often a degraded store is re-probed
 	// (<= 0 selects 3s).
 	StoreProbeInterval time.Duration
@@ -154,9 +150,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Engine.Processors == 0 {
 		c.Engine = engine.DefaultConfig()
-	}
-	if c.StoreQueueDepth <= 0 {
-		c.StoreQueueDepth = 256
 	}
 	if c.DeltaBases == 0 {
 		c.DeltaBases = 256
@@ -214,11 +207,8 @@ type Server struct {
 	workers sync.WaitGroup
 
 	// Persistence tier (see persist.go). storeState holds a StoreState;
-	// warm is the boot-time snapshot of persisted responses, drained as
-	// entries are served; persistQ is the bounded write-behind queue.
+	// persistQ is the bounded write-behind queue.
 	storeState  atomic.Int32
-	warmMu      sync.Mutex
-	warm        map[store.Key][]byte
 	persistQ    chan persistWrite
 	persistDone chan struct{}
 	probeStop   chan struct{}
@@ -477,9 +467,9 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 		if resp, ok := s.answerKept(key, e); ok {
 			s.registerBase(e.fp, e.canonical)
 			// Durable like a computed answer (run): a record the store
-			// holds, warm-start or not, is not written again. Close closes
-			// the write-behind queue once admission has stopped, so the
-			// write is queued only while admission is open.
+			// holds is not written again. Close closes the write-behind
+			// queue once admission has stopped, so the write is queued
+			// only while admission is open.
 			if s.cfg.Store != nil && s.storeLookup(key) == nil {
 				s.mu.Lock()
 				if s.closed {
@@ -636,10 +626,10 @@ func (s *Server) run(t *task) {
 	if flight {
 		lap = time.Now()
 	}
-	// The persistent tier answers before any compute: a warm-start or
-	// store hit is byte-identical to the cold compute by the determinism
-	// guarantee, so serving it is exact — the paper's thesis (idempotent
-	// work may be skipped) applied to the analysis itself.
+	// The persistent tier answers before any compute: a store hit is
+	// byte-identical to the cold compute by the determinism guarantee, so
+	// serving it is exact — the paper's thesis (idempotent work may be
+	// skipped) applied to the analysis itself.
 	if resp := s.storeLookup(t.key); resp != nil {
 		t.resp = resp
 		s.registerBase(t.key.fp, t.entry.canonical)

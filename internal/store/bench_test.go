@@ -60,7 +60,8 @@ func BenchmarkStoreGet(b *testing.B) {
 }
 
 // BenchmarkStoreRecoveryScan measures reopening a directory of 256
-// records — the warm-restart startup cost the daemon pays once.
+// records — the startup cost a -store daemon pays once, and the only time
+// boot reads the store.
 func BenchmarkStoreRecoveryScan(b *testing.B) {
 	dir := b.TempDir()
 	s, _, err := Open(dir)

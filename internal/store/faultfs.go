@@ -65,8 +65,8 @@ var (
 // state (the "disk" works again), Fired reports how many faults actually
 // triggered. Safe for concurrent use.
 //
-// Open a store over it with OpenWithFaults; the recovery scan, Get, Put,
-// Scan and Probe all run through the layer.
+// Open a store over it with OpenWithFaults; the recovery scan, Get, Put
+// and Probe all run through the layer.
 type FaultFS struct {
 	inner fileOps
 

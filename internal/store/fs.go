@@ -155,7 +155,7 @@ func (s *FS) recover() (RecoveryStats, error) {
 			}
 			stats.Scanned++
 			path := filepath.Join(dir, e.Name())
-			if _, _, err := s.loadRecord(path); err != nil {
+			if err := s.checkRecord(path); err != nil {
 				if errors.Is(err, ErrCorrupt) {
 					s.quarantine(path)
 					stats.Quarantined++
@@ -169,22 +169,19 @@ func (s *FS) recover() (RecoveryStats, error) {
 	return stats, nil
 }
 
-// loadRecord reads and validates one record file, returning its decoded
-// key and payload.
-func (s *FS) loadRecord(path string) (Key, []byte, error) {
+// checkRecord reads and validates one record file: its frame and the
+// key encoded in it.
+func (s *FS) checkRecord(path string) error {
 	raw, err := s.ops.ReadFile(path)
 	if err != nil {
-		return Key{}, nil, err
+		return err
 	}
-	keyEnc, data, err := decodeRecord(raw)
+	keyEnc, _, err := decodeRecord(raw)
 	if err != nil {
-		return Key{}, nil, err
+		return err
 	}
-	k, err := DecodeKey(keyEnc)
-	if err != nil {
-		return Key{}, nil, err
-	}
-	return k, data, nil
+	_, err = DecodeKey(keyEnc)
+	return err
 }
 
 // quarantine moves a corrupt record aside — never served again, never
@@ -279,46 +276,6 @@ func (s *FS) Put(k Key, data []byte) error {
 	return nil
 }
 
-// Scan calls fn for every valid record; corrupt records found mid-scan
-// are quarantined and skipped.
-func (s *FS) Scan(fn func(k Key, data []byte) error) error {
-	fanouts, err := s.ops.ReadDir(s.recordsDir())
-	if err != nil {
-		return fmt.Errorf("store: scan %s: %w", s.recordsDir(), err)
-	}
-	for _, fan := range fanouts {
-		if !fan.IsDir() {
-			continue
-		}
-		dir := filepath.Join(s.recordsDir(), fan.Name())
-		entries, err := s.ops.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("store: scan %s: %w", dir, err)
-		}
-		for _, e := range entries {
-			if e.IsDir() || filepath.Ext(e.Name()) != ".rec" {
-				continue
-			}
-			path := filepath.Join(dir, e.Name())
-			k, data, err := s.loadRecord(path)
-			if err != nil {
-				if errors.Is(err, ErrCorrupt) {
-					s.quarantine(path)
-					continue
-				}
-				if errors.Is(err, fs.ErrNotExist) {
-					continue // raced with a concurrent quarantine or rewrite
-				}
-				return err
-			}
-			if err := fn(k, data); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // probeKey addresses the Probe self-check record; its reserved op keeps
 // it out of any real result's address space.
 func probeKey() Key {
@@ -344,8 +301,3 @@ func (s *FS) Probe() error {
 
 // Quarantined reports the total records quarantined since Open.
 func (s *FS) Quarantined() int64 { return s.quarantined.Load() }
-
-// Close releases the backend. The filesystem store holds no open
-// handles between operations, so this is a no-op kept for the Backend
-// contract.
-func (s *FS) Close() error { return nil }

@@ -138,10 +138,9 @@ func DecodeKey(b []byte) (Key, error) {
 	return k, nil
 }
 
-// Backend is a pluggable persistent result store. The filesystem
-// implementation is FS; an S3-compatible object backend can sit behind
-// the same interface (ROADMAP direction 4's shared L2). Implementations
-// must be safe for concurrent use.
+// Backend is a pluggable persistent result store; the filesystem
+// implementation is FS. A server reads it one record at a time: Get is
+// its only read path. Implementations must be safe for concurrent use.
 type Backend interface {
 	// Get returns the record's payload, ErrNotFound on a miss, or
 	// ErrCorrupt after quarantining a record that failed validation.
@@ -149,18 +148,12 @@ type Backend interface {
 	// Put durably persists the payload under the key, replacing any
 	// previous record atomically.
 	Put(k Key, data []byte) error
-	// Scan calls fn for every valid record. Corrupt records encountered
-	// mid-scan are quarantined and skipped, never surfaced. A non-nil
-	// error from fn stops the scan and is returned.
-	Scan(fn func(k Key, data []byte) error) error
 	// Probe performs a small write-then-read self check; the serving
 	// layer uses it to decide when a degraded store has recovered.
 	Probe() error
 	// Quarantined reports the total number of records quarantined since
 	// the backend was opened (recovery scan plus runtime detections).
 	Quarantined() int64
-	// Close releases backend resources. Records persist across Close.
-	Close() error
 }
 
 // RecoveryStats reports what the startup recovery scan found.

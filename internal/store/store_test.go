@@ -201,14 +201,6 @@ func TestRecoveryQuarantinesCorruptRecords(t *testing.T) {
 	if len(qEntries) != 2 {
 		t.Errorf("quarantine holds %d files, want 2", len(qEntries))
 	}
-	// Scan surfaces only the valid record.
-	n := 0
-	if err := s2.Scan(func(k Key, data []byte) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("Scan visited %d records, want 1", n)
-	}
 }
 
 func TestVersionIsPartOfTheAddress(t *testing.T) {
@@ -224,34 +216,6 @@ func TestVersionIsPartOfTheAddress(t *testing.T) {
 	}
 	if _, err := s.Get(k); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScanDecodesKeys(t *testing.T) {
-	s, _ := mustOpen(t, t.TempDir())
-	want := map[Key][]byte{}
-	for i := 0; i < 10; i++ {
-		k := testKey(i)
-		payload := []byte(fmt.Sprintf("payload %d", i))
-		want[k] = payload
-		if err := s.Put(k, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[Key][]byte{}
-	if err := s.Scan(func(k Key, data []byte) error {
-		got[k] = append([]byte(nil), data...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("scan saw %d records, want %d", len(got), len(want))
-	}
-	for k, payload := range want {
-		if !bytes.Equal(got[k], payload) {
-			t.Errorf("key %v: payload %q, want %q", k.Params, got[k], payload)
-		}
 	}
 }
 

@@ -7,7 +7,7 @@
 #   1. boot refidemd with -store, populate it, wait for the write-behind
 #      records to land, then SIGKILL the process (no drain, no flush);
 #   2. restart on the same directory and require byte-identical responses
-#      served from warm-start hits with zero pipeline recomputes;
+#      served from store hits with zero pipeline recomputes;
 #   3. corrupt one record on disk, restart again, and require the record
 #      to be quarantined (reported, never served) while the response stays
 #      byte-identical via recompute.
@@ -68,7 +68,7 @@ kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 echo "crash-smoke: daemon SIGKILLed with 3 records persisted"
 
-# ---- 2. warm restart: byte-identical, zero recomputes ------------------
+# ---- 2. restart: byte-identical store hits, zero recomputes ------------
 boot
 req /v1/label    '{"example": "fig2", "deps": true}'                 "$out/warm_label.json"
 req /v1/simulate '{"example": "fig2", "procs": 8, "capacity": 64}'   "$out/warm_sim.json"
@@ -82,11 +82,10 @@ diff -u cmd/refidemd/testdata/simulate_fig2.golden "$out/warm_sim.json"
 
 curl -sfS "$url/healthz" >"$out/healthz"
 grep -q '"store": "ok"' "$out/healthz"
-grep -q '"store_warm_hits": 3' "$out/healthz"
 curl -sfS "$url/metricz" >"$out/metricz"
-grep -q '^tasks_computed 0$' "$out/metricz" || { echo "warm restart recomputed a persisted fingerprint" >&2; cat "$out/metricz" >&2; exit 1; }
-grep -q '^store_warm_hits 3$' "$out/metricz"
-echo "crash-smoke: warm restart byte-identical, 3 warm hits, 0 recomputes"
+grep -q '^tasks_computed 0$' "$out/metricz" || { echo "restart recomputed a persisted fingerprint" >&2; cat "$out/metricz" >&2; exit 1; }
+grep -q '^store_hits 3$' "$out/metricz" || { echo "restart did not serve 3 store hits" >&2; cat "$out/metricz" >&2; exit 1; }
+echo "crash-smoke: restart byte-identical, 3 store hits, 0 recomputes"
 
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
@@ -110,7 +109,7 @@ curl -sfS "$url/healthz" >"$out/healthz"
 grep -q '"store_quarantined": 1' "$out/healthz"
 curl -sfS "$url/metricz" >"$out/metricz"
 grep -q '^store_quarantined 1$' "$out/metricz"
-# Exactly the corrupted record recomputes; the other two stay warm hits.
+# Exactly the corrupted record recomputes; the other two are store hits.
 grep -q '^tasks_computed 1$' "$out/metricz" || { echo "expected exactly 1 recompute after quarantine" >&2; cat "$out/metricz" >&2; exit 1; }
 ls "$store/quarantine" | grep -q . || { echo "quarantine directory is empty (record silently deleted?)" >&2; exit 1; }
 echo "crash-smoke: corrupt record quarantined and recomputed byte-identically"

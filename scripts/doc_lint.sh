@@ -17,6 +17,14 @@
 # command is built once into a temp dir and its flag names are read from
 # its -h listing.
 #
+# Every backticked /metricz line name those docs write (a token starting
+# requests_, rejected_, coalesced_, tasks_, delta_, sim_, response_cache_,
+# store_, cache_, latency_, router_ or replica_) must be one that refidemd
+# or refidem-router renders: the built daemon and a router over it are
+# booted on ephemeral loopback ports, one label request is sent through
+# them, and the names are read from both /metricz pages. latency_le_us
+# stands for its latency_le_us{...} bucket lines.
+#
 # Usage: scripts/doc_lint.sh   (exit 1 and list offenders on failure)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -71,7 +79,8 @@ if [ "$bad" -ne 0 ]; then
 fi
 
 bin=$(mktemp -d)
-trap 'rm -rf "$bin"' EXIT
+pids=""
+trap 'kill $pids 2>/dev/null || true; rm -rf "$bin"' EXIT
 go build -o "$bin/" ./cmd/...
 cmds=$(go list -f '{{.Dir}}' ./cmd/... | xargs -n1 basename | paste -sd'|')
 for cmd in ${cmds//|/ }; do
@@ -96,4 +105,45 @@ if [ "$bad" -ne 0 ]; then
   exit 1
 fi
 flags=$(printf '%s\n' $mentions | cut -d: -f2- | sort -u | wc -l)
-echo "doc_lint: all $(go list ./... | wc -l) packages documented; $paths source paths and $flags command flags in the docs resolve"
+
+# boot <command> <flags...> starts a built command on an ephemeral port
+# and sets $url to the address it announces.
+boot() {
+  local out="$bin/$1.out"
+  : >"$out"
+  "$bin/$1" -addr 127.0.0.1:0 "${@:2}" >"$out" 2>&1 &
+  pids="$pids $!"
+  url=""
+  for _ in $(seq 1 100); do
+    url="$(sed -n 's/^listening on \(http:\/\/[^ ]*\)$/\1/p' "$out" | head -n1)"
+    [ -n "$url" ] && return
+    sleep 0.1
+  done
+  echo "doc_lint: $1 never announced its address:" >&2
+  cat "$out" >&2
+  exit 1
+}
+boot refidemd
+replica=$url
+boot refidem-router -replicas "$replica"
+router=$url
+curl -sfS -X POST -H 'Content-Type: application/json' -d '{"example": "fig1"}' "$router/v1/label" >/dev/null
+rendered=$({ curl -sfS "$replica/metricz"; curl -sfS "$router/metricz"; } | sed -E 's/[{ ].*//' | sort -u)
+kill $pids 2>/dev/null || true
+prefixes='requests_|rejected_|coalesced_|tasks_|delta_|sim_|response_cache_|store_|cache_|latency_|router_|replica_'
+metrics=0
+for doc in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+  [ -e "$doc" ] || continue
+  for name in $({ grep -oE "\`($prefixes)[a-z0-9_]*[\` {]" "$doc" || true; } | sed -E 's/^.(.*).$/\1/' | sort -u); do
+    metrics=$((metrics + 1))
+    if ! grep -qxF -- "$name" <<<"$rendered"; then
+      echo "doc_lint: $doc names the /metricz line $name, which neither refidemd nor refidem-router renders" >&2
+      bad=1
+    fi
+  done
+done
+if [ "$bad" -ne 0 ]; then
+  echo "doc_lint: FAIL — name a line /metricz renders, or drop the mention" >&2
+  exit 1
+fi
+echo "doc_lint: all $(go list ./... | wc -l) packages documented; $paths source paths, $flags command flags and $metrics /metricz names in the docs resolve"
