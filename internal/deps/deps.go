@@ -20,8 +20,8 @@
 package deps
 
 import (
-	"cmp"
 	"slices"
+	"sync"
 
 	"refidem/internal/cfg"
 	"refidem/internal/ir"
@@ -76,6 +76,9 @@ type Analysis struct {
 	sinkIdx []int32 // edge numbers into All, grouped by Dst
 	cross   ir.Bits // ref is the sink of a cross-segment dependence
 
+	// out collects the edges while the pair loop runs; analyze places
+	// them into All.
+	out *edgeScratch
 	// emitted dedups directions within the pair currently being tested:
 	// [0] src==r1, [1] src==r2; second index is Cross.
 	emitted [2][2]bool
@@ -158,38 +161,104 @@ func Analyze(r *ir.Region, g *cfg.Graph) *Analysis {
 	return a
 }
 
-// analyze runs the pair loop, orders the result deterministically, and
-// builds the sink index.
+// analyze runs the pair loop over each variable's references, places the
+// edges into All in (Src, Dst, Kind) order, and builds the sink index.
 func (a *Analysis) analyze(g *cfg.Graph) {
 	r := a.Region
 	idx := r.DenseIndex()
 	refs := r.Refs
-	for i := 0; i < len(refs); i++ {
-		for j := i; j < len(refs); j++ {
-			r1, r2 := refs[i], refs[j]
-			if r1.Var != r2.Var {
-				continue
+	a.out = scratchPool.Get().(*edgeScratch)
+	for v := range idx.Vars {
+		bucket := idx.RefsOf(int32(v))
+		for bi, i := range bucket {
+			for _, j := range bucket[bi:] {
+				r1, r2 := refs[i], refs[j]
+				if r1.Access == ir.Read && r2.Access == ir.Read {
+					continue
+				}
+				a.pair(r1, r2, g, idx)
 			}
-			if r1.Access == ir.Read && r2.Access == ir.Read {
-				continue
-			}
-			if i == j && r1.Access == ir.Read {
-				continue
-			}
-			a.pair(r1, r2, g, idx)
 		}
 	}
-	// Deterministic order for printing and tests.
-	slices.SortStableFunc(a.All, func(x, y Dep) int {
-		if c := cmp.Compare(x.Src, y.Src); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.Dst, y.Dst); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Kind, y.Kind)
-	})
+	a.place()
+	a.out.reset()
+	scratchPool.Put(a.out)
+	a.out = nil
 	a.buildIndexes()
+}
+
+// place moves the collected edges into All, allocated once at its exact
+// size, by a stable counting pass on Src. Within a source, emission order
+// is already (Dst, Kind) order: a source's edges all come from its
+// variable's bucket, whose pair loop meets the source's sinks in
+// ascending ID order, one pair per sink; a pair's edges to one sink share
+// its Kind, which the endpoints' accesses decide, and come cross before
+// intra, the order a stable sort keeps. So the placement yields exactly
+// the stable (Src, Dst, Kind) sort of the emitted edges.
+func (a *Analysis) place() {
+	sc := a.out
+	if sc.n == 0 {
+		return
+	}
+	off := slices.Grow(sc.off[:0], len(a.Region.Refs)+1)[:len(a.Region.Refs)+1]
+	sc.off = off
+	clear(off)
+	for b := 0; b*edgeBlock < sc.n; b++ {
+		for _, d := range sc.block(b) {
+			off[d.Src+1]++
+		}
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	a.All = make([]Dep, sc.n)
+	for b := 0; b*edgeBlock < sc.n; b++ {
+		for _, d := range sc.block(b) {
+			a.All[off[d.Src]] = d
+			off[d.Src]++
+		}
+	}
+}
+
+// edgeBlock is the capacity, in edges, of one edgeScratch block.
+const edgeBlock = 1 << 10
+
+// maxPooledBlocks bounds the blocks a pooled edgeScratch keeps, so one
+// very large region does not pin its edge list in the pool.
+const maxPooledBlocks = 64
+
+// edgeScratch collects one analysis's edges in fixed-size blocks, so
+// emitting never copies an edge already collected, and holds place's
+// per-source offsets. Analyses take one from scratchPool and return it,
+// so a later analysis reuses its buffers.
+type edgeScratch struct {
+	blocks [][]Dep
+	n      int
+	off    []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(edgeScratch) }}
+
+// add appends one edge.
+func (s *edgeScratch) add(d Dep) {
+	b := s.n / edgeBlock
+	if b == len(s.blocks) {
+		s.blocks = append(s.blocks, make([]Dep, edgeBlock))
+	}
+	s.blocks[b][s.n%edgeBlock] = d
+	s.n++
+}
+
+// block returns the collected edges of block b, which must hold some.
+func (s *edgeScratch) block(b int) []Dep {
+	return s.blocks[b][:min(edgeBlock, s.n-b*edgeBlock)]
+}
+
+// reset empties the scratch for reuse, keeping at most maxPooledBlocks.
+func (s *edgeScratch) reset() {
+	s.n = 0
+	clear(s.blocks[min(len(s.blocks), maxPooledBlocks):])
+	s.blocks = s.blocks[:min(len(s.blocks), maxPooledBlocks)]
 }
 
 // buildIndexes fills the sink index and the cross-sink bitset from All.
@@ -234,7 +303,7 @@ func (a *Analysis) emit(src, dst *ir.Ref, cross bool) {
 		return
 	}
 	a.emitted[dir][ci] = true
-	a.All = append(a.All, newDep(src, dst, cross))
+	a.out.add(newDep(src, dst, cross))
 }
 
 // pair tests one unordered reference pair in every direction and level.

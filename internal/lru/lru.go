@@ -1,7 +1,7 @@
 // Package lru is the one bounded cache of the serving layer: a
 // fixed-capacity map that evicts its least recently used entry, safe for
-// concurrent use under a single lock. The response, program, delta-base
-// and fragment tiers of internal/service, the labeling memo of
+// concurrent use under a single lock. The response, program, probation
+// and delta-base tiers of internal/service, the labeling memo of
 // internal/experiments and the router's response cache and
 // delta-recovery set are all instances.
 package lru

@@ -24,7 +24,8 @@ func benchSources(n int) []string {
 
 // BenchmarkServiceLabelThroughput measures end-to-end label request
 // throughput under full parallelism — parse, fingerprint, coalescing
-// queue, region analysis, fragment assembly — over a rotation of 8
+// queue, and the document assembled from the program's registered rows
+// once its first label has registered them — over a rotation of 8
 // distinct programs. ns/op is the per-request wall cost at saturation.
 func BenchmarkServiceLabelThroughput(b *testing.B) {
 	cfg := DefaultConfig()
@@ -115,12 +116,12 @@ func BenchmarkServiceLabelTracedOff(b *testing.B) {
 
 // BenchmarkServiceLabelUncached measures the cold label path with every
 // tier that could answer a label turned off: one caller, no response
-// cache, no fragment reuse, and one fixed multi-region program. Every
-// iteration parses, fingerprints, queues, analyzes, labels and renders
-// every region, so the exact allocs gate pins the cold path's allocation
-// count — among other things, that a label without "deps" renders no
-// dependence list, that operator tokens, the canonical form and the
-// region fingerprints allocate nothing beyond the canonical text, and
+// cache, no base registry (so no row reuse), and one fixed multi-region
+// program. Every iteration parses, fingerprints, queues, analyzes,
+// labels and renders every region, so the exact allocs gate pins the
+// cold path's allocation count — among other things, that a label
+// without "deps" renders no dependence list, that operator tokens and
+// the canonical form allocate nothing beyond the canonical text, and
 // that the document is appended in one pass into a pooled buffer and
 // copied out once. It runs on one processor: the request crosses three
 // goroutines, and with more processors the runtime's per-processor
@@ -130,7 +131,7 @@ func BenchmarkServiceLabelUncached(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := DefaultConfig()
 	cfg.ResponseCache = -1
-	cfg.DeltaFragments = -1
+	cfg.DeltaBases = -1
 	s := New(cfg)
 	defer s.Close()
 	src := benchSources(7)[6] // the multiregion profile's program
@@ -194,9 +195,10 @@ func BenchmarkServiceSimulateThroughput(b *testing.B) {
 
 // BenchmarkServiceLabelDelta measures the steady-state delta path with
 // the response byte cache off: resolve the base from the registry, apply
-// the patch, parse and analyze the composed program, and serve every
-// region from the fragment cache (the warm-up request re-labeled the
-// patched region; iterations reuse it). This is the cost a client pays
+// the patch, parse and fingerprint the composed program, and serve every
+// region from the composed program's own registered rows (the warm-up
+// request re-labeled the patched region and registered them). This is
+// the cost a client pays
 // for an incremental edit versus BenchmarkServiceLabelThroughput's full
 // pipeline. Single caller, so the allocs gate is exact.
 func BenchmarkServiceLabelDelta(b *testing.B) {
@@ -229,7 +231,7 @@ func BenchmarkServiceLabelDelta(b *testing.B) {
 	}
 	b.StopTimer()
 	if snap := s.Metrics().SnapshotNow(); snap.RegionsRelabeled != relabeledWarm {
-		b.Fatalf("relabeled grew %d -> %d: steady state must be pure fragment reuse",
+		b.Fatalf("relabeled grew %d -> %d: steady state must be pure row reuse",
 			relabeledWarm, snap.RegionsRelabeled)
 	}
 }

@@ -2,15 +2,15 @@ package service
 
 // Delta re-labeling: a client that already analyzed a program may submit
 // its fingerprint plus region-level patches instead of the full source.
-// The server resolves the request by applying the patches to the
-// registered base source, then labels the resolved program through the
-// one label path (label.go): a region whose analysis fingerprint
-// (ir.RegionFingerprintOf — structure, procedure table, referenced
-// dimensions, live-out bits) is unchanged reuses its cached,
-// already-rendered response fragment; only regions the edit actually
-// touched (directly, through a procedure, or through shifted
-// inter-region liveness) are re-labeled. A delta response is therefore
-// byte-identical to the full re-label by construction — the property the
+// The server resolves the request by applying the patches to the source
+// the base registry holds for that fingerprint, then labels the resolved
+// program through the one label path (label.go): a region whose analysis
+// fingerprint (ir.RegionFingerprintOf — structure, procedure table,
+// referenced dimensions, live-out bits) is unchanged reuses the base
+// entry's already-rendered row; only regions the edit actually touched
+// (directly, through a procedure, or through shifted inter-region
+// liveness) are re-labeled. A delta response is therefore byte-identical
+// to the full re-label by construction — the property the
 // delta-equivalence tests pin.
 
 import (
@@ -23,51 +23,75 @@ import (
 )
 
 // resolveRequest resolves the request's program: delta requests (Base
-// set) compose the registered base source with the patches; everything
-// else goes through the stateless resolveProgram. A base the registry no
-// longer holds fails with ErrUnknownBase — the caller serves it as 404
-// and the client falls back to the full program.
-func (s *Server) resolveRequest(req Request) (*ir.Program, error) {
+// set) compose the registered base source with the patches and also
+// return the base's registry entry, whose rows the label reuses;
+// everything else goes through the stateless resolveProgram. A base the
+// registry no longer holds fails with ErrUnknownBase — the caller serves
+// it as 404 and the client falls back to the full program.
+func (s *Server) resolveRequest(req Request) (*ir.Program, *baseEntry, error) {
 	if req.Base == "" {
-		return resolveProgram(req)
+		p, err := resolveProgram(req)
+		return p, nil, err
 	}
 	s.metrics.deltaRequests.Add(1)
 	if s.bases == nil {
 		s.metrics.deltaUnknownBase.Add(1)
-		return nil, fmt.Errorf("%w: %s (delta serving disabled)", ErrUnknownBase, req.Base)
+		return nil, nil, fmt.Errorf("%w: %s (delta serving disabled)", ErrUnknownBase, req.Base)
 	}
 	// The registry is keyed by the decoded fingerprint, so the label fast
 	// path can check it without hex-encoding; a malformed fingerprint is
 	// simply unknown.
 	var fp ir.Fingerprint
-	src, ok := "", false
+	var base *baseEntry
 	if len(req.Base) == hex.EncodedLen(len(fp)) {
 		if _, err := hex.Decode(fp[:], []byte(req.Base)); err == nil {
-			src, ok = s.bases.Get(fp)
+			base = s.baseOf(fp)
 		}
 	}
-	if !ok {
+	if base == nil {
 		s.metrics.deltaUnknownBase.Add(1)
-		return nil, fmt.Errorf("%w: %s", ErrUnknownBase, req.Base)
+		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownBase, req.Base)
 	}
-	composed, err := applyPatches(src, req.Patches)
+	composed, err := applyPatches(base.src, req.Patches)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return lang.Parse(composed)
+	p, err := lang.Parse(composed)
+	return p, base, err
+}
+
+// baseOf returns the registry's entry for fp, or nil when the registry
+// is off or does not hold fp.
+func (s *Server) baseOf(fp ir.Fingerprint) *baseEntry {
+	if s.bases == nil {
+		return nil
+	}
+	e, _ := s.bases.Get(fp)
+	return e
 }
 
 // registerBase makes a successfully served program addressable as a delta
 // base: src is its canonical source, which admission formatted once for
-// the fingerprint fp. A registered base just becomes the most recently
-// used.
-func (s *Server) registerBase(fp ir.Fingerprint, src string) {
+// the fingerprint fp. A label task passes the region fingerprints and the
+// rows its response was assembled from under its "deps" flag; a program
+// registered without rows of that flag gets a new entry holding them next
+// to the rows of the other flag it had. Otherwise a registered base just
+// becomes the most recently used.
+func (s *Server) registerBase(fp ir.Fingerprint, src string, deps bool, fps []ir.Fingerprint, rows []RegionLabeling) {
 	if s.bases == nil {
 		return
 	}
-	if _, ok := s.bases.Get(fp); !ok {
-		s.bases.Put(fp, src)
+	flag := flagIndex(deps)
+	old, ok := s.bases.Get(fp)
+	if ok && (rows == nil || old.rows[flag] != nil) {
+		return
 	}
+	e := &baseEntry{src: src, fps: fps}
+	if ok {
+		e.rows = old.rows
+	}
+	e.rows[flag] = rows
+	s.bases.Put(fp, e)
 }
 
 // reregisterBase restores the delta base of a full-program label answered
@@ -82,7 +106,7 @@ func (s *Server) reregisterBase(req Request, fp ir.Fingerprint) {
 		return
 	}
 	if p, err := resolveProgram(req); err == nil {
-		s.bases.Put(fp, p.Format())
+		s.bases.Put(fp, &baseEntry{src: p.Format()})
 	}
 }
 

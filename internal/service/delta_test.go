@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math/rand/v2"
 	"strings"
+	"sync"
 	"testing"
 
 	"refidem/internal/fuzz"
@@ -53,8 +55,8 @@ func labelFresh(t testing.TB, src string, deps bool) []byte {
 	return raw
 }
 
-// A delta that touches one region must reuse every other region's
-// fragment and still produce bytes identical to a full re-label.
+// A delta that touches one region must reuse every other region's row
+// and still produce bytes identical to a full re-label.
 func TestDeltaRelabelsOnlyChangedRegion(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
@@ -145,7 +147,7 @@ func TestDeltaEquivalenceWithDeps(t *testing.T) {
 	}
 }
 
-// The "deps" flag is part of a fragment's identity. Rows rendered for a
+// A base entry keeps its rows per "deps" flag. Rows rendered for a
 // deps-less request carry no dependence list, so a deps delta over the
 // same regions must relabel them rather than reuse those rows: every body
 // equals a fresh full label of its program and flag, only deps bodies
@@ -198,6 +200,156 @@ region r1 loop k = 0 to 15 {
 			t.Fatalf("%s: relabeled/reused = %d/%d, want %d/%d",
 				step.name, relabeled, reused, step.relabeled, step.reused)
 		}
+	}
+}
+
+// rowPool is the traffic of TestBaseRowsUnderEviction: programs with the
+// fresh answers to their full labels per "deps" flag, and deltas between
+// them. A program a delta composes has from set to that delta.
+type rowPool struct {
+	progs  []rowProgram
+	deltas []rowDelta
+}
+
+type rowProgram struct {
+	req  Request // the full label request, deps unset
+	fp   string  // the registry key a delta names it by
+	src  string  // canonical source
+	from int     // the delta composing it, or -1
+	want [2][]byte
+}
+
+type rowDelta struct {
+	base    int
+	patches []RegionPatch
+}
+
+// add puts the program of the full label request req into the pool.
+func (p *rowPool) add(t *testing.T, req Request, from int) int {
+	t.Helper()
+	prog, err := resolveProgram(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, fp := ir.Canonical(prog)
+	rp := rowProgram{req: req, fp: hex.EncodeToString(fp[:]), src: src, from: from}
+	for flag := range rp.want {
+		req.Deps = flag == 1
+		rp.want[flag] = freshLabel(t, req)
+	}
+	p.progs = append(p.progs, rp)
+	return len(p.progs) - 1
+}
+
+// delta adds a delta against program base, with the given patches or, if
+// none, one that rewrites the first region, and returns the program it
+// composes.
+func (p *rowPool) delta(t *testing.T, base int, patches ...RegionPatch) int {
+	t.Helper()
+	src := p.progs[base].src
+	if len(patches) == 0 {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patches = []RegionPatch{mutateFirstRegion(t, src, prog)}
+	}
+	composed, err := applyPatches(src, patches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.deltas = append(p.deltas, rowDelta{base: base, patches: patches})
+	return p.add(t, Request{Program: composed}, len(p.deltas)-1)
+}
+
+// freshLabel is the body a server that never saw req's program answers.
+func freshLabel(t testing.TB, req Request) []byte {
+	t.Helper()
+	s := New(testConfig())
+	defer s.Close()
+	raw, err := s.Label(context.Background(), req)
+	if err != nil {
+		t.Fatalf("fresh label: %v", err)
+	}
+	return raw
+}
+
+// Region rows live in the base registry, so its evictions decide which
+// rows a label may reuse. With two bases and no response cache, eight
+// goroutines send full labels with and without "deps", deltas, deltas
+// against composed programs and patches that shift inter-region liveness
+// over about a dozen programs. Every answer equals a fresh server's label
+// of its program and flag; a delta whose base was evicted may fail with
+// ErrUnknownBase, and answers nothing else.
+func TestBaseRowsUnderEviction(t *testing.T) {
+	var pool rowPool
+	base := pool.add(t, Request{Program: deltaBaseSrc}, -1)
+	shift := RegionPatch{Region: "r1", Source: "region r1 loop k = 0 to 15 {\n  b[k] = (k + 3)\n}\n"}
+	patched := pool.delta(t, base, RegionPatch{Region: "r1", Source: deltaPatchR1})
+	pool.delta(t, patched, RegionPatch{Region: "r2", Source: "region r2 loop k = 0 to 15 {\n  a[k] = (b[k] + 5)\n}\n"})
+	pool.delta(t, patched, shift)
+	pool.delta(t, base, shift)
+	for _, src := range benchSources(7)[4:] {
+		pool.delta(t, pool.add(t, Request{Program: src}, -1))
+	}
+	var example int
+	for _, name := range []string{"fig1", "fig2", "fig3", "buts"} {
+		example = pool.add(t, Request{Example: name}, -1)
+		pool.delta(t, example)
+	}
+	pool.delta(t, example, RegionPatch{Region: "tail", Source: "region tail loop k = 0 to 4 {\n  t[k] = 1\n}\n"})
+
+	cfg := testConfig()
+	cfg.DeltaBases = 2
+	cfg.ResponseCache = -1
+	s := New(cfg)
+	defer s.Close()
+	ctx := context.Background()
+	const goroutines, rounds = 8, 100
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(g), 29))
+			// send labels program i by req and reports whether it answered.
+			send := func(req Request, i int) bool {
+				req.Deps = rng.IntN(2) == 1
+				got, err := s.Label(ctx, req)
+				if err != nil {
+					if req.Base == "" || !errors.Is(err, ErrUnknownBase) {
+						t.Errorf("program %d (deps %v): %v", i, req.Deps, err)
+					}
+					return false
+				}
+				if want := pool.progs[i].want[flagIndex(req.Deps)]; !bytes.Equal(got, want) {
+					t.Errorf("program %d (deps %v, delta %v): body differs from a fresh label\ngot:  %s\nwant: %s",
+						i, req.Deps, req.Base != "", got, want)
+				}
+				return true
+			}
+			// reach labels program i: in full, or as the delta composing
+			// it after reaching that delta's base.
+			var reach func(i int) bool
+			reach = func(i int) bool {
+				p := pool.progs[i]
+				if p.from < 0 || rng.IntN(3) == 0 {
+					return send(p.req, i)
+				}
+				d := pool.deltas[p.from]
+				return reach(d.base) && send(Request{Base: pool.progs[d.base].fp, Patches: d.patches}, i)
+			}
+			for range rounds {
+				reach(rng.IntN(len(pool.progs)))
+			}
+		}()
+	}
+	wg.Wait()
+	snap := s.Metrics().SnapshotNow()
+	t.Logf("%d deltas, %d with an unknown base; regions reused %d, relabeled %d",
+		snap.DeltaRequests, snap.DeltaUnknownBase, snap.RegionsReused, snap.RegionsRelabeled)
+	if snap.RegionsReused == 0 {
+		t.Error("no delta reused a row")
 	}
 }
 
@@ -299,8 +451,8 @@ func TestDeltaEquivalenceCorpus(t *testing.T) {
 
 // mutateFirstRegion builds a patch replacing the first region's body
 // with a single self-increment of the program's first variable — a
-// mutation that parses for any program (the subscript arity comes from
-// the variable's own dimensions).
+// mutation that parses for any program (one subscript per dimension of
+// the variable).
 func mutateFirstRegion(t testing.TB, src string, p *ir.Program) RegionPatch {
 	t.Helper()
 	_, blocks := splitSource(src)
@@ -313,7 +465,10 @@ func mutateFirstRegion(t testing.TB, src string, p *ir.Program) RegionPatch {
 		t.Fatalf("malformed region block: %q", block.text)
 	}
 	header := block.text[:nl]
-	ref := p.Vars[0].Name + strings.Repeat("[0]", len(p.Vars[0].Dims))
+	ref := p.Vars[0].Name
+	if dims := len(p.Vars[0].Dims); dims > 0 {
+		ref += "[" + strings.Repeat("0,", dims-1) + "0]"
+	}
 	stmt := ref + " = (" + ref + " + 1)"
 	if strings.Contains(" "+header+" ", " cfg ") {
 		// CFG regions need segment bodies; preserve the liveout line when

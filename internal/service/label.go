@@ -1,24 +1,29 @@
 package service
 
 // The two labeling tiers. Every label response, full or delta, is
-// assembled from rendered region rows cached by region analysis
-// fingerprint (ir.RegionFingerprintOf) and the request's "deps" flag: a
-// region whose labeling inputs were seen before, in any program, reuses
-// its row, and only the others are labeled and rendered, once. A row
-// carries a dependence list only when its request asked for one, so a
-// deps-less label renders no dependences. Simulate and timeline requests
-// drive the engine with the whole program's labeling; they read the
-// program tier, an LRU of labeled programs by content fingerprint, whose
-// entries also carry the program's simulation state (simulate.go). A
-// program is admitted on its second lookup: the first labels it into
-// probation, a small LRU in front of the tier, and a later lookup that
-// finds it there promotes it, so the many programs of mixed traffic that
-// are simulated once never displace the repeated ones. The tier also
-// holds alias entries: a program or example simulate that found its
-// program in the tier or promoted it stores the entry under its request's
-// selector digest too, so a later repeat of the same text finds the
-// program without parsing it. Neither tier single-flights: identical
-// requests already coalesce at admission.
+// assembled from rendered region rows, and the base registry keeps them:
+// its entry for a program holds, besides the canonical source deltas
+// compose against, the rows per "deps" flag that the program's label
+// responses were built from. A label reuses its own program's rows when
+// the registry holds them and, for a delta, the base's rows of regions
+// whose analysis fingerprint (ir.RegionFingerprintOf) the patches left
+// unchanged; only the other regions are labeled and rendered, once, and
+// the program is registered with all of its rows. So rows live and die
+// with their base: Config.DeltaBases bounds them. A row carries a
+// dependence list only when its request asked for one, so a deps-less
+// label renders no dependences. Simulate and timeline requests drive the
+// engine with the whole program's labeling; they read the program tier,
+// an LRU of labeled programs by content fingerprint, whose entries also
+// carry the program's simulation state (simulate.go). A program is
+// admitted on its second lookup: the first labels it into probation, a
+// small LRU in front of the tier, and a later lookup that finds it there
+// promotes it, so the many programs of mixed traffic that are simulated
+// once never displace the repeated ones. The tier also holds alias
+// entries: a program or example simulate that found its program in the
+// tier or promoted it stores the entry under its request's selector
+// digest too, so a later repeat of the same text finds the program
+// without parsing it. Neither tier single-flights: identical requests
+// already coalesce at admission.
 
 import (
 	"encoding/hex"
@@ -66,35 +71,81 @@ func labelChecked(r *ir.Region, info *dataflow.RegionInfo) (*idem.Result, error)
 	return res, nil
 }
 
-// fragKey identifies a rendered region row: the region's analysis
-// fingerprint and whether the row carries its dependence list.
-type fragKey struct {
-	fp   ir.Fingerprint
-	deps bool
+// baseEntry is the base registry's entry for one program: its canonical
+// source, which deltas against the program compose with, and the rendered
+// region rows of its label responses, rows[1] for "deps" requests and
+// rows[0] for the others, one per region in program order under the
+// region analysis fingerprints in fps. A nil rows list means no label of
+// that flag has registered the program yet. A stored entry is never
+// mutated: registering more rows stores a new entry.
+type baseEntry struct {
+	src  string
+	fps  []ir.Fingerprint
+	rows [2][]RegionLabeling
 }
 
-// label answers an OpLabel task region by region: rows cached under the
-// region's fragment key are reused verbatim, the rest are labeled through
-// the same pipeline body LabelProgram uses and rendered once.
+// flagIndex is the rows index of a "deps" flag.
+func flagIndex(deps bool) int {
+	if deps {
+		return 1
+	}
+	return 0
+}
+
+// rowOf returns e's row under flag of the region whose analysis
+// fingerprint is fp, trying position i first: patches replace regions in
+// place and append new ones, so an unchanged region keeps its base
+// position. A nil e holds no rows.
+func (e *baseEntry) rowOf(flag, i int, fp ir.Fingerprint) (RegionLabeling, bool) {
+	if e == nil || e.rows[flag] == nil {
+		return RegionLabeling{}, false
+	}
+	if i < len(e.fps) && e.fps[i] == fp {
+		return e.rows[flag][i], true
+	}
+	for j, f := range e.fps {
+		if f == fp {
+			return e.rows[flag][j], true
+		}
+	}
+	return RegionLabeling{}, false
+}
+
+// label answers an OpLabel task region by region. When the registry
+// holds the program's own rows for the task's flag, the document is
+// those rows. Otherwise a delta's regions reuse the base's row of equal
+// analysis fingerprint, the rest are labeled through the same pipeline
+// body LabelProgram uses and rendered once, and the task keeps the
+// fingerprints and rows for run to register. With the registry off every
+// region is labeled.
 func (s *Server) label(t *task) ([]byte, error) {
 	prog := t.entry.prog
-	infos := dataflow.AnalyzeProgram(prog)
 	doc := LabelResponse{
 		Op:          OpLabel,
 		Program:     prog.Name,
 		Fingerprint: hex.EncodeToString(t.key.fp[:]),
-		Regions:     make([]RegionLabeling, 0, len(prog.Regions)),
 	}
-	for _, r := range prog.Regions {
-		info := infos[r]
-		fk := fragKey{
-			fp:   ir.RegionFingerprintOf(prog, r, func(v *ir.Var) bool { return info.LiveOut(v) }),
-			deps: t.key.deps,
+	flag := flagIndex(t.key.deps)
+	if own := s.baseOf(t.key.fp); own != nil && own.rows[flag] != nil {
+		doc.Regions = own.rows[flag]
+		if t.base != nil {
+			s.metrics.regionsReused.Add(int64(len(doc.Regions)))
 		}
+		return api.RenderLabel(&doc)
+	}
+	doc.Regions = make([]RegionLabeling, 0, len(prog.Regions))
+	var fps []ir.Fingerprint
+	if s.bases != nil {
+		fps = make([]ir.Fingerprint, len(prog.Regions))
+	}
+	infos := dataflow.AnalyzeProgram(prog)
+	for i, r := range prog.Regions {
+		info := infos[r]
 		var row RegionLabeling
 		ok := false
-		if s.frags != nil {
-			row, ok = s.frags.Get(fk)
+		if fps != nil {
+			fps[i] = ir.RegionFingerprintOf(prog, r, func(v *ir.Var) bool { return info.LiveOut(v) })
+			row, ok = t.base.rowOf(flag, i, fps[i])
 		}
 		if !ok {
 			res, err := labelChecked(r, info)
@@ -102,11 +153,8 @@ func (s *Server) label(t *task) ([]byte, error) {
 				return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 			}
 			row = renderRegionLabeling(r, res, t.key.deps)
-			if s.frags != nil {
-				s.frags.Put(fk, row)
-			}
 		}
-		if t.delta {
+		if t.base != nil {
 			if ok {
 				s.metrics.regionsReused.Add(1)
 			} else {
@@ -114,6 +162,9 @@ func (s *Server) label(t *task) ([]byte, error) {
 			}
 		}
 		doc.Regions = append(doc.Regions, row)
+	}
+	if fps != nil {
+		t.fps, t.rows = fps, doc.Regions
 	}
 	return api.RenderLabel(&doc)
 }

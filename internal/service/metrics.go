@@ -43,7 +43,7 @@ type Metrics struct {
 	// under respHits); deltaUnknownBase counts delta requests whose base
 	// the registry did not hold (served as 404). regionsReused and
 	// regionsRelabeled count, over delta label computations only, regions
-	// answered from the fragment cache versus re-labeled — their ratio is
+	// answered from registered rows versus re-labeled — their ratio is
 	// the realized incrementality.
 	deltaRequests    atomic.Int64
 	deltaUnknownBase atomic.Int64
@@ -193,11 +193,6 @@ func (s *Server) RenderMetricz() string {
 		w("delta_base_entries", int64(s.bases.Len()))
 	} else {
 		w("delta_base_entries", 0)
-	}
-	if s.frags != nil {
-		w("delta_fragment_entries", int64(s.frags.Len()))
-	} else {
-		w("delta_fragment_entries", 0)
 	}
 	w("sim_rows_computed", m.simRowsComputed.Load())
 	w("sim_rows_reused", m.simRowsReused.Load())

@@ -31,7 +31,7 @@ func TestRenderMetriczLineOrder(t *testing.T) {
 		"rejected_overloaded", "coalesced_requests", "tasks_computed",
 		"delta_requests", "delta_unknown_base",
 		"delta_regions_reused", "delta_regions_relabeled",
-		"delta_base_entries", "delta_fragment_entries",
+		"delta_base_entries",
 		"sim_rows_computed", "sim_rows_reused",
 		"sim_source_hits", "sim_answered_kept",
 		"response_cache_hits", "response_cache_entries",

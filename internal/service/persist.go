@@ -41,10 +41,13 @@ func (s StoreState) String() string {
 	return "disabled"
 }
 
-// persistWrite is one queued write-behind record.
+// persistWrite is one queued write-behind record. ifAbsent marks a
+// record the store may hold already (a kept-row answer): the persister
+// writes it only when its read finds none.
 type persistWrite struct {
-	key  store.Key
-	data []byte
+	key      store.Key
+	data     []byte
+	ifAbsent bool
 }
 
 // storeKeyOf maps a coalescing task key onto the persistent store's
@@ -99,28 +102,37 @@ func (s *Server) storeLookup(key taskKey) []byte {
 	if StoreState(s.storeState.Load()) != StoreOK {
 		return nil
 	}
-	data, err := s.cfg.Store.Get(storeKeyOf(key))
+	data, found := s.storeGet(storeKeyOf(key))
+	if found {
+		s.metrics.storeHits.Add(1)
+	}
+	return data
+}
+
+// storeGet reads key's record with one backend read and reports whether
+// it found one. A corrupt record, which the backend quarantines, reads
+// as absent, so its address recomputes; a read fault is counted and
+// degrades the store.
+func (s *Server) storeGet(key store.Key) ([]byte, bool) {
+	data, err := s.cfg.Store.Get(key)
 	switch {
 	case err == nil:
-		s.metrics.storeHits.Add(1)
-		return data
+		return data, true
 	case errors.Is(err, store.ErrNotFound):
-		return nil
 	case errors.Is(err, store.ErrCorrupt):
-		// The backend quarantined the record; this address recomputes.
 		s.metrics.storeCorrupt.Add(1)
-		return nil
 	default:
 		s.metrics.storeReadErrors.Add(1)
 		s.degradeStore(err)
-		return nil
 	}
+	return nil, false
 }
 
-// persistAsync enqueues a computed response for write-behind
-// persistence. It never blocks the request path: a full queue drops the
-// write (counted) rather than stalling the worker.
-func (s *Server) persistAsync(key taskKey, resp []byte) {
+// persistAsync enqueues a response for write-behind persistence, with
+// ifAbsent for one the store may hold already. It never blocks the
+// request path: a full queue drops the write (counted) rather than
+// stalling the worker.
+func (s *Server) persistAsync(key taskKey, resp []byte, ifAbsent bool) {
 	if StoreState(s.storeState.Load()) != StoreOK {
 		if StoreState(s.storeState.Load()) == StoreDegraded {
 			s.metrics.storeDroppedWrites.Add(1)
@@ -128,19 +140,26 @@ func (s *Server) persistAsync(key taskKey, resp []byte) {
 		return
 	}
 	select {
-	case s.persistQ <- persistWrite{key: storeKeyOf(key), data: resp}:
+	case s.persistQ <- persistWrite{key: storeKeyOf(key), data: resp, ifAbsent: ifAbsent}:
 	default:
 		s.metrics.storeDroppedWrites.Add(1)
 	}
 }
 
-// persistLoop drains the write-behind queue. A write error degrades the
-// store; queued writes arriving while degraded are dropped (counted),
-// not retried — the probe loop decides when the backend is trustworthy
-// again.
+// persistLoop drains the write-behind queue. A write marked ifAbsent
+// first reads its key and is skipped when the store holds the record; the
+// read serves no answer, so it counts no store hit. A read or write error
+// degrades the store; queued writes arriving while degraded are dropped
+// (counted), not retried — the probe loop decides when the backend is
+// trustworthy again.
 func (s *Server) persistLoop() {
 	defer close(s.persistDone)
 	for w := range s.persistQ {
+		if w.ifAbsent && StoreState(s.storeState.Load()) == StoreOK {
+			if _, found := s.storeGet(w.key); found {
+				continue
+			}
+		}
 		if StoreState(s.storeState.Load()) != StoreOK {
 			s.metrics.storeDroppedWrites.Add(1)
 			continue

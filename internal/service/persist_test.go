@@ -461,9 +461,10 @@ func TestHealthDocument(t *testing.T) {
 }
 
 // TestKeptRowAnswersPersist: a simulate answered from kept rows is durable
-// like a computed one. The one whose key the store holds reads its record
-// and writes nothing, the record being durable already, and the other is
-// written behind and found after a restart.
+// like a computed one. Neither reads the store on the request path, so
+// neither counts a store hit; the persister writes nothing for the one
+// whose key the store holds, the record being durable already, and writes
+// the other behind, which is found after a restart.
 func TestKeptRowAnswersPersist(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -504,8 +505,8 @@ func TestKeptRowAnswersPersist(t *testing.T) {
 	if snap.SimAnsweredKept != 2 || snap.Computed != 1 {
 		t.Errorf("answered from kept rows %d, computed %d; want 2 and 1", snap.SimAnsweredKept, snap.Computed)
 	}
-	if snap.StoreHits != 1 {
-		t.Errorf("store hits = %d, want 1 (the persisted capacity-8192 record)", snap.StoreHits)
+	if snap.StoreHits != 0 {
+		t.Errorf("store hits = %d, want 0 (no answer was served from the store)", snap.StoreHits)
 	}
 	s2.Close()
 	if got := s2.Metrics().SnapshotNow().StoreWrites; got != 2 {
@@ -524,9 +525,9 @@ func TestKeptRowAnswersPersist(t *testing.T) {
 }
 
 // TestKeptRowRepeatsWriteOnce: with the response cache off, every repeat
-// of a simulate reaches the kept-row path; each finds the record the first
-// answer wrote and writes nothing again, so repeats never crowd new
-// answers out of the write-behind queue.
+// of a simulate reaches the kept-row path; the persister finds the record
+// the first answer wrote and writes nothing again, and since no repeat is
+// served from the store, none counts a store hit.
 func TestKeptRowRepeatsWriteOnce(t *testing.T) {
 	st, _, err := store.Open(t.TempDir())
 	if err != nil {
@@ -556,8 +557,8 @@ func TestKeptRowRepeatsWriteOnce(t *testing.T) {
 	}
 	s.Close()
 	snap := s.Metrics().SnapshotNow()
-	if snap.SimAnsweredKept != repeats || snap.StoreHits != repeats {
-		t.Errorf("answered from kept rows %d, store hits %d; want %d each", snap.SimAnsweredKept, snap.StoreHits, repeats)
+	if snap.SimAnsweredKept != repeats || snap.StoreHits != 0 {
+		t.Errorf("answered from kept rows %d, store hits %d; want %d and 0", snap.SimAnsweredKept, snap.StoreHits, repeats)
 	}
 	if snap.StoreWrites != 1 || snap.StoreDroppedWrites != 0 {
 		t.Errorf("store writes %d, dropped %d; want 1 and 0", snap.StoreWrites, snap.StoreDroppedWrites)

@@ -74,11 +74,11 @@ func resolveProgram(req Request) (*ir.Program, error) {
 }
 
 // renderRegionLabeling builds one region's row of a label document from
-// its labeling result. Every label response is assembled from these rows
-// through the fragment cache, so a reused fragment is byte-identical to a
-// fresh rendering by construction. The dependence list is rendered only
-// when withDeps is set (the request's "deps" flag), which is why the flag
-// is part of a fragment's key.
+// its labeling result. Every label response is assembled from these rows,
+// and the base registry keeps them for reuse, so a reused row is
+// byte-identical to a fresh rendering by construction. The dependence
+// list is rendered only when withDeps is set (the request's "deps" flag),
+// which is why an entry keeps rows per flag.
 func renderRegionLabeling(r *ir.Region, res *idem.Result, withDeps bool) RegionLabeling {
 	total, byCat := res.IdempotentFraction()
 	reg := RegionLabeling{

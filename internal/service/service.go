@@ -17,8 +17,10 @@
 //     waiting for a worker, a full queue rejects with ErrOverloaded, and
 //     Close drains every admitted request before returning;
 //   - one label path: every label response, full or delta, is assembled
-//     from rendered region rows cached by region analysis fingerprint, so
-//     only regions never seen before are labeled and rendered (label.go);
+//     from rendered region rows, and the base registry keeps each
+//     program's rows with the source deltas compose against, so a repeat
+//     or a delta labels and renders only the regions its rows lack
+//     (label.go, delta.go);
 //   - a program tier of labeled programs keyed by ir.FingerprintOf, read
 //     by simulate and timeline requests, which need whole-program labels;
 //     a program enters it on its second lookup, the first having labeled
@@ -112,16 +114,14 @@ type Config struct {
 	// timings never reach response bytes, so responses are byte-identical
 	// either way.
 	FlightSpans int
-	// DeltaBases bounds the base registry: the canonical sources of the
-	// most recently analyzed programs, addressable as delta bases by
-	// fingerprint (0 selects 256, negative disables delta serving —
-	// every delta request then answers ErrUnknownBase).
+	// DeltaBases bounds the base registry, the one label tier: the most
+	// recently analyzed programs, addressable as delta bases by
+	// fingerprint, each with its canonical source and the rendered region
+	// rows its label responses were assembled from (0 selects 256).
+	// Negative disables delta serving and row reuse together: every delta
+	// request then answers ErrUnknownBase, and every label labels every
+	// region, still byte-identically.
 	DeltaBases int
-	// DeltaFragments bounds the region fragment cache every label response
-	// is assembled from, in rendered region rows keyed by region analysis
-	// fingerprint and "deps" flag (0 selects 4096, negative disables reuse
-	// — every label then labels every region, still byte-identically).
-	DeltaFragments int
 }
 
 // DefaultConfig returns the production defaults: a 512-program tier,
@@ -154,9 +154,6 @@ func (c Config) normalized() Config {
 	if c.DeltaBases == 0 {
 		c.DeltaBases = 256
 	}
-	if c.DeltaFragments == 0 {
-		c.DeltaFragments = 4096
-	}
 	if c.StoreProbeInterval <= 0 {
 		c.StoreProbeInterval = 3 * time.Second
 	}
@@ -171,20 +168,20 @@ type Server struct {
 	metrics *Metrics
 	flight  *obs.FlightRecorder // nil when disabled
 
-	// The memory tiers; resp, bases and frags are nil when disabled. resp
-	// holds response bytes by request (respcache.go); programs holds the
+	// The memory tiers; resp and bases are nil when disabled. resp holds
+	// response bytes by request (respcache.go); programs holds the
 	// labeled programs simulate and timeline requests run, by fingerprint
 	// and by the selector digests of repeatedly simulated texts, and
 	// probation the programs labeled once, until their second lookup
-	// promotes them into programs (label.go); bases resolves delta
-	// requests (delta.go); frags holds the rendered region rows every
-	// label response is assembled from, a row with a dependence list only
-	// for "deps" requests (label.go).
+	// promotes them into programs (label.go); bases holds each recently
+	// served program's canonical source, which resolves deltas
+	// (delta.go), and the rendered region rows its label responses were
+	// assembled from, a row with a dependence list only for "deps"
+	// requests (label.go).
 	resp      *lru.Cache[api.Key, respEntry]
 	programs  *lru.Cache[progKey, programEntry]
 	probation *lru.Cache[ir.Fingerprint, programEntry]
-	bases     *lru.Cache[ir.Fingerprint, string]
-	frags     *lru.Cache[fragKey, RegionLabeling]
+	bases     *lru.Cache[ir.Fingerprint, *baseEntry]
 	// progHits and progMisses count program-tier resolutions: one per
 	// simulate or timeline request, by alias or fingerprint, a promotion
 	// out of probation counting as a hit. promotions counts the programs
@@ -239,11 +236,18 @@ type task struct {
 	// success.
 	entry programEntry
 
-	// delta marks tasks admitted from a delta request (Base set); only
-	// they advance the delta_regions_* counters. The response bytes do not
-	// depend on it, so coalescing full and delta requests onto one task is
-	// exact.
-	delta bool
+	// base is the registry entry a delta request (Base set) composed its
+	// program from, nil for other tasks; the label reuses its rows, and
+	// only delta tasks advance the delta_regions_* counters. The response
+	// bytes do not depend on it, so coalescing full and delta requests
+	// onto one task is exact.
+	base *baseEntry
+	// fps and rows are the region analysis fingerprints and the rows a
+	// label computation assembled its response from, which run registers
+	// with the program's base entry; nil when the label reused the
+	// program's own rows or the registry is off.
+	fps  []ir.Fingerprint
+	rows []RegionLabeling
 
 	// Flight-recorder stage timings of the worker-side phases (zero when
 	// the recorder is off) and the response source ("store" or
@@ -271,10 +275,7 @@ func New(cfg Config) *Server {
 		s.resp = lru.New[api.Key, respEntry](cfg.ResponseCache)
 	}
 	if cfg.DeltaBases > 0 {
-		s.bases = lru.New[ir.Fingerprint, string](cfg.DeltaBases)
-	}
-	if cfg.DeltaFragments > 0 {
-		s.frags = lru.New[fragKey, RegionLabeling](cfg.DeltaFragments)
+		s.bases = lru.New[ir.Fingerprint, *baseEntry](cfg.DeltaBases)
 	}
 	if cfg.FlightSpans > 0 {
 		s.flight = obs.NewFlightRecorder(cfg.FlightSpans)
@@ -446,7 +447,7 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 			return e.resp, s.finishSpan(fl, &sp, nil), nil
 		}
 	}
-	e, known, err := s.resolve(req, rk.Selector())
+	e, base, known, err := s.resolve(req, rk.Selector())
 	if err != nil {
 		s.metrics.badRequests.Add(1)
 		if !errors.Is(err, ErrUnknownBase) {
@@ -465,17 +466,18 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 		// A simulate whose every row the entry keeps is answered here,
 		// like a response-cache hit: no task, queue or worker hop.
 		if resp, ok := s.answerKept(key, e); ok {
-			s.registerBase(e.fp, e.canonical)
-			// Durable like a computed answer (run): a record the store
-			// holds is not written again. Close closes the write-behind
+			s.registerBase(e.fp, e.canonical, false, nil, nil)
+			// Durable like a computed answer (run), but written only if
+			// absent: the persister, off the request path, skips a record
+			// the store holds already. Close closes the write-behind
 			// queue once admission has stopped, so the write is queued
 			// only while admission is open.
-			if s.cfg.Store != nil && s.storeLookup(key) == nil {
+			if s.cfg.Store != nil {
 				s.mu.Lock()
 				if s.closed {
 					s.metrics.storeDroppedWrites.Add(1)
 				} else {
-					s.persistAsync(key, resp)
+					s.persistAsync(key, resp, true)
 				}
 				s.mu.Unlock()
 			}
@@ -489,7 +491,7 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 		}
 	}
 
-	t, coalesced, err := s.admit(key, e, req.Base != "")
+	t, coalesced, err := s.admit(key, e, base)
 	if err != nil {
 		return nil, s.finishSpan(fl, &sp, err), err
 	}
@@ -533,24 +535,24 @@ func (s *Server) DoTraced(ctx context.Context, req Request) ([]byte, uint64, err
 // space. A simulate of a program or example selector whose alias the
 // program tier holds is found by its selector digest sel, with no parse
 // and no canonicalization. Any other request resolves its program
-// (resolveRequest) and formats it once for the fingerprint, and a
-// simulate then looks the fingerprint up in the tier and, failing that,
-// promotes it out of probation (promote); known reports either, so the
-// text names a program already labeled. A simulate's entry is the
-// tier's, labeled, when known. Each simulate resolution counts as one
-// program-tier hit or miss.
-func (s *Server) resolve(req Request, sel [32]byte) (e programEntry, known bool, err error) {
+// (resolveRequest; a delta also gets its base's registry entry) and
+// formats it once for the fingerprint, and a simulate then looks the
+// fingerprint up in the tier and, failing that, promotes it out of
+// probation (promote); known reports either, so the text names a program
+// already labeled. A simulate's entry is the tier's, labeled, when known.
+// Each simulate resolution counts as one program-tier hit or miss.
+func (s *Server) resolve(req Request, sel [32]byte) (e programEntry, base *baseEntry, known bool, err error) {
 	simulate := req.Op == OpSimulate
 	if simulate && req.Base == "" {
 		if aliased, ok := s.programs.Get(progKey{sum: sel, alias: true}); ok {
 			s.progHits.Add(1)
 			s.metrics.simSourceHits.Add(1)
-			return aliased, false, nil
+			return aliased, nil, false, nil
 		}
 	}
-	p, err := s.resolveRequest(req)
+	p, base, err := s.resolveRequest(req)
 	if err != nil {
-		return programEntry{}, false, err
+		return programEntry{}, nil, false, err
 	}
 	e.canonical, e.fp = ir.Canonical(p)
 	e.prog = p
@@ -561,11 +563,11 @@ func (s *Server) resolve(req Request, sel [32]byte) (e programEntry, known bool,
 		}
 		if ok {
 			s.progHits.Add(1)
-			return stored, true, nil
+			return stored, base, true, nil
 		}
 		s.progMisses.Add(1)
 	}
-	return e, false, nil
+	return e, base, false, nil
 }
 
 // remember records a successful answer to req, whose program resolved to
@@ -585,8 +587,8 @@ func (s *Server) remember(req Request, rk api.Key, e programEntry, known bool, r
 
 // admit coalesces the resolved request onto an in-flight task (reported
 // by the second return) or enqueues a new one, applying backpressure when
-// the queue is full.
-func (s *Server) admit(key taskKey, e programEntry, delta bool) (*task, bool, error) {
+// the queue is full. base is a delta request's base entry, nil otherwise.
+func (s *Server) admit(key taskKey, e programEntry, base *baseEntry) (*task, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -596,7 +598,7 @@ func (s *Server) admit(key taskKey, e programEntry, delta bool) (*task, bool, er
 		s.metrics.coalesced.Add(1)
 		return t, true, nil
 	}
-	t := &task{key: key, entry: e, delta: delta, done: make(chan struct{})}
+	t := &task{key: key, entry: e, base: base, done: make(chan struct{})}
 	select {
 	case s.queue <- t:
 	default:
@@ -632,7 +634,7 @@ func (s *Server) run(t *task) {
 	// skipped) applied to the analysis itself.
 	if resp := s.storeLookup(t.key); resp != nil {
 		t.resp = resp
-		s.registerBase(t.key.fp, t.entry.canonical)
+		s.registerBase(t.key.fp, t.entry.canonical, false, nil, nil)
 		if flight {
 			t.spanStoreRead = time.Since(lap).Nanoseconds()
 			t.src = "store"
@@ -648,8 +650,9 @@ func (s *Server) run(t *task) {
 	s.compute(t)
 	if t.err == nil {
 		// The resolved program becomes addressable as a delta base — for
-		// delta tasks too, so edits can chain base → patched → re-patched.
-		s.registerBase(t.key.fp, t.entry.canonical)
+		// delta tasks too, so edits can chain base → patched → re-patched
+		// — with the rows a label assembled its response from.
+		s.registerBase(t.key.fp, t.entry.canonical, t.key.deps, t.fps, t.rows)
 	}
 	if flight {
 		now := time.Now()
@@ -658,7 +661,7 @@ func (s *Server) run(t *task) {
 		t.src = "compute"
 	}
 	if t.err == nil && t.resp != nil {
-		s.persistAsync(t.key, t.resp)
+		s.persistAsync(t.key, t.resp, false)
 	}
 	if flight {
 		t.spanStoreWrite = time.Since(lap).Nanoseconds()
@@ -666,7 +669,7 @@ func (s *Server) run(t *task) {
 }
 
 // compute produces one task's response bytes. Labels are assembled from
-// region fragments (label.go); simulates run on the program tier's
+// region rows (label.go); simulates run on the program tier's
 // canonical labeled program (simulate.go), so rendering sees identical
 // inputs for identical programs and the response bytes are identical too.
 func (s *Server) compute(t *task) {

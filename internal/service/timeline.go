@@ -37,7 +37,7 @@ func (s *Server) SimulateTimeline(ctx context.Context, req Request, w io.Writer)
 	if s.closing.Load() {
 		return ErrClosed
 	}
-	e, _, err := s.resolve(req, api.KeyOf(req).Selector())
+	e, _, _, err := s.resolve(req, api.KeyOf(req).Selector())
 	if err != nil {
 		if !errors.Is(err, ErrUnknownBase) {
 			err = fmt.Errorf("%w: %v", ErrBadRequest, err)

@@ -22,11 +22,11 @@
 # BenchmarkRouterRoute (ring walk + bounded-load pick, no network —
 # gated exactly at 2 allocs/op so placement never grows a hidden
 # allocation). BenchmarkServiceLabelDelta rides the BenchmarkServiceLabel
-# prefix: the steady-state delta path (every unchanged region served
-# from the fragment cache) is alloc-exact too, and so is
-# BenchmarkServiceLabelUncached (the cold label path with no cache or
-# fragment reuse, single caller). Allocation counts are
-# machine-independent for the single-threaded benchmarks
+# prefix: the steady-state delta path (every region served from rows
+# the base registry keeps) is alloc-exact too, and so is
+# BenchmarkServiceLabelUncached (the cold label path with no response
+# cache or base registry, so no row reuse, single caller). Allocation
+# counts are machine-independent for the single-threaded benchmarks
 # (BenchmarkServiceLabelSerial included), so their allocs gate is exact;
 # the *Throughput service benchmarks run concurrent submitters whose
 # per-op allocs depend on scheduling, and the BenchmarkStore* rows are

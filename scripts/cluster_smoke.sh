@@ -88,7 +88,8 @@ grep -q '^router_cache_hits [1-9]' "$out/metricz_hits" ||
 echo "smoke: repeated fig2 answered from the router cache"
 
 # 2. The delta protocol. Region r0 shrinks by one trip; r1 is untouched
-# and must be served from the owner's fragment cache.
+# and must be served from the rows the owner's base registry keeps with
+# the base program.
 hdr='program cluster_smoke\nvar a[8]\nvar b[8]\n'
 base_req='{"program": "'"$hdr"'region r0 loop k = 0 to 7 {\na[k] = a[k] + 1\n}\nregion r1 loop k = 0 to 7 {\nb[k] = a[k] + b[k]\n}\n"}'
 patched_req='{"program": "'"$hdr"'region r0 loop k = 0 to 6 {\na[k] = a[k] + 1\n}\nregion r1 loop k = 0 to 7 {\nb[k] = a[k] + b[k]\n}\n"}'
