@@ -5,13 +5,14 @@
 // bounded-load balancing, health-probe ejection and deterministic
 // failover along the ring's successor order. Because replica responses
 // are byte-deterministic, clients cannot tell which replica answered,
-// that the router answered a repeat from its own response cache, or that
-// a failover happened at all.
+// that the router answered a repeat (a delta's too) from its own
+// response cache, or that a failover happened at all; every label and
+// simulate answer states the analysis version that made its bytes.
 //
 // Endpoints (the /v1 surface of a replica, plus the router's own):
 //
-//	POST /v1/label                a repeat from the router cache, else via the owning replica
-//	POST /v1/simulate             a repeat from the router cache, else via the owning replica
+//	POST /v1/label                a repeat (delta or full) from the router cache, else via the owning replica
+//	POST /v1/simulate             a repeat (delta or full) from the router cache, else via the owning replica
 //	POST /v1/simulate?timeline=1  speculation timeline, proxied
 //	POST /v1/batch                items route independently, answered in order
 //	GET  /healthz                 router + per-replica liveness (JSON)

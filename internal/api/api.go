@@ -49,9 +49,11 @@ const (
 
 // VersionHeader names the response header in which a server states its
 // analysis version (internal/service.AnalysisVersion) on every /v1/label
-// and /v1/simulate answer. Response bytes are a pure function of the
-// request only within one version, so the router serves cached bytes only
-// while every live replica answers with the version that produced them.
+// and /v1/simulate answer; a router states the version of the replica
+// answer or cache entry it serves. Response bytes are a pure function of
+// the request only within one version, so the router serves cached bytes
+// only while every live replica answers with the version that produced
+// them.
 const VersionHeader = "X-Refidem-Analysis-Version"
 
 // Request is one analysis request. Exactly one of Program (mini-language

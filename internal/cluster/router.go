@@ -13,15 +13,19 @@ package cluster
 // request does not hammer every replica in turn.
 //
 // Responses are byte-deterministic, so a repeated request need not leave
-// the router: label and simulate answers are cached by the same
-// pre-parse key the replicas' response caches use (api.KeyOf), and a
-// valid repeat is answered from the router's cache with no parse and no
-// replica hop. A miss is parsed only to place it, and the client's body
-// bytes are forwarded unchanged. Two contracts bound what a hit may
-// serve: a full label of a program whose delta was just answered 404
-// "unknown base" goes to the replica, so the replica registers the base
-// again; and no hit is served while a live replica answers with another
-// analysis version than the one that produced the bytes.
+// the router: label and simulate answers, deltas included, are cached by
+// the same pre-parse key the replicas' response caches use (api.KeyOf),
+// and a valid repeat is answered from the router's cache with no parse
+// and no replica hop. A delta answer is a pure function of its base
+// fingerprint, patches and flags, so a cached one stays exact after the
+// owner evicts the base. A miss is parsed only to place it, and the
+// client's body bytes are forwarded unchanged. Two contracts bound what a
+// hit may serve: a full label of a program whose delta was just answered
+// 404 "unknown base" goes to the replica, so the replica registers the
+// base again; and no hit is served while a live replica answers with
+// another analysis version than the one that produced the bytes. Every
+// label and simulate answer states the analysis version that made its
+// bytes, as a replica's does.
 
 import (
 	"bytes"
@@ -32,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,6 +60,12 @@ const (
 	responseCacheCap = 1024
 	recoveringCap    = 256
 )
+
+// maxSizedAnswer bounds the Content-Length a replica answer may state and
+// still be read into one buffer of exactly that length; a longer stated
+// length, or none, is read as a stream, so a bogus length cannot make the
+// router allocate before the bytes arrive.
+const maxSizedAnswer = 1 << 20
 
 // Replica names one backend refidemd.
 type Replica struct {
@@ -156,7 +167,8 @@ type Router struct {
 	// after New.
 	reps   []*replica
 	byName map[string]*replica
-	// cache holds label and simulate answers by api.KeyOf.
+	// cache holds label and simulate answers, deltas included, by
+	// api.KeyOf.
 	cache *lru.Cache[api.Key, cached]
 	// recovering holds the placement keys of deltas answered 404 unknown
 	// base, until a full label of that program succeeds through a replica.
@@ -384,24 +396,30 @@ func (rt *Router) handleOp(w http.ResponseWriter, r *http.Request, op, path stri
 		return
 	}
 	req.Op = op
-	resp, err := rt.route(r.Context(), path, req, body)
+	resp, version, err := rt.route(r.Context(), path, req, body)
+	if version != "" {
+		w.Header().Set(api.VersionHeader, version)
+	}
 	if err != nil {
 		api.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
 	w.Write(resp)
 }
 
-// route answers one request: from the response cache when the request is
-// a valid label or simulate that the cache may serve, otherwise by
-// forwarding body to the replicas that own its placement key (body nil
-// marshals req, once for every failover attempt). Replica-answered errors
-// return as *api.RemoteError, re-served verbatim by the caller; they are
-// never cached. Timeline exports (a query on path) and deltas are never
-// cached either, and deltas stay sticky to the owner of their base.
-func (rt *Router) route(ctx context.Context, path string, req api.Request, body []byte) ([]byte, error) {
-	cacheable := req.Base == "" && !strings.Contains(path, "?") && api.Validate(req) == nil
+// route answers one request, with the analysis version that made the
+// answer: from the response cache when the request is a valid label,
+// simulate or delta that the cache may serve, otherwise by forwarding body
+// to the replicas that own its placement key (body nil marshals req, once
+// for every failover attempt). Replica-answered errors return as
+// *api.RemoteError with the replica's version, re-served verbatim by the
+// caller; they are never cached. Errors the router makes itself carry no
+// version. Timeline exports (a query on path) are never cached either, and
+// delta misses stay sticky to the owner of their base.
+func (rt *Router) route(ctx context.Context, path string, req api.Request, body []byte) ([]byte, string, error) {
+	cacheable := !strings.Contains(path, "?") && api.Validate(req) == nil
 	var key api.Key
 	var e cached
 	hit := false
@@ -426,14 +444,14 @@ func (rt *Router) route(ctx context.Context, path string, req api.Request, body 
 		rt.resendForwards.Add(1)
 	case hit && rt.versionsAgree(e.version):
 		rt.cacheHits.Add(1)
-		return e.resp, nil
+		return e.resp, e.version, nil
 	case cacheable:
 		rt.cacheMisses.Add(1)
 	}
 	if body == nil {
 		var err error
 		if body, err = json.Marshal(req); err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	}
 	resp, version, err := rt.forward(ctx, path, place, req.Base != "" || resend, body)
@@ -448,7 +466,7 @@ func (rt *Router) route(ctx context.Context, path string, req api.Request, body 
 	case req.Base != "" && errors.Is(err, api.ErrUnknownBase):
 		rt.recovering.Put(place, struct{}{})
 	}
-	return resp, err
+	return resp, version, err
 }
 
 // versionsAgree reports whether every live replica that has answered
@@ -464,8 +482,8 @@ func (rt *Router) versionsAgree(v string) bool {
 
 // forward posts body to the placement key's replicas in failover order
 // and returns the first answer with the analysis version it stated.
-// Replica-answered errors return as *api.RemoteError; transport errors
-// fail over along the sequence.
+// Replica-answered errors return as *api.RemoteError, also with the
+// version; transport errors fail over along the sequence.
 func (rt *Router) forward(ctx context.Context, path, place string, sticky bool, body []byte) ([]byte, string, error) {
 	seq := rt.sequence(place, sticky)
 	if len(seq) == 0 {
@@ -489,7 +507,7 @@ func (rt *Router) forward(ctx context.Context, path, place string, sticky bool, 
 			// The replica is up and answered: its verdict stands. A bad
 			// request is bad everywhere; an overload is backpressure the
 			// client sees as 503 with Retry-After.
-			return nil, "", err
+			return nil, version, err
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The caller went away; trying more replicas helps nobody.
@@ -516,7 +534,7 @@ func (rep *replica) post(ctx context.Context, path string, body []byte) ([]byte,
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readAnswer(resp)
 	if err != nil {
 		return nil, "", err
 	}
@@ -526,6 +544,21 @@ func (rep *replica) post(ctx context.Context, path string, body []byte) ([]byte,
 		return nil, version, api.ErrorFromStatus(resp.StatusCode, resp.Header.Get("Retry-After"), b)
 	}
 	return b, version, nil
+}
+
+// readAnswer reads a replica answer's body: an answer of stated length up
+// to maxSizedAnswer into one buffer of exactly that length, any other as a
+// stream. Replicas state the length of every label and simulate answer.
+func readAnswer(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedAnswer {
+		return io.ReadAll(resp.Body)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -567,7 +600,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				if req.Op == api.OpSimulate {
 					path = "/v1/simulate"
 				}
-				resp, err = rt.route(r.Context(), path, req, nil)
+				resp, _, err = rt.route(r.Context(), path, req, nil)
 			}
 			if err != nil {
 				doc, _ := json.Marshal(api.ErrorDoc{Error: err.Error()})

@@ -124,30 +124,45 @@ func routerClient(t testing.TB, rt *Router) *client.Client {
 }
 
 // The router must be invisible at the byte level: any request answered
-// through it returns exactly the bytes a single node would serve.
+// through it returns exactly the bytes a single node would serve. Each
+// delta is sent twice, so its repeat is answered from the router's cache;
+// the deltas share a base and differ in one patch, flag or op each.
 func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 	rt, _ := testReplicaSet(t, 3, 0)
 	via := routerClient(t, rt)
 	direct := singleNode(t)
 	ctx := context.Background()
 
+	base := fingerprintOf(t, clusterProg)
+	patch := []api.RegionPatch{{Region: "r1", Source: patchedR1}}
 	requests := []api.Request{
-		{Program: clusterProg},
+		{Program: clusterProg}, // the deltas' base, on both sides
 		{Example: "fig2"},
 		{Example: "fig2", Deps: true},
 		{Op: api.OpSimulate, Example: "fig2", Procs: 8, Capacity: 64},
+		{Base: base, Patches: patch},
+		{Base: base, Patches: patch, Deps: true},
+		{Base: base, Patches: []api.RegionPatch{
+			{Region: "r0", Source: "region r0 loop k = 0 to 15 {\n  a[k] = (b[k] + 5)\n}\n"}}},
+		{Op: api.OpSimulate, Base: base, Patches: patch, Procs: 4, Capacity: 16},
 	}
 	for i, req := range requests {
-		got, err := via.Do(ctx, withOp(req))
-		if err != nil {
-			t.Fatalf("request %d via router: %v", i, err)
-		}
 		want, err := direct.Do(ctx, withOp(req))
 		if err != nil {
 			t.Fatalf("request %d direct: %v", i, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("request %d: router bytes differ from single node\nrouter: %s\ndirect: %s", i, got, want)
+		sends := 1
+		if req.Base != "" {
+			sends = 2
+		}
+		for round := 0; round < sends; round++ {
+			got, err := via.Do(ctx, withOp(req))
+			if err != nil {
+				t.Fatalf("request %d round %d via router: %v", i, round, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("request %d round %d: router bytes differ from single node\nrouter: %s\ndirect: %s", i, round, got, want)
+			}
 		}
 	}
 }
@@ -697,8 +712,9 @@ func TestRouterValidatesBeforeCacheLookup(t *testing.T) {
 	}
 }
 
-// Timeline exports, deltas and error answers are forwarded every time.
-func TestRouterNeverCachesTimelineDeltasOrErrors(t *testing.T) {
+// Timeline exports and error answers, an unknown-base delta's 404
+// included, are forwarded every time.
+func TestRouterNeverCachesTimelineOrErrors(t *testing.T) {
 	var forwarded atomic.Int64
 	rt, _ := testReplicaSetWith(t, 3, 0, replicaConfig(), countV1(&forwarded))
 	hs := httptest.NewServer(rt.Handler())
@@ -706,11 +722,6 @@ func TestRouterNeverCachesTimelineDeltasOrErrors(t *testing.T) {
 	via := client.New(hs.URL)
 	ctx := context.Background()
 
-	if _, err := via.Label(ctx, api.Request{Program: clusterProg}); err != nil {
-		t.Fatal(err)
-	}
-	delta := api.Request{Op: api.OpLabel, Base: fingerprintOf(t, clusterProg),
-		Patches: []api.RegionPatch{{Region: "r1", Source: patchedR1}}}
 	timeline := func() error {
 		resp, err := http.Post(hs.URL+"/v1/simulate?timeline=1", "application/json",
 			strings.NewReader(`{"example":"fig2","procs":4,"capacity":16}`))
@@ -730,7 +741,6 @@ func TestRouterNeverCachesTimelineDeltasOrErrors(t *testing.T) {
 		wantErr bool
 	}{
 		{"timeline", timeline, false},
-		{"delta", func() error { _, err := via.Label(ctx, delta); return err }, false},
 		{"unparseable program", func() error {
 			_, err := via.Label(ctx, api.Request{Program: "program broken\nnonsense"})
 			return err
@@ -754,8 +764,8 @@ func TestRouterNeverCachesTimelineDeltasOrErrors(t *testing.T) {
 			}
 		}
 	}
-	if n := rt.cache.Len(); n != 1 {
-		t.Fatalf("router cache holds %d answers, want 1 (the base label)", n)
+	if n := rt.cache.Len(); n != 0 {
+		t.Fatalf("router cache holds %d answers, want 0", n)
 	}
 }
 
@@ -820,6 +830,112 @@ func TestRouterDeltaRecoveryThroughCache(t *testing.T) {
 	}
 }
 
+// A delta answer is a pure function of its base, patches and flags, so the
+// router answers a repeat from its cache: with no replica request, with the
+// bytes of a full label of the composed program, after the owner evicted
+// the base, and as a batch item. A new delta against the evicted base still
+// gets the owner's 404 and recovers through the resend.
+func TestRouterAnswersDeltaRepeats(t *testing.T) {
+	var forwarded atomic.Int64
+	cfg := replicaConfig()
+	cfg.DeltaBases = 1 // one more program on the owner evicts the base
+	rt, _ := testReplicaSetWith(t, 3, 0, cfg, countV1(&forwarded))
+	via := routerClient(t, rt)
+	direct := singleNode(t)
+	ctx := context.Background()
+
+	send := func(req api.Request) ([]byte, int64, error) {
+		t.Helper()
+		before := forwarded.Load()
+		resp, err := via.Label(ctx, req)
+		return resp, forwarded.Load() - before, err
+	}
+	fullOf := func(src string) []byte {
+		t.Helper()
+		resp, err := direct.Label(ctx, api.Request{Op: api.OpLabel, Program: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	base := api.Request{Op: api.OpLabel, Program: clusterProg}
+	if _, err := via.Label(ctx, base); err != nil {
+		t.Fatal(err)
+	}
+	d1 := api.Request{Op: api.OpLabel, Base: fingerprintOf(t, clusterProg),
+		Patches: []api.RegionPatch{{Region: "r1", Source: patchedR1}}}
+	want1 := fullOf(clusterProgPatched)
+	for round, wantSent := range []int64{1, 0} {
+		got, sent, err := send(d1)
+		if err != nil {
+			t.Fatalf("delta round %d: %v", round, err)
+		}
+		if !bytes.Equal(got, want1) {
+			t.Fatalf("delta round %d differs from a full label of the composed program", round)
+		}
+		if sent != wantSent {
+			t.Fatalf("delta round %d reached %d replica requests, want %d", round, sent, wantSent)
+		}
+	}
+
+	// The owner evicts the base: the cached delta is still exact.
+	owner := rt.ring.Owner(RouteKey(base))
+	if _, err := via.Label(ctx, ownedBy(t, rt, owner, "evict")); err != nil {
+		t.Fatal(err)
+	}
+	if got, sent, err := send(d1); err != nil || sent != 0 || !bytes.Equal(got, want1) {
+		t.Fatalf("delta after its base was evicted: %d replica requests, error %v, equal bytes %v; want 0, nil, true",
+			sent, err, bytes.Equal(got, want1))
+	}
+
+	// A new delta against the evicted base is the owner's to answer.
+	d2 := api.Request{Op: api.OpLabel, Base: d1.Base, Patches: []api.RegionPatch{
+		{Region: "r0", Source: "region r0 loop k = 0 to 15 {\n  a[k] = (b[k] + 7)\n}\n"}}}
+	composed2 := strings.Replace(clusterProg, "(b[k] + 1)", "(b[k] + 7)", 1)
+	if _, sent, err := send(d2); !errors.Is(err, api.ErrUnknownBase) || sent != 1 {
+		t.Fatalf("new delta against the evicted base: %d replica requests, error %v; want 1, unknown base", sent, err)
+	}
+	if _, sent, err := send(d1); err != nil || sent != 0 {
+		t.Fatalf("cached delta while its base is recovering: %d replica requests, error %v; want 0, nil", sent, err)
+	}
+	if _, sent, err := send(base); err != nil || sent != 1 || rt.resendForwards.Load() != 1 {
+		t.Fatalf("resend: %d replica requests, %d resend forwards, error %v; want 1, 1, nil",
+			sent, rt.resendForwards.Load(), err)
+	}
+	want2 := fullOf(composed2)
+	for round, wantSent := range []int64{1, 0} {
+		got, sent, err := send(d2)
+		if err != nil || sent != wantSent || !bytes.Equal(got, want2) {
+			t.Fatalf("recovered delta round %d: %d replica requests, error %v, equal bytes %v; want %d, nil, true",
+				round, sent, err, bytes.Equal(got, want2), wantSent)
+		}
+	}
+
+	// Batch items share the cache.
+	before := forwarded.Load()
+	items, err := via.Batch(ctx, []api.Request{d1, d2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantItems, err := direct.Batch(ctx, []api.Request{
+		{Op: api.OpLabel, Program: clusterProgPatched},
+		{Op: api.OpLabel, Program: composed2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range items {
+		if !bytes.Equal(items[i], wantItems[i]) {
+			t.Fatalf("batch item %d differs from a full label of its composed program\nrouter: %s\ndirect: %s",
+				i, items[i], wantItems[i])
+		}
+	}
+	if sent := forwarded.Load() - before; sent != 0 {
+		t.Fatalf("a batch of delta repeats reached %d replica requests, want 0", sent)
+	}
+}
+
 // statesVersion rewrites the analysis version a replica states.
 func statesVersion(version string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -854,6 +970,9 @@ func TestRouterVersionMismatchStopsHits(t *testing.T) {
 
 		x := ownedBy(t, rt, "rep-0", "x")
 		y := ownedBy(t, rt, "rep-1", "y")
+		// dx is a delta against x, placed with it on rep-0.
+		dx := api.Request{Op: api.OpLabel, Base: fingerprintOf(t, x.Program), Patches: []api.RegionPatch{
+			{Region: "r0", Source: "region r0 loop k = 0 to 7 {\n  a[k] = (k + 100)\n}\n"}}}
 		send := func(req api.Request) int64 {
 			t.Helper()
 			before := forwarded.Load()
@@ -862,12 +981,15 @@ func TestRouterVersionMismatchStopsHits(t *testing.T) {
 			}
 			return forwarded.Load() - before
 		}
-		if send(x) != 1 || send(x) != 0 {
+		if send(x) != 1 || send(x) != 0 || send(dx) != 1 || send(dx) != 0 {
 			t.Fatal("a repeat before any version disagreement was not answered at the router")
 		}
 		send(y) // rep-1 answers with the other version
 		if sent := send(x); sent != 1 {
 			t.Fatalf("a repeat while rep-1 states another version reached %d replica requests, want 1", sent)
+		}
+		if sent := send(dx); sent != 1 {
+			t.Fatalf("a delta repeat while rep-1 states another version reached %d replica requests, want 1", sent)
 		}
 		if sent := send(y); sent != 1 {
 			t.Fatalf("a repeat of rep-1's answer reached %d replica requests, want 1", sent)
@@ -876,5 +998,121 @@ func TestRouterVersionMismatchStopsHits(t *testing.T) {
 		if sent := send(x); sent != 0 {
 			t.Fatalf("a repeat with only agreeing replicas alive reached %d replica requests, want 0", sent)
 		}
+		if sent := send(dx); sent != 0 {
+			t.Fatalf("a delta repeat with only agreeing replicas alive reached %d replica requests, want 0", sent)
+		}
 	})
+}
+
+// Every label and simulate answer through the router states the analysis
+// version that made its bytes, as a replica's does: a hit the cached
+// entry's, a forward the answering replica's, replica errors included. An
+// error the router makes itself states none. A router fronting another
+// router therefore caches too.
+func TestRouterStatesAnalysisVersion(t *testing.T) {
+	rt, servers := testReplicaSet(t, 2, 0)
+	hs := httptest.NewServer(rt.Handler())
+	t.Cleanup(hs.Close)
+	post := func(url, path, body string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, raw
+	}
+
+	delta := fmt.Sprintf(`{"base":%q,"patches":[{"region":"r1","source":%q}]}`, fingerprintOf(t, clusterProg), patchedR1)
+	for _, c := range []struct {
+		path, body string
+		status     int
+		version    string
+	}{
+		{"/v1/label", `{"example":"fig2"}`, http.StatusOK, service.AnalysisVersion},
+		{"/v1/simulate", `{"example":"fig2","procs":4,"capacity":16}`, http.StatusOK, service.AnalysisVersion},
+		{"/v1/label", fmt.Sprintf(`{"program":%q}`, clusterProg), http.StatusOK, service.AnalysisVersion},
+		{"/v1/label", delta, http.StatusOK, service.AnalysisVersion},
+		{"/v1/simulate?timeline=1", `{"example":"fig2","procs":4,"capacity":16}`, http.StatusOK, service.AnalysisVersion},
+		{"/v1/label", `{"example":"nope"}`, http.StatusBadRequest, service.AnalysisVersion},
+		{"/v1/label", `{"base":"` + strings.Repeat("ab", 32) + `"}`, http.StatusNotFound, service.AnalysisVersion},
+		{"/v1/label", `{"unknown_field":1}`, http.StatusBadRequest, ""},
+	} {
+		// The second round of a cacheable request is a hit.
+		for round := 0; round < 2; round++ {
+			hits := rt.cacheHits.Load()
+			resp, raw := post(hs.URL, c.path, c.body)
+			if resp.StatusCode != c.status {
+				t.Fatalf("%s %s round %d: status %d, want %d\n%s", c.path, c.body, round, resp.StatusCode, c.status, raw)
+			}
+			if got := resp.Header.Get(api.VersionHeader); got != c.version {
+				t.Errorf("%s %s round %d (%d hits): %s = %q, want %q",
+					c.path, c.body, round, rt.cacheHits.Load()-hits, api.VersionHeader, got, c.version)
+			}
+			if c.status == http.StatusOK && resp.ContentLength != int64(len(raw)) {
+				t.Errorf("%s %s round %d: Content-Length %d for a %d-byte answer",
+					c.path, c.body, round, resp.ContentLength, len(raw))
+			}
+		}
+	}
+	if rt.cacheHits.Load() != 4 {
+		t.Fatalf("%d cache hits, want 4 (label, simulate, program and delta repeats)", rt.cacheHits.Load())
+	}
+
+	outer, err := New(Config{Replicas: []Replica{{Name: "inner", URL: hs.URL}}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(outer.Close)
+	outerHS := httptest.NewServer(outer.Handler())
+	t.Cleanup(outerHS.Close)
+	for round := 0; round < 2; round++ {
+		if resp, raw := post(outerHS.URL, "/v1/label", `{"example":"fig1"}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("label through two routers: status %d\n%s", resp.StatusCode, raw)
+		}
+	}
+	if outer.cacheHits.Load() != 1 {
+		t.Fatalf("a router fronting a router answered %d repeats from its cache, want 1", outer.cacheHits.Load())
+	}
+
+	for _, s := range servers {
+		s.Close()
+	}
+	resp, raw := post(hs.URL, "/v1/label", `{"example":"fig3"}`)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(api.VersionHeader) != "" {
+		t.Fatalf("with no live replica: status %d, %s %q; want 503 and none\n%s",
+			resp.StatusCode, api.VersionHeader, resp.Header.Get(api.VersionHeader), raw)
+	}
+}
+
+// readAnswer reads a stated length into one buffer of exactly that length,
+// and an absent or oversized length as a stream; a body shorter than its
+// stated length is an error.
+func TestReadAnswer(t *testing.T) {
+	body := strings.Repeat("x", 100)
+	for _, c := range []struct {
+		name   string
+		length int64
+		err    bool
+	}{
+		{"stated", 100, false},
+		{"absent", -1, false},
+		{"above the bound", maxSizedAnswer + 1, false},
+		{"short", 101, true},
+	} {
+		got, err := readAnswer(&http.Response{ContentLength: c.length, Body: io.NopCloser(strings.NewReader(body))})
+		if (err != nil) != c.err {
+			t.Fatalf("%s: error %v, want error %v", c.name, err, c.err)
+		}
+		if !c.err && string(got) != body {
+			t.Fatalf("%s: read %d bytes, want the 100-byte body", c.name, len(got))
+		}
+		if c.name == "stated" && cap(got) != 100 {
+			t.Fatalf("stated: buffer capacity %d, want exactly 100", cap(got))
+		}
+	}
 }

@@ -24,8 +24,8 @@ import (
 // 503 with Retry-After; malformed requests to 400; requests exceeding
 // the configured per-request deadline to 504. Every /v1/label and
 // /v1/simulate answer, error or not, states AnalysisVersion in the
-// api.VersionHeader header; when the flight recorder is on, it also
-// carries X-Refidem-Trace-Id.
+// api.VersionHeader header, and every successful one its Content-Length;
+// when the flight recorder is on, it also carries X-Refidem-Trace-Id.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/label", func(w http.ResponseWriter, r *http.Request) {
@@ -78,6 +78,7 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request, op string) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
 	w.Write(resp)
 }
 
@@ -97,6 +98,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.Write(buf.Bytes())
 }
 

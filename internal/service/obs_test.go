@@ -216,7 +216,8 @@ func TestTracezDisabled(t *testing.T) {
 }
 
 // TestVersionHeader: every /v1/label and /v1/simulate answer states the
-// analysis version, whatever its status, and the bytes do not carry it.
+// analysis version, whatever its status, and the bytes do not carry it;
+// every successful one also states its length.
 func TestVersionHeader(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
@@ -248,6 +249,9 @@ func TestVersionHeader(t *testing.T) {
 		}
 		if bytes.Contains(body, []byte(AnalysisVersion)) {
 			t.Errorf("%s %s: the body carries the analysis version", c.path, c.body)
+		}
+		if c.status == http.StatusOK && resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s %s: Content-Length %d for a %d-byte answer", c.path, c.body, resp.ContentLength, len(body))
 		}
 	}
 }

@@ -15,13 +15,16 @@
 #   3. Failover: SIGKILL the replica that owns the program's key (found
 #      via per-replica /metricz counters), re-issue the full label, and
 #      require the same bytes from the failover successor.
-#   4. The documented unknown-base recovery: after the owner dies, the
-#      delta fails over to a successor that never saw the base (404
-#      "unknown base"); re-sending the full program and retrying the
-#      delta must reproduce the original delta response byte for byte.
-#   5. Probe ejection: the router's /healthz must mark the killed
+#   4. The documented unknown-base recovery: after the owner dies, a
+#      delta the router has not answered (step 2's patch with "deps")
+#      fails over to a successor that never saw the base (404 "unknown
+#      base"); re-sending the full program and retrying the delta must
+#      answer the bytes of a full "deps" label of the patched program.
+#   5. Delta repeats at the router: step 2's delta, repeated after the
+#      kill, must be answered from the router's cache byte for byte.
+#   6. Probe ejection: the router's /healthz must mark the killed
 #      replica dead and /metricz must count the ejection and failovers.
-#   6. Graceful drain: SIGTERM on the router and surviving replicas
+#   7. Graceful drain: SIGTERM on the router and surviving replicas
 #      must exit cleanly.
 #
 # Usage: scripts/cluster_smoke.sh
@@ -75,6 +78,7 @@ await_url "$out/router.out" router
 echo "smoke: router at $router"
 
 post() { curl -sfS -X POST -H 'Content-Type: application/json' -d "$1" "$router$2"; }
+cache_hits() { curl -sfS "$router/metricz" | sed -n 's/^router_cache_hits \([0-9]*\)$/\1/p'; }
 
 # 1. Byte-identity through the router against the single-daemon golden.
 post '{"example": "fig2", "deps": true}' /v1/label >"$out/fig2.json"
@@ -93,6 +97,8 @@ echo "smoke: repeated fig2 answered from the router cache"
 hdr='program cluster_smoke\nvar a[8]\nvar b[8]\n'
 base_req='{"program": "'"$hdr"'region r0 loop k = 0 to 7 {\na[k] = a[k] + 1\n}\nregion r1 loop k = 0 to 7 {\nb[k] = a[k] + b[k]\n}\n"}'
 patched_req='{"program": "'"$hdr"'region r0 loop k = 0 to 6 {\na[k] = a[k] + 1\n}\nregion r1 loop k = 0 to 7 {\nb[k] = a[k] + b[k]\n}\n"}'
+# Step 4's label of the patched program: the same document with "deps".
+patched_deps_req='{"deps": true, '"${patched_req#\{}"
 patch_src='region r0 loop k = 0 to 6 {\na[k] = a[k] + 1\n}\n'
 
 # Snapshot per-replica label counters so the owner is identifiable.
@@ -113,6 +119,8 @@ done
 echo "smoke: program owner is replica $owner (${urls[$owner]})"
 
 delta_req='{"base": "'"$fp"'", "patches": [{"region": "r0", "source": "'"$patch_src"'"}]}'
+# Step 4's delta: the same patch with "deps", which nothing sends before.
+delta_deps_req='{"deps": true, '"${delta_req#\{}"
 post "$delta_req" /v1/label >"$out/delta.json"
 post "$patched_req" /v1/label >"$out/full_patched.json"
 diff -u "$out/full_patched.json" "$out/delta.json"
@@ -124,23 +132,36 @@ owner_pid="${pids[$owner]}"
 kill -9 "$owner_pid"
 wait "$owner_pid" 2>/dev/null || true
 
-# 4. The delta's base lived only on the dead owner: the failover
-# successor must answer 404 "unknown base" (passed through verbatim,
-# not retried), and the documented recovery — re-send the full program,
-# retry the delta — must restore byte-identical service.
+# 4. The delta's base lived only on the dead owner. A delta the router
+# has not answered (the router answers step 2's from its cache, step 5)
+# reaches the failover successor, which must answer 404 "unknown base"
+# (passed through verbatim, not retried), and the documented recovery —
+# re-send the full program, retry the delta — must restore
+# byte-identical service.
 code="$(curl -s -o "$out/delta_err.json" -w '%{http_code}' \
-  -X POST -H 'Content-Type: application/json' -d "$delta_req" "$router/v1/label")"
+  -X POST -H 'Content-Type: application/json' -d "$delta_deps_req" "$router/v1/label")"
 [ "$code" = "404" ] || { echo "post-kill delta answered $code, want 404" >&2; cat "$out/delta_err.json" >&2; exit 1; }
 grep -q 'unknown base' "$out/delta_err.json"
 echo "smoke: post-kill delta rejected with 404 unknown base"
 
 post "$base_req" /v1/label >"$out/full2.json"
 diff -u "$out/full.json" "$out/full2.json"
-post "$delta_req" /v1/label >"$out/delta2.json"
-diff -u "$out/delta.json" "$out/delta2.json"
+post "$delta_deps_req" /v1/label >"$out/delta_deps.json"
+post "$patched_deps_req" /v1/label >"$out/full_patched_deps.json"
+diff -u "$out/full_patched_deps.json" "$out/delta_deps.json"
 echo "smoke: failover re-label and recovered delta byte-identical"
 
-# 5. The prober must eject the dead replica and the counters must agree.
+# 5. Step 2's delta is answered at the router, so the owner's death
+# cannot change its bytes.
+hits_before="$(cache_hits)"
+post "$delta_req" /v1/label >"$out/delta_again.json"
+diff -u "$out/delta.json" "$out/delta_again.json"
+hits_after="$(cache_hits)"
+[ "$hits_after" -gt "$hits_before" ] ||
+  { echo "the repeated delta was not answered from the router cache ($hits_before -> $hits_after hits)" >&2; exit 1; }
+echo "smoke: repeated delta answered from the router cache"
+
+# 6. The prober must eject the dead replica and the counters must agree.
 owner_name="${urls[$owner]#http://}"
 ejected=""
 for _ in $(seq 1 100); do
@@ -160,7 +181,7 @@ if grep -q '^router_failovers 0$' "$out/metricz"; then
 fi
 echo "smoke: prober ejected the dead replica; failovers counted"
 
-# 6. Graceful drain everywhere that is still alive.
+# 7. Graceful drain everywhere that is still alive.
 kill -TERM "$router_pid"
 wait "$router_pid"
 for i in 0 1 2; do
